@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ from .ssa import build_ssa_text
 from .suffix import WeightedText, weighted_qgram_counts
 
 ALGORITHMS = ("nsa", "ssa", "stsa")
+_HEX_ESCAPE = re.compile(r"\\x([0-9A-Fa-f]{2})")
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class CountRequest:
     q: int
     algorithm: str = "stsa"
     expand_output: bool = False
-    output_path: str | None = None
 
 
 def escape_bytes(data: bytes) -> str:
@@ -69,21 +70,20 @@ def escape_bytes(data: bytes) -> str:
 
 
 def unescape_bytes(escaped: str) -> bytes:
-    """Inverse of :func:`escape_bytes`."""
+    """Inverse of :func:`escape_bytes`; anything it cannot write raises
+    ValueError, including ``\\x`` without exactly two hex digits."""
     out = bytearray()
     i = 0
     while i < len(escaped):
         c = escaped[i]
-        if c != "\\":
+        if " " <= c <= "~" and c != "\\":
             out.append(ord(c))
             i += 1
-            continue
-        marker = escaped[i + 1 : i + 2]
-        if marker == "\\":
+        elif escaped.startswith("\\\\", i):
             out.append(0x5C)
             i += 2
-        elif marker == "x":
-            out.append(int(escaped[i + 2 : i + 4], 16))
+        elif hex_escape := _HEX_ESCAPE.match(escaped, i):
+            out.append(int(hex_escape[1], 16))
             i += 4
         else:
             raise ValueError(f"bad escape at offset {i} in {escaped!r}")
@@ -109,17 +109,20 @@ def _unit_weighted(text: bytes, q: int) -> WeightedText:
     return WeightedText(text, weights, q)
 
 
+def _neighbor_trie(g, m, q: int):
+    """(q-marks, neighbor graph, flattened trie) for one gram length."""
+    qm = compute_qmarks(g, m, q)
+    graph = build_neighbor_graph(g, m, qm)
+    return qm, graph, flatten_neighbor_trie(g, m, qm, graph)
+
+
 def _pipeline_text(g, m, q: int, algorithm: str) -> tuple[str, WeightedText]:
     """The weighted string a pipeline counts on, plus its reference name."""
     if algorithm == "nsa":
         return "T", _unit_weighted(expand(g), q)
     if algorithm == "ssa":
         return "z", build_ssa_text(g, m, q)
-    if algorithm == "stsa":
-        qm = compute_qmarks(g, m, q)
-        graph = build_neighbor_graph(g, m, qm)
-        return "z", flatten_neighbor_trie(g, m, qm, graph).to_weighted_text()
-    raise SlpError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
+    return "z", _neighbor_trie(g, m, q)[2].to_weighted_text()
 
 
 def run_count(req: CountRequest) -> str:
@@ -154,20 +157,16 @@ def run_count(req: CountRequest) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _verify_one(g, m, q: int, corrupt) -> list[str]:
+def _verify_one(g, m, text: bytes, q: int, corrupt) -> list[str]:
     problems: list[str] = []
-    qm = compute_qmarks(g, m, q)
-    graph = build_neighbor_graph(g, m, qm)
-    trie = flatten_neighbor_trie(g, m, qm, graph)
-    counts: dict[str, dict[bytes, int]] = {}
-    for algorithm in ALGORITHMS:
-        if algorithm == "stsa":
-            wt = trie.to_weighted_text()
-            if corrupt is not None:
-                wt = corrupt(wt)
-        else:
-            _, wt = _pipeline_text(g, m, q, algorithm)
-        counts[algorithm] = weighted_qgram_counts(wt).materialize(wt.text)
+    qm, graph, trie = _neighbor_trie(g, m, q)
+    stsa = trie.to_weighted_text()
+    texts = {
+        "nsa": _unit_weighted(text, q),
+        "ssa": build_ssa_text(g, m, q),
+        "stsa": stsa if corrupt is None else corrupt(stsa),
+    }
+    counts = {name: weighted_qgram_counts(wt).materialize(wt.text) for name, wt in texts.items()}
     base = counts["nsa"]
     for algorithm in ("ssa", "stsa"):
         if counts[algorithm] == base:
@@ -202,7 +201,8 @@ def run_verify(
 ) -> tuple[int, str]:
     """Cross-check the three pipelines for every q in 2..min(q_max, |T|).
 
-    Returns (exit code, report); the report stops at the first divergence.
+    T is expanded once, before the first q, for the nsa pipeline.  Returns
+    (exit code, report); the report stops at the first divergence.
     ``corrupt`` is a test hook applied to the trie pipeline's weighted text
     before counting.
     """
@@ -210,10 +210,11 @@ def run_verify(
         raise SlpError("q_max must be at least 2")
     g = _load_grammar(grammar_path)
     m = compute_metrics(g)
+    text = expand(g)
     top = min(q_max, m.text_length)
     lines = []
     for q in range(2, top + 1):
-        problems = _verify_one(g, m, q, corrupt)
+        problems = _verify_one(g, m, text, q, corrupt)
         if problems:
             lines.extend(problems)
             lines.append(f"q={q}: FAIL")
@@ -232,9 +233,7 @@ def run_stats(grammar_path: str, q_list: list[int]) -> str:
     for q in q_list:
         if q < 2:
             raise SlpError("stats needs q >= 2")
-        qm = compute_qmarks(g, m, q)
-        graph = build_neighbor_graph(g, m, qm)
-        trie = flatten_neighbor_trie(g, m, qm, graph)
+        qm, graph, trie = _neighbor_trie(g, m, q)
         rows.append(compute_dup_stats(g, m, qm, trie, graph).csv_row())
     return "\n".join(rows) + "\n"
 
@@ -242,28 +241,24 @@ def run_stats(grammar_path: str, q_list: list[int]) -> str:
 def run_bench(grammar_path: str, q_list: list[int], repetitions: int) -> str:
     """CSV of mean wall-clock seconds per q and pipeline.
 
-    The grammar, and for nsa the expanded text, is loaded before the clock
-    starts; each timed repetition covers the full counting pipeline.  The
-    problem_size column is the length of the string each pipeline counts on.
+    The grammar is loaded before the clock starts; each timed repetition
+    runs one pipeline from the loaded grammar through counting: metrics,
+    then the expansion of T for nsa or the reduction string for ssa and
+    stsa.  The problem_size column is the length of the string each
+    pipeline counts on.
     """
     if repetitions < 1:
         raise SlpError("repetitions must be at least 1")
     g = _load_grammar(grammar_path)
-    text = expand(g)
     rows = ["q,algo,mean_seconds,problem_size"]
     for q in q_list:
         if q < 2:
             raise SlpError("bench needs q >= 2")
         for algorithm in ALGORITHMS:
             elapsed = 0.0
-            size = 0
             for _ in range(repetitions):
                 begin = time.perf_counter()
-                if algorithm == "nsa":
-                    wt = _unit_weighted(text, q)
-                else:
-                    m = compute_metrics(g)
-                    _, wt = _pipeline_text(g, m, q, algorithm)
+                _, wt = _pipeline_text(g, compute_metrics(g), q, algorithm)
                 weighted_qgram_counts(wt)
                 elapsed += time.perf_counter() - begin
                 size = len(wt.text)
@@ -313,7 +308,7 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    req = CountRequest(args.input, args.q, args.algo, args.expand, args.output)
+    req = CountRequest(args.input, args.q, args.algo, args.expand)
     _write_text(args.output, run_count(req))
     return 0
 

@@ -23,11 +23,16 @@ CSV_HEADER = "q,sum_ti,trie_size,dup,flattened_len,edges,vertices"
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Rules long enough to own a q-gram, with owner-to-next-owner edges."""
+    """Rules long enough to own a q-gram, with owner-to-next-owner edges
+    kept as each vertex's successors in ascending rule order."""
 
     q: int
     vertices: frozenset[int]
-    edges: list[tuple[int, int]]
+    successors: dict[int, list[int]]
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return [(a, b) for a, targets in self.successors.items() for b in targets]
 
 
 def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGraph:
@@ -38,35 +43,32 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
     successor of the deepest right mark over its left child.  The union is
     a structural superset of the true successor relation and keeps every
     vertex reachable from the text's first owner.
+
+    Children have smaller indices than their rule, so a rule's successor in
+    the first case precedes the ones the second case adds, which come in
+    ascending order: each successor list is sorted and duplicate-free.
     """
     lefts, rights = g._arrays
     lengths = m.lengths
     vertices = frozenset(i for i in range(1, g.n + 1) if lengths[i] >= qm.q)
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    successors: dict[int, list[int]] = {}
     for i in range(1, g.n + 1):
         r = rights[i]
         if r < 0:
             continue
         successor = qm.leftmost[r]
         if successor is not None:
-            edge = (i, successor)
-            if edge not in seen:
-                seen.add(edge)
-                edges.append(edge)
+            successors.setdefault(i, []).append(successor)
         predecessor = qm.rightmost[lefts[i]]
         if predecessor is not None:
-            edge = (predecessor, i)
-            if edge not in seen:
-                seen.add(edge)
-                edges.append(edge)
-    return NeighborGraph(qm.q, vertices, edges)
+            successors.setdefault(predecessor, []).append(i)
+    return NeighborGraph(qm.q, vertices, successors)
 
 
 @dataclass(frozen=True, eq=False)
 class TrieSegment:
-    """One emitted branch: zero-weighted left context, then body characters
-    whose runs carry the owning rule's occurrence count.
+    """One emitted branch of the trie's text: zero-weighted left context,
+    then body characters whose runs carry the owning rule's occurrence count.
 
     ``runs`` lists (rule, length) in body order; rule 0 marks the q-1
     leading characters of the whole text, which no rule owns.
@@ -75,30 +77,26 @@ class TrieSegment:
     context: bytes
     body: bytes
     runs: list[tuple[int, int]]
-    body_weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class FlattenedTrie:
+    """The single weighted text of all segments, each context then body in
+    emission order, with the segments kept for inspection."""
+
     q: int
     segments: list[TrieSegment]
     body_total: int
     branch_count: int
+    text: bytes
+    end_weights: np.ndarray
 
     @property
     def flattened_length(self) -> int:
-        return self.body_total + sum(len(seg.context) for seg in self.segments)
+        return len(self.text)
 
     def to_weighted_text(self) -> WeightedText:
-        if not self.segments:
-            return WeightedText(b"", np.zeros(0, dtype=np.int64), self.q)
-        text = b"".join(seg.context + seg.body for seg in self.segments)
-        chunks = []
-        for seg in self.segments:
-            if seg.context:
-                chunks.append(np.zeros(len(seg.context), dtype=np.int64))
-            chunks.append(seg.body_weights)
-        return WeightedText(text, np.concatenate(chunks), self.q)
+        return WeightedText(self.text, self.end_weights, self.q)
 
 
 def flatten_neighbor_trie(
@@ -113,25 +111,25 @@ def flatten_neighbor_trie(
     last q-1 characters of the parent path as context; chains ending on an
     already visited unique successor spawn nothing.  Child order is
     ascending rule index and the walk uses an explicit stack, so the output
-    is deterministic and path depth cannot overflow recursion.
+    is deterministic and path depth cannot overflow recursion.  Branches are
+    written into one text as they are emitted, with run-length weights.
     """
     q = qm.q
     lengths = m.lengths
     if m.text_length < q:
-        return FlattenedTrie(q, [], 0, 0)
+        return FlattenedTrie(q, [], 0, 0, b"", np.zeros(0, dtype=np.int64))
     lefts, rights = g._arrays
     occurrences = m.occurrences
     leftmost = qm.leftmost
-    adjacency: dict[int, list[int]] = {}
-    for a, b in graph.edges:
-        adjacency.setdefault(a, []).append(b)
-    for targets in adjacency.values():
-        targets.sort()
+    successors = graph.successors
     exp = Expander(g, lengths)
     visited = bytearray(g.n + 1)
     start = leftmost[g.n]
     segments: list[TrieSegment] = []
+    text = bytearray()
     body_total = 0
+    run_weights: list[int] = []
+    run_lengths: list[int] = []
     # Frame (0, b"") stands for the dummy head whose right child is `start`
     # and whose q-1 label characters open the text.
     stack: list[tuple[int, bytes]] = [(0, b"")]
@@ -149,10 +147,15 @@ def flatten_neighbor_trie(
             source = start
             take = q - 1
             runs = [(0, q - 1)]
+        # The context and the text's q-1 opening characters weigh zero.
+        run_weights.append(0)
+        run_lengths.append(len(context) + take)
         while True:
             label = min(q - 1, lengths[lefts[k]]) + min(q - 1, lengths[rights[k]]) - (q - 1)
             take += label
             runs.append((k, label))
+            run_weights.append(occurrences[k])
+            run_lengths.append(label)
             visited[k] = 1
             successor_root = rights[k]
             if lengths[successor_root] < q:
@@ -164,17 +167,16 @@ def flatten_neighbor_trie(
         if take > lengths[source]:
             raise ConsistencyError("chain would emit past its source rule")
         body = exp.prefix(source, take)
-        weights = np.repeat(
-            [occurrences[v] if v else 0 for v, _ in runs],
-            [length for _, length in runs],
-        ).astype(np.int64)
-        segments.append(TrieSegment(context, body, runs, weights))
+        segments.append(TrieSegment(context, body, runs))
+        text += context
+        text += body
         body_total += take
-        tail = (context + body)[-(q - 1):]
-        for child in reversed(adjacency.get(k, ())):
+        tail = bytes(text[-(q - 1):])
+        for child in reversed(successors.get(k, ())):
             if not visited[child]:
                 stack.append((child, tail))
-    return FlattenedTrie(q, segments, body_total, len(segments) - 1)
+    weights = np.repeat(np.array(run_weights, dtype=np.int64), run_lengths)
+    return FlattenedTrie(q, segments, body_total, len(segments) - 1, bytes(text), weights)
 
 
 @dataclass(frozen=True)
@@ -201,7 +203,7 @@ def compute_dup_stats(
     m: SlpMetrics,
     qm: QMarks,
     trie: FlattenedTrie,
-    graph: NeighborGraph | None = None,
+    graph: NeighborGraph,
 ) -> DupStats:
     """Window totals, measured trie size, and the redundancy count.
 
@@ -211,8 +213,6 @@ def compute_dup_stats(
     ``dup``; disagreement means an implementation bug, not bad input.
     """
     q = qm.q
-    if graph is None:
-        graph = build_neighbor_graph(g, m, qm)
     lefts, rights = g._arrays
     lengths = m.lengths
     occurrences = m.occurrences

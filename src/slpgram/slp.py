@@ -137,10 +137,10 @@ def parse_slp(doc: str) -> SlpGrammar:
 
 
 def _int_field(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SlpFormatError(f"line {lineno}: integer expected, got {token!r}") from None
+    # int() would also take signs, underscores and non-ASCII digits.
+    if not (token.isascii() and token.isdigit()):
+        raise SlpFormatError(f"line {lineno}: integer expected, got {token!r}")
+    return int(token)
 
 
 def serialize_slp(g: SlpGrammar) -> str:

@@ -43,8 +43,10 @@ class TestEscaping:
             assert unescape_bytes(escape_bytes(data)) == data
 
     def test_bad_escape(self):
-        with pytest.raises(ValueError):
-            unescape_bytes("\\q")
+        # \x needs exactly two hex digits; literals are printable ASCII only
+        for escaped in ["\\q", "\\x4", "\\x+4", "\\x 4", "\\x", "\\xzz", "\u00e9", "a\\"]:
+            with pytest.raises(ValueError, match="bad escape at offset"):
+                unescape_bytes(escaped)
 
 
 class TestCount:

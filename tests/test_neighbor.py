@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -6,7 +7,6 @@ from conftest import G7_TEXT
 from oracles import sliding_histogram
 from slpgram import (
     ConsistencyError,
-    FlattenedTrie,
     build_neighbor_graph,
     build_ssa_text,
     compute_dup_stats,
@@ -61,13 +61,13 @@ class TestFlatten:
     def test_g7_q2_segments(self, g7, g7_metrics):
         _, _, trie = pipeline(g7, g7_metrics, 2)
         assert [
-            (seg.context, seg.body, seg.runs, list(seg.body_weights))
+            (seg.context, seg.body, seg.runs)
             for seg in trie.segments
         ] == [
-            (b"", b"aab", [(0, 1), (4, 1), (3, 1)], [0, 3, 5]),
-            (b"b", b"a", [(5, 1)], [2]),
-            (b"b", b"a", [(6, 1)], [1]),
-            (b"b", b"a", [(7, 1)], [1]),
+            (b"", b"aab", [(0, 1), (4, 1), (3, 1)]),
+            (b"b", b"a", [(5, 1)]),
+            (b"b", b"a", [(6, 1)]),
+            (b"b", b"a", [(7, 1)]),
         ]
         assert trie.body_total == 6
         assert trie.branch_count == 3
@@ -84,8 +84,8 @@ class TestFlatten:
         _, _, trie = pipeline(g7, g7_metrics, 13)
         assert len(trie.segments) == 1
         assert trie.segments[0].body == G7_TEXT
-        assert list(trie.segments[0].body_weights) == [0] * 12 + [1]
         wt = trie.to_weighted_text()
+        assert list(wt.end_weights) == [0] * 12 + [1]
         assert weighted_qgram_counts(wt).materialize(wt.text) == {G7_TEXT: 1}
 
     def test_q_above_text_empty(self, g7, g7_metrics):
@@ -186,7 +186,7 @@ class TestDupStats:
 
     def test_disagreement_raises(self, g7, g7_metrics):
         qm, graph, trie = pipeline(g7, g7_metrics, 2)
-        broken = FlattenedTrie(trie.q, trie.segments, trie.body_total + 1, trie.branch_count)
+        broken = dataclasses.replace(trie, body_total=trie.body_total + 1)
         with pytest.raises(ConsistencyError):
             compute_dup_stats(g7, g7_metrics, qm, broken, graph)
 

@@ -54,6 +54,10 @@ class TestParse:
             "1 T 97 4\n",             # extra field
             "1 N 1\n",                # missing field
             "x T 97\n",               # bad integer
+            "1 T +97\n",              # integers are ASCII digits only
+            "1 T 9_7\n",
+            "1 T \u0669\u0667\n",         # Arabic-Indic digits 97
+            "1 T 97\n2 N 1 +1\n",
             "1 N 0 1\n",              # child below 1
             "# nothing\n",            # no rules at all
         ],
