@@ -19,13 +19,9 @@ RANDOM_LENGTH_CAP = 1 << 20
 
 @dataclass(frozen=True)
 class BuilderConfig:
-    algorithm: str = "repair"
     min_pair_frequency: int = 2
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("repair", "chain"):
-            raise ValueError(f"unknown builder algorithm {self.algorithm!r}")
         if self.min_pair_frequency < 2:
             raise ValueError("min_pair_frequency must be at least 2")
 

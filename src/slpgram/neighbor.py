@@ -66,26 +66,18 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
 
 
 @dataclass(frozen=True, eq=False)
-class TrieSegment:
-    """One emitted branch of the trie's text: zero-weighted left context,
-    then body characters whose runs carry the owning rule's occurrence count.
+class FlattenedTrie:
+    """The single weighted text of all branches, each context then body in
+    emission order.
 
-    ``runs`` lists (rule, length) in body order; rule 0 marks the q-1
-    leading characters of the whole text, which no rule owns.
+    ``runs`` lists (rule, length) over the whole text: a body run carries
+    its rule's occurrence count as the weight of every gram ending in it,
+    and rule 0 marks the zero-weighted runs, the text's q-1 opening
+    characters and each later branch's q-1 context characters.
     """
 
-    context: bytes
-    body: bytes
-    runs: list[tuple[int, int]]
-
-
-@dataclass(frozen=True, eq=False)
-class FlattenedTrie:
-    """The single weighted text of all segments, each context then body in
-    emission order, with the segments kept for inspection."""
-
     q: int
-    segments: list[TrieSegment]
+    runs: list[tuple[int, int]]
     body_total: int
     branch_count: int
     text: bytes
@@ -125,11 +117,9 @@ def flatten_neighbor_trie(
     exp = Expander(g, lengths)
     visited = bytearray(g.n + 1)
     start = leftmost[g.n]
-    segments: list[TrieSegment] = []
+    runs: list[tuple[int, int]] = []
     text = bytearray()
     body_total = 0
-    run_weights: list[int] = []
-    run_lengths: list[int] = []
     # Frame (0, b"") stands for the dummy head whose right child is `start`
     # and whose q-1 label characters open the text.
     stack: list[tuple[int, bytes]] = [(0, b"")]
@@ -141,21 +131,15 @@ def flatten_neighbor_trie(
             k = head
             source = rights[head]
             take = 0
-            runs: list[tuple[int, int]] = []
         else:
             k = start
             source = start
             take = q - 1
-            runs = [(0, q - 1)]
-        # The context and the text's q-1 opening characters weigh zero.
-        run_weights.append(0)
-        run_lengths.append(len(context) + take)
+        runs.append((0, len(context) + take))
         while True:
             label = min(q - 1, lengths[lefts[k]]) + min(q - 1, lengths[rights[k]]) - (q - 1)
             take += label
             runs.append((k, label))
-            run_weights.append(occurrences[k])
-            run_lengths.append(label)
             visited[k] = 1
             successor_root = rights[k]
             if lengths[successor_root] < q:
@@ -166,17 +150,20 @@ def flatten_neighbor_trie(
             k = nxt
         if take > lengths[source]:
             raise ConsistencyError("chain would emit past its source rule")
-        body = exp.prefix(source, take)
-        segments.append(TrieSegment(context, body, runs))
         text += context
-        text += body
+        text += exp.prefix(source, take)
         body_total += take
         tail = bytes(text[-(q - 1):])
         for child in reversed(successors.get(k, ())):
             if not visited[child]:
                 stack.append((child, tail))
-    weights = np.repeat(np.array(run_weights, dtype=np.int64), run_lengths)
-    return FlattenedTrie(q, segments, body_total, len(segments) - 1, bytes(text), weights)
+    # occurrences[0] is 0, so the rule-0 runs weigh nothing.
+    weights = np.repeat(
+        np.array([occurrences[rule] for rule, _ in runs], dtype=np.int64),
+        [length for _, length in runs],
+    )
+    branch_count = sum(1 for rule, _ in runs if not rule) - 1
+    return FlattenedTrie(q, runs, body_total, branch_count, bytes(text), weights)
 
 
 @dataclass(frozen=True)

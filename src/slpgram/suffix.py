@@ -58,14 +58,18 @@ class QGramReport:
         return {source[end - self.gram : end]: w for end, w in self.entries}
 
 
-def _suffix_array(data: np.ndarray) -> np.ndarray:
-    """0-based suffix array by prefix doubling over numpy rank arrays."""
+def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, rank)``: positions sorted by their first ``depth`` bytes, and
+    ranks that are equal exactly where those prefixes are (a prefix cut short
+    by the end of the data sorts first).  Prefix doubling whose last step is
+    cut to ``depth - span``, stopping early once every rank is distinct.
+    """
     n = data.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     rank = data.astype(np.int64)
-    step = 1
-    while True:
+    order = np.argsort(data, kind="stable")
+    span = 1
+    while span < depth:
+        step = min(span, depth - span)
         second = np.full(n, -1, dtype=np.int64)
         second[: n - step] = rank[step:]
         order = np.lexsort((second, rank))
@@ -77,15 +81,28 @@ def _suffix_array(data: np.ndarray) -> np.ndarray:
             second_sorted[1:] != second_sorted[:-1]
         )
         fresh = np.cumsum(changed)
-        if fresh[-1] == n - 1:
-            return order
         rank = np.empty(n, dtype=np.int64)
         rank[order] = fresh
-        step *= 2
+        if fresh[-1] == n - 1:
+            break
+        span += step
+    return order, rank
 
 
-def _lcp_array(text: bytes, sa: list[int]) -> list[int]:
-    # Kasai's amortized O(n) scan over text order.
+def build_suffix_array(text: bytes) -> list[int]:
+    """1-based suffix start positions in ascending lexicographic order."""
+    data = np.frombuffer(bytes(text), dtype=np.uint8)
+    order, _ = _prefix_ranks(data, data.size)
+    return [p + 1 for p in order.tolist()]
+
+
+def build_lcp_array(text: bytes, sa: list[int]) -> list[int]:
+    """``lcp[0] = 0``; ``lcp[k]`` compares sorted suffixes k-1 and k."""
+    if len(sa) != len(text):
+        raise ValueError("suffix array length does not match the text")
+    # Kasai's amortized O(n) scan over text order, on 0-based starts.
+    text = bytes(text)
+    sa = [p - 1 for p in sa]
     n = len(text)
     rank = [0] * n
     for position, start in enumerate(sa):
@@ -106,39 +123,23 @@ def _lcp_array(text: bytes, sa: list[int]) -> list[int]:
     return lcp
 
 
-def build_suffix_array(text: bytes) -> list[int]:
-    """1-based suffix start positions in ascending lexicographic order."""
-    data = np.frombuffer(bytes(text), dtype=np.uint8)
-    return [p + 1 for p in _suffix_array(data).tolist()]
-
-
-def build_lcp_array(text: bytes, sa: list[int]) -> list[int]:
-    """``lcp[0] = 0``; ``lcp[k]`` compares sorted suffixes k-1 and k."""
-    if len(sa) != len(text):
-        raise ValueError("suffix array length does not match the text")
-    return _lcp_array(bytes(text), [p - 1 for p in sa])
-
-
 def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     """Group equal q-grams of the text and total their end weights.
 
-    Gram start positions are sorted through the suffix array; a group ends
-    wherever the adjacent LCP drops below q.  Groups whose total weight is
-    zero (grams that exist only as concatenation bridges) are dropped.
+    Positions are ranked by their first q bytes only; every position that
+    starts a whole gram joins the group of its rank, in gram byte order.
+    Groups whose total weight is zero (grams that exist only as
+    concatenation bridges) are dropped.
     """
     q = wt.gram
     z = wt.text
     n = len(z)
     if n < q:
         return QGramReport([], q, n)
-    sa = _suffix_array(np.frombuffer(z, dtype=np.uint8))
-    lcp = np.array(_lcp_array(z, sa.tolist()), dtype=np.int64)
-    mask = sa <= n - q
-    starts = sa[mask]
-    if starts.size == 0:
-        return QGramReport([], q, n)
-    group_ids = np.cumsum(lcp < q)[mask]
-    cuts = np.r_[0, np.flatnonzero(group_ids[1:] != group_ids[:-1]) + 1]
+    order, rank = _prefix_ranks(np.frombuffer(z, dtype=np.uint8), q)
+    starts = order[order <= n - q]
+    ranks = rank[starts]
+    cuts = np.r_[0, np.flatnonzero(ranks[1:] != ranks[:-1]) + 1]
     weights = wt.end_weights[starts + q - 1]
     totals = np.add.reduceat(weights, cuts)
     first = np.minimum.reduceat(starts, cuts)

@@ -117,7 +117,7 @@ def sweep():
 
             if len(graph.edges) > 2 * g.n:
                 violations[4].append(f"instance {index} q={q}: edge bound")
-            emitted = [v for seg in trie.segments for v, _ in seg.runs if v]
+            emitted = [v for v, _ in trie.runs if v]
             once = Counter(emitted)
             if m.text_length >= q and (
                 set(once) != set(graph.vertices) or any(c != 1 for c in once.values())

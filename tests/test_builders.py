@@ -65,8 +65,6 @@ class TestRepair:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BuilderConfig(min_pair_frequency=1)
-        with pytest.raises(ValueError):
-            BuilderConfig(algorithm="nope")
 
 
 class TestChain:

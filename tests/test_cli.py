@@ -16,6 +16,7 @@ from slpgram.cli import (
     run_verify,
     unescape_bytes,
 )
+from slpgram.slp import DEFAULT_EXPAND_CAP
 
 
 @pytest.fixture
@@ -204,3 +205,34 @@ class TestMain:
         assert main(["count", "-i", g7_path, "-q", "0"]) == 2
         assert main(["build", "-o", str(tmp_path / "x.slp")]) == 2  # repair without -i
         assert main(["stats", "-i", g7_path, "--q-list", "2,x"]) == 2
+        # counts are plain ASCII digits: no sign, underscore or other script
+        for bad in ("+4", "6_4", "\u0664"):
+            with pytest.raises(SystemExit) as exc:
+                main(["count", "-i", g7_path, "-q", bad])
+            assert exc.value.code == 2, bad
+            assert main(["stats", "-i", g7_path, "--q-list", f"2,{bad}"]) == 2, bad
+
+    def test_verify_past_the_expansion_cap(self, tmp_path):
+        # rule k derives 2^(k-1) a's: 2^62 bytes, far past the cap, so only
+        # ssa and stsa can be compared
+        slp = tmp_path / "doubling.slp"
+        slp.write_text("1 T 97\n" + "".join(f"{k} N {k - 1} {k - 1}\n" for k in range(2, 64)))
+        report = tmp_path / "r.txt"
+        assert main(["verify", "-i", str(slp), "--q-max", "4", "-o", str(report)]) == 0
+        assert report.read_text().splitlines() == [
+            f"nsa skipped: the text is {2**62} bytes, above the {DEFAULT_EXPAND_CAP}"
+            " byte expansion cap; stsa checked against ssa",
+            "q=2: ok",
+            "q=3: ok",
+            "q=4: ok",
+            "verification passed for q in 2..4",
+        ]
+
+        def corrupt(wt):
+            weights = np.array(wt.end_weights)
+            weights[-1] += 1
+            return WeightedText(wt.text, weights, wt.gram)
+
+        code, text = run_verify(str(slp), 4, corrupt=corrupt)
+        assert code == 1
+        assert f"q=2: stsa[aa]={2**62} != ssa[aa]={2**62 - 1}" in text

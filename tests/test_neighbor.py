@@ -58,16 +58,15 @@ class TestNeighborGraph:
 
 
 class TestFlatten:
-    def test_g7_q2_segments(self, g7, g7_metrics):
+    def test_g7_q2_runs(self, g7, g7_metrics):
         _, _, trie = pipeline(g7, g7_metrics, 2)
-        assert [
-            (seg.context, seg.body, seg.runs)
-            for seg in trie.segments
-        ] == [
-            (b"", b"aab", [(0, 1), (4, 1), (3, 1)]),
-            (b"b", b"a", [(5, 1)]),
-            (b"b", b"a", [(6, 1)]),
-            (b"b", b"a", [(7, 1)]),
+        # opener "a", body "ab"; then three branches of context "b", body "a"
+        assert trie.text == b"aabbababa"
+        assert trie.runs == [
+            (0, 1), (4, 1), (3, 1),
+            (0, 1), (5, 1),
+            (0, 1), (6, 1),
+            (0, 1), (7, 1),
         ]
         assert trie.body_total == 6
         assert trie.branch_count == 3
@@ -82,15 +81,15 @@ class TestFlatten:
 
     def test_g7_q13_single_branch(self, g7, g7_metrics):
         _, _, trie = pipeline(g7, g7_metrics, 13)
-        assert len(trie.segments) == 1
-        assert trie.segments[0].body == G7_TEXT
+        assert trie.runs == [(0, 12), (7, 1)]
+        assert (trie.text, trie.branch_count) == (G7_TEXT, 0)
         wt = trie.to_weighted_text()
         assert list(wt.end_weights) == [0] * 12 + [1]
         assert weighted_qgram_counts(wt).materialize(wt.text) == {G7_TEXT: 1}
 
     def test_q_above_text_empty(self, g7, g7_metrics):
         _, _, trie = pipeline(g7, g7_metrics, 14)
-        assert (trie.segments, trie.body_total, trie.branch_count) == ([], 0, 0)
+        assert (trie.runs, trie.body_total, trie.branch_count) == ([], 0, 0)
         wt = trie.to_weighted_text()
         assert wt.text == b""
         assert weighted_qgram_counts(wt).entries == []
@@ -110,28 +109,30 @@ class TestFlatten:
             m = compute_metrics(g)
             for q in range(2, 10):
                 qm, graph, trie = pipeline(g, m, q)
-                emitted = [
-                    v for seg in trie.segments for v, _ in seg.runs if v
-                ]
+                emitted = [v for v, _ in trie.runs if v]
                 assert Counter(emitted) == Counter(set(emitted)), (name, q)
                 if m.text_length >= q:
                     assert set(emitted) == set(graph.vertices), (name, q)
 
     def test_emitted_runs_are_the_vertex_labels(self, sample_grammars):
         # every vertex contributes its fresh characters (window minus the
-        # shared q-1 prefix) exactly once, plus the q-1 dummy opener
+        # shared q-1 prefix) exactly once; the rule-0 runs are the q-1 dummy
+        # opener, then one q-1 context per later branch
         for name, g in sample_grammars:
             m = compute_metrics(g)
             for q in (2, 3, 5):
                 if m.text_length < q:
                     continue
                 qm, graph, trie = pipeline(g, m, q)
+                assert trie.runs[0] == (0, q - 1), (name, q)
+                zero = [length for v, length in trie.runs[1:] if not v]
+                assert zero == [q - 1] * trie.branch_count, (name, q)
                 got = Counter()
-                for seg in trie.segments:
-                    offset = 0
-                    for v, length in seg.runs:
-                        got[(v, seg.body[offset : offset + length])] += 1
-                        offset += length
+                offset = 0
+                for index, (v, length) in enumerate(trie.runs):
+                    if v or index == 0:
+                        got[(v, trie.text[offset : offset + length])] += 1
+                    offset += length
                 want = Counter()
                 want[(0, expand(g)[: q - 1])] = 1
                 for i in graph.vertices:
