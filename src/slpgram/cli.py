@@ -57,17 +57,22 @@ class CountRequest:
     expand_output: bool = False
 
 
+# The escape of every byte value, indexed by it: a latin-1 decode turns each
+# byte into the character of the same number, which str.translate looks up.
+_ESCAPES = [
+    "\\\\" if b == 0x5C else chr(b) if 0x20 <= b <= 0x7E else f"\\x{b:02X}"
+    for b in range(256)
+]
+_ESCAPE_WIDTHS = np.array([len(e) for e in _ESCAPES], dtype=np.int64)
+
+
 def escape_bytes(data: bytes) -> str:
-    """Printable ASCII stays literal, backslash doubles, the rest is \\xNN."""
-    out = []
-    for b in data:
-        if b == 0x5C:
-            out.append("\\\\")
-        elif 0x20 <= b <= 0x7E:
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02X}")
-    return "".join(out)
+    """Printable ASCII stays literal, backslash doubles, the rest is \\xNN.
+
+    One table lookup per byte: ``data`` is decoded as latin-1 and translated
+    through a 256-entry table of escapes.
+    """
+    return data.decode("latin-1").translate(_ESCAPES)
 
 
 def unescape_bytes(escaped: str) -> bytes:
@@ -131,8 +136,12 @@ def run_count(req: CountRequest) -> str:
 
     With ``expand_output`` each line is "<escaped gram>\\t<count>"; without
     it, lines are "<end position>\\t<count>" after a header naming the string
-    positions refer to.  q = 1 always uses the escaped byte form (character
-    counts come straight off the grammar and have no reduction string).
+    positions refer to.  The expanded form escapes the counted string once
+    and cuts each gram out of it: ``offsets[p]`` is the escaped width of its
+    first p bytes, so the gram ending at ``end`` is
+    ``escaped[offsets[end - q] : offsets[end]]``.  q = 1 always uses the
+    escaped byte form (character counts come straight off the grammar and
+    have no reduction string).
     """
     if req.q < 1:
         raise SlpError("q must be at least 1")
@@ -149,13 +158,23 @@ def run_count(req: CountRequest) -> str:
         reference, wt = _pipeline_text(g, m, req.q, req.algorithm)
         report = weighted_qgram_counts(wt)
         if req.expand_output:
+            escaped = escape_bytes(wt.text)
+            offsets = np.zeros(len(wt.text) + 1, dtype=np.int64)
+            np.cumsum(_ESCAPE_WIDTHS[np.frombuffer(wt.text, dtype=np.uint8)], out=offsets[1:])
             for end, weight in report.entries:
-                lines.append(f"{escape_bytes(wt.text[end - req.q : end])}\t{weight}")
+                lines.append(f"{escaped[offsets[end - req.q] : offsets[end]]}\t{weight}")
         else:
             lines.append(f"# end positions refer to {reference}")
             for end, weight in report.entries:
                 lines.append(f"{end}\t{weight}")
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def _nsa_skipped(text_length: int) -> str:
+    return (
+        f"nsa skipped: the text is {text_length} bytes,"
+        f" above the {DEFAULT_EXPAND_CAP} byte expansion cap"
+    )
 
 
 def _verify_one(g, m, text: bytes | None, q: int, corrupt) -> list[str]:
@@ -216,10 +235,7 @@ def run_verify(
     lines = []
     text = expand(g) if m.text_length <= DEFAULT_EXPAND_CAP else None
     if text is None:
-        lines.append(
-            f"nsa skipped: the text is {m.text_length} bytes, above the"
-            f" {DEFAULT_EXPAND_CAP} byte expansion cap; stsa checked against ssa"
-        )
+        lines.append(f"{_nsa_skipped(m.text_length)}; stsa checked against ssa")
     for q in range(2, top + 1):
         problems = _verify_one(g, m, text, q, corrupt)
         if problems:
@@ -252,16 +268,22 @@ def run_bench(grammar_path: str, q_list: list[int], repetitions: int) -> str:
     runs one pipeline from the loaded grammar through counting: metrics,
     then the expansion of T for nsa or the reduction string for ssa and
     stsa.  The problem_size column is the length of the string each
-    pipeline counts on.
+    pipeline counts on.  Past the expansion cap the nsa rows are left out,
+    with a note on stderr.
     """
     if repetitions < 1:
         raise SlpError("repetitions must be at least 1")
     g = _load_grammar(grammar_path)
+    algorithms = ALGORITHMS
+    text_length = compute_metrics(g).text_length
+    if text_length > DEFAULT_EXPAND_CAP:
+        print(_nsa_skipped(text_length), file=sys.stderr)
+        algorithms = ("ssa", "stsa")
     rows = ["q,algo,mean_seconds,problem_size"]
     for q in q_list:
         if q < 2:
             raise SlpError("bench needs q >= 2")
-        for algorithm in ALGORITHMS:
+        for algorithm in algorithms:
             elapsed = 0.0
             for _ in range(repetitions):
                 begin = time.perf_counter()

@@ -58,30 +58,42 @@ class QGramReport:
         return {source[end - self.gram : end]: w for end, w in self.entries}
 
 
+# A round's sort key is below base^2 with base = max(n, 256) + 1, which fits
+# in int64 only while n is below about 3 * 10^9.
+_MAX_POSITIONS = 2**31
+
+
 def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, rank)``: positions sorted by their first ``depth`` bytes, and
-    ranks that are equal exactly where those prefixes are (a prefix cut short
-    by the end of the data sorts first).  Prefix doubling whose last step is
-    cut to ``depth - span``, stopping early once every rank is distinct.
+    """``(order, rank)``: positions sorted by their first ``depth`` bytes
+    (equal prefixes in no fixed order), and ranks that are equal exactly
+    where those prefixes are (a prefix cut short by the end of the data sorts
+    first).
+
+    Prefix doubling whose last step is cut to ``depth - span``, stopping early
+    once every rank is distinct.  A round that extends prefixes by ``step``
+    bytes sorts one int64 key per position, ``rank[p] * base + second`` where
+    ``second`` is ``rank[p + step] + 1``, or 0 past the end of the data, and
+    ``base = max(n, 256) + 1`` exceeds every ``second``; new ranks are cut
+    where the sorted key changes.  Raises ValueError for data of
+    ``_MAX_POSITIONS`` or more positions, where the key could overflow.
     """
     n = data.size
+    if n >= _MAX_POSITIONS:
+        raise ValueError(
+            f"cannot rank a string of {n} positions: the limit is {_MAX_POSITIONS - 1}"
+        )
+    base = max(n, 256) + 1
     rank = data.astype(np.int64)
     order = np.argsort(data, kind="stable")
     span = 1
     while span < depth:
         step = min(span, depth - span)
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - step] = rank[step:]
-        order = np.lexsort((second, rank))
-        first_sorted = rank[order]
-        second_sorted = second[order]
-        changed = np.empty(n, dtype=np.int64)
-        changed[0] = 0
-        changed[1:] = (first_sorted[1:] != first_sorted[:-1]) | (
-            second_sorted[1:] != second_sorted[:-1]
-        )
-        fresh = np.cumsum(changed)
-        rank = np.empty(n, dtype=np.int64)
+        key = rank * base
+        key[: n - step] += rank[step:] + 1
+        order = np.argsort(key)
+        key = key[order]
+        fresh = np.zeros(n, dtype=np.int64)
+        np.cumsum(key[1:] != key[:-1], out=fresh[1:])
         rank[order] = fresh
         if fresh[-1] == n - 1:
             break

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import G7_DOC
 from oracles import sliding_histogram
-from slpgram import WeightedText, expand, parse_slp
+from slpgram import WeightedText, build_chain, build_repair, expand, parse_slp, serialize_slp
 from slpgram.cli import (
     CountRequest,
     escape_bytes,
@@ -17,6 +17,30 @@ from slpgram.cli import (
     unescape_bytes,
 )
 from slpgram.slp import DEFAULT_EXPAND_CAP
+
+# Every byte value once, then the bytes the escaping rule treats apart
+# (backslash, newline, NUL, DEL, 0xFF) repeated so that grammars share them.
+ALL_BYTES_TEXT = (
+    bytes(range(256))
+    + b"\\\n\x00\x7f\xff" * 24
+    + bytes(random.Random(11).randrange(256) for _ in range(500))
+    + bytes(range(255, -1, -1))
+    + b"a\\b\x00\xff~ \x7f\x1f" * 8
+)
+
+
+def escape_rule(b: int) -> str:
+    if b == 0x5C:
+        return "\\\\"
+    if 0x20 <= b <= 0x7E:
+        return chr(b)
+    return "\\x" + "0123456789ABCDEF"[b >> 4] + "0123456789ABCDEF"[b & 15]
+
+
+def doubling_grammar(path, rules: int) -> str:
+    """Rule k derives 2^(k-1) a's, so the text is 2^(rules-1) bytes."""
+    path.write_text("1 T 97\n" + "".join(f"{k} N {k - 1} {k - 1}\n" for k in range(2, rules + 1)))
+    return str(path)
 
 
 @pytest.fixture
@@ -32,6 +56,11 @@ class TestEscaping:
         assert escape_bytes(b"\\") == "\\\\"
         assert escape_bytes(b"\t") == "\\x09"
         assert escape_bytes(bytes([0, 255, 0x7F])) == "\\x00\\xFF\\x7F"
+
+    def test_every_byte_matches_the_rule(self):
+        for b in range(256):
+            assert escape_bytes(bytes([b])) == escape_rule(b), b
+        assert escape_bytes(ALL_BYTES_TEXT) == "".join(map(escape_rule, ALL_BYTES_TEXT))
 
     def test_round_trip_all_bytes(self):
         data = bytes(range(256))
@@ -85,6 +114,21 @@ class TestCount:
             for algo in ("nsa", "ssa", "stsa"):
                 doc = run_count(CountRequest(g7_path, q, algo, expand_output=True))
                 assert doc == expected, (algo, q)
+
+    @pytest.mark.parametrize("builder", [build_repair, build_chain])
+    def test_expanded_grams_over_all_byte_values(self, builder, tmp_path):
+        path = tmp_path / "bytes.slp"
+        path.write_text(serialize_slp(builder(ALL_BYTES_TEXT)))
+        for q in (2, 3, 8, 64):
+            expected = "".join(
+                "".join(map(escape_rule, gram)) + f"\t{count}\n"
+                for gram, count in sorted(sliding_histogram(ALL_BYTES_TEXT, q).items())
+            )
+            for algo in ("nsa", "ssa", "stsa"):
+                out = tmp_path / f"{algo}-{q}.tsv"
+                assert main(["count", "-i", str(path), "-q", str(q), "--algo", algo,
+                             "--expand", "-o", str(out)]) == 0
+                assert out.read_text() == expected, (algo, q)
 
     def test_deterministic(self, g7_path):
         req = CountRequest(g7_path, 3, "stsa", expand_output=True)
@@ -213,10 +257,8 @@ class TestMain:
             assert main(["stats", "-i", g7_path, "--q-list", f"2,{bad}"]) == 2, bad
 
     def test_verify_past_the_expansion_cap(self, tmp_path):
-        # rule k derives 2^(k-1) a's: 2^62 bytes, far past the cap, so only
-        # ssa and stsa can be compared
-        slp = tmp_path / "doubling.slp"
-        slp.write_text("1 T 97\n" + "".join(f"{k} N {k - 1} {k - 1}\n" for k in range(2, 64)))
+        # 2^62 bytes, far past the cap, so only ssa and stsa can be compared
+        slp = doubling_grammar(tmp_path / "doubling.slp", 63)
         report = tmp_path / "r.txt"
         assert main(["verify", "-i", str(slp), "--q-max", "4", "-o", str(report)]) == 0
         assert report.read_text().splitlines() == [
@@ -233,6 +275,37 @@ class TestMain:
             weights[-1] += 1
             return WeightedText(wt.text, weights, wt.gram)
 
-        code, text = run_verify(str(slp), 4, corrupt=corrupt)
+        code, text = run_verify(slp, 4, corrupt=corrupt)
         assert code == 1
         assert f"q=2: stsa[aa]={2**62} != ssa[aa]={2**62 - 1}" in text
+
+    def test_bench_past_the_expansion_cap(self, tmp_path, capsys):
+        slp = doubling_grammar(tmp_path / "doubling.slp", 49)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "-i", slp, "--q-list", "4", "--reps", "1", "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["q", "algo", "mean_seconds", "problem_size"]
+        assert [(r[0], r[1]) for r in rows[1:]] == [("4", "ssa"), ("4", "stsa")]
+        assert capsys.readouterr().err == (
+            f"nsa skipped: the text is {2**48} bytes, above the"
+            f" {DEFAULT_EXPAND_CAP} byte expansion cap\n"
+        )
+
+    @pytest.mark.parametrize("algo", ["ssa", "stsa"])
+    def test_count_near_two_to_the_62(self, algo, tmp_path):
+        # 2^62 a's hold 2^62 - 3 occurrences of aaaa: the weights and their
+        # sums must stay exact up there
+        slp = doubling_grammar(tmp_path / "doubling.slp", 63)
+        out = tmp_path / "c.tsv"
+        assert main(["count", "-i", slp, "-q", "4", "--algo", algo, "--expand",
+                     "-o", str(out)]) == 0
+        assert out.read_text() == f"aaaa\t{2**62 - 3}\n"
+
+    def test_string_too_long_to_rank_exits_2(self, g7_path, monkeypatch, capsys):
+        # the real limit is 2^31 positions; G7's 13 bytes stand in for it
+        monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 13)
+        assert main(["count", "-i", g7_path, "-q", "2", "--algo", "nsa"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot rank a string of 13 positions: the limit is 12\n"
+        )
+        assert main(["count", "-i", g7_path, "-q", "2", "--algo", "stsa"]) == 0
