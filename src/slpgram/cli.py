@@ -202,8 +202,8 @@ def _verify_one(g, m, text: bytes | None, q: int, corrupt) -> list[str]:
     except ConsistencyError as exc:
         problems.append(f"q={q}: {exc}")
         return problems
-    if len(graph.edges) > 2 * g.n:
-        problems.append(f"q={q}: edge count {len(graph.edges)} exceeds 2n={2 * g.n}")
+    if stats.edge_count > 2 * g.n:
+        problems.append(f"q={q}: edge count {stats.edge_count} exceeds 2n={2 * g.n}")
     if stats.flattened_len > stats.sum_ti:
         problems.append(
             f"q={q}: flattened length {stats.flattened_len} exceeds window total {stats.sum_ti}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slp import ConsistencyError, Expander, QMarks, SlpGrammar, SlpMetrics
+from .slp import ConsistencyError, QMarks, SlpGrammar, SlpMetrics, affix_tables
 from .suffix import WeightedText
 
 CSV_HEADER = "q,sum_ti,trie_size,dup,flattened_len,edges,vertices"
@@ -33,6 +33,11 @@ class NeighborGraph:
     @property
     def edges(self) -> list[tuple[int, int]]:
         return [(a, b) for a, targets in self.successors.items() for b in targets]
+
+    @property
+    def edge_count(self) -> int:
+        """``len(edges)``, without building the list."""
+        return sum(map(len, self.successors.values()))
 
 
 def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGraph:
@@ -96,15 +101,18 @@ def flatten_neighbor_trie(
 ) -> FlattenedTrie:
     """Depth-first emission of every vertex's fresh characters.
 
-    A chain of unique successors becomes one branch body, extracted as a
-    prefix of the chain head's right child (the accumulated fresh characters
-    always form such a prefix).  When a chain ends at a rule with a short
-    right child, each unvisited successor starts a new branch carrying the
-    last q-1 characters of the parent path as context; chains ending on an
-    already visited unique successor spawn nothing.  Child order is
-    ascending rule index and the walk uses an explicit stack, so the output
-    is deterministic and path depth cannot overflow recursion.  Branches are
-    written into one text as they are emitted, with run-length weights.
+    The text opens with the first q-1 characters of the first owner,
+    ``pre[start]`` from :func:`affix_tables`.  Each vertex k then emits its
+    label: its window ``suf[L_k] + pre[R_k]`` past the first q-1
+    characters, which the path has already emitted.  A chain of unique
+    successors becomes one branch body.  When a chain ends at a rule with a
+    short right child, each unvisited successor starts a new branch
+    carrying the last q-1 characters of the parent path as context; chains
+    ending on an already visited unique successor spawn nothing.  Child
+    order is ascending rule index and the walk uses an explicit stack, so
+    the output is deterministic and path depth cannot overflow recursion.
+    Branches are written into one text as they are emitted, with run-length
+    weights.
     """
     q = qm.q
     lengths = m.lengths
@@ -114,7 +122,7 @@ def flatten_neighbor_trie(
     occurrences = m.occurrences
     leftmost = qm.leftmost
     successors = graph.successors
-    exp = Expander(g, lengths)
+    pre, suf = affix_tables(g, m, q)
     visited = bytearray(g.n + 1)
     start = leftmost[g.n]
     runs: list[tuple[int, int]] = []
@@ -131,15 +139,20 @@ def flatten_neighbor_trie(
             k = head
             source = rights[head]
             take = 0
+            text += context
         else:
             k = start
             source = start
             take = q - 1
-        runs.append((0, len(context) + take))
+            text += pre[start]
+        runs.append((0, q - 1))
         while True:
-            label = min(q - 1, lengths[lefts[k]]) + min(q - 1, lengths[rights[k]]) - (q - 1)
-            take += label
-            runs.append((k, label))
+            # suf[L_k] falls short of q-1 characters only when L_k does, and
+            # then the label starts that much later in pre[R_k].
+            label = pre[rights[k]][q - 1 - len(suf[lefts[k]]) :]
+            text += label
+            take += len(label)
+            runs.append((k, len(label)))
             visited[k] = 1
             successor_root = rights[k]
             if lengths[successor_root] < q:
@@ -150,13 +163,13 @@ def flatten_neighbor_trie(
             k = nxt
         if take > lengths[source]:
             raise ConsistencyError("chain would emit past its source rule")
-        text += context
-        text += exp.prefix(source, take)
         body_total += take
-        tail = bytes(text[-(q - 1):])
-        for child in reversed(successors.get(k, ())):
-            if not visited[child]:
-                stack.append((child, tail))
+        children = successors.get(k)
+        if children:
+            tail = bytes(text[-(q - 1) :])
+            for child in reversed(children):
+                if not visited[child]:
+                    stack.append((child, tail))
     # occurrences[0] is 0, so the rule-0 runs weigh nothing.
     weights = np.repeat(
         np.array([occurrences[rule] for rule, _ in runs], dtype=np.int64),
@@ -215,5 +228,5 @@ def compute_dup_stats(
             f"measured trie size {trie_size} != text length {m.text_length} minus dup {dup}"
         )
     return DupStats(
-        q, sum_ti, trie_size, dup, trie.flattened_length, len(graph.edges), len(graph.vertices)
+        q, sum_ti, trie_size, dup, trie.flattened_length, graph.edge_count, len(graph.vertices)
     )

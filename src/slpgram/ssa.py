@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slp import ConsistencyError, Expander, SlpGrammar, SlpMetrics
+from .slp import (
+    ConsistencyError,
+    SlpGrammar,
+    SlpMetrics,
+    affix_tables,
+    extract_prefix,
+    extract_suffix,
+)
 from .suffix import WeightedText
 
 
@@ -25,10 +32,6 @@ class BoundaryWindow:
     weight: int
 
 
-def _window(exp: Expander, lengths: list[int], left: int, right: int, q: int) -> bytes:
-    return exp.suffix(left, min(q - 1, lengths[left])) + exp.prefix(right, min(q - 1, lengths[right]))
-
-
 def boundary_window(g: SlpGrammar, m: SlpMetrics, q: int, i: int) -> BoundaryWindow:
     """Window of pair rule i, weighted by its derivation-tree occurrences."""
     if q < 2:
@@ -36,24 +39,26 @@ def boundary_window(g: SlpGrammar, m: SlpMetrics, q: int, i: int) -> BoundaryWin
     rule = g.rule(i)
     if rule.is_terminal:
         raise ValueError(f"rule {i} is a terminal; only pair rules have windows")
-    exp = Expander(g, m.lengths)
-    return BoundaryWindow(i, _window(exp, m.lengths, rule.left, rule.right, q), m.occurrences[i])
+    head = extract_suffix(g, m, rule.left, min(q - 1, m.lengths[rule.left]))
+    tail = extract_prefix(g, m, rule.right, min(q - 1, m.lengths[rule.right]))
+    return BoundaryWindow(i, head + tail, m.occurrences[i])
 
 
 def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:
     """Concatenate the windows of all long-enough pair rules.
 
-    Windows appear in ascending rule index.  Within each window the first
-    q-1 positions weigh zero (grams ending there straddle the previous
-    window) and the rest weigh the rule's occurrence count, so bridge grams
-    created by the concatenation are never counted.
+    Windows appear in ascending rule index.  The window of rule i is
+    ``suf[left] + pre[right]`` from :func:`affix_tables`.  Within each
+    window the first q-1 positions weigh zero (grams ending there straddle
+    the previous window) and the rest weigh the rule's occurrence count, so
+    bridge grams created by the concatenation are never counted.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     lefts, rights = g._arrays
     lengths = m.lengths
     occurrences = m.occurrences
-    exp = Expander(g, lengths)
+    pre, suf = affix_tables(g, m, q)
     parts: list[bytes] = []
     run_weights: list[int] = []
     run_lengths: list[int] = []
@@ -61,10 +66,12 @@ def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:
         r = rights[i]
         if r < 0 or lengths[i] < q:
             continue
-        size = min(q - 1, lengths[lefts[i]]) + min(q - 1, lengths[r])
+        head = suf[lefts[i]]
+        tail = pre[r]
+        size = len(head) + len(tail)
         if size < q:
             raise ConsistencyError(f"window of rule {i} is shorter than q")
-        parts.append(_window(exp, lengths, lefts[i], r, q))
+        parts += (head, tail)
         run_weights += [0, occurrences[i]]
         run_lengths += [q - 1, size - (q - 1)]
     text = b"".join(parts)

@@ -148,10 +148,15 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     n = len(z)
     if n < q:
         return QGramReport([], q, n)
+    # Each array is dropped once used: at n near the 2^31 cap they are
+    # gigabytes apiece.
     order, rank = _prefix_ranks(np.frombuffer(z, dtype=np.uint8), q)
     starts = order[order <= n - q]
+    del order
     ranks = rank[starts]
+    del rank
     cuts = np.r_[0, np.flatnonzero(ranks[1:] != ranks[:-1]) + 1]
+    del ranks
     weights = wt.end_weights[starts + q - 1]
     totals = np.add.reduceat(weights, cuts)
     first = np.minimum.reduceat(starts, cuts)

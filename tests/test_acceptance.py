@@ -2,7 +2,8 @@
 
 Criteria 1/3/4/5 share a single sweep over the randomized instance corpus
 (compressed strings plus random grammars); 6/7 share a ~1MB synthetic
-natural-language corpus.  Each test prints one PASS/FAIL line.
+natural-language corpus.  Each test prints one PASS/FAIL line.  The last
+test runs the pipelines on a grammar whose height is linear in its size.
 """
 
 import random
@@ -16,6 +17,8 @@ from oracles import naive_lcp_array, naive_suffix_array, sliding_histogram
 from slpgram import (
     BuilderConfig,
     ConsistencyError,
+    Rule,
+    SlpGrammar,
     WeightedText,
     build_chain,
     build_lcp_array,
@@ -318,3 +321,49 @@ def test_criterion_8_suffix_and_lcp_oracles():
             failures += 1
     _report(8, "suffix/LCP arrays match naive oracles on 1000 strings", failures == 0,
             f"({failures} failures)")
+
+
+# ---------------------------------------------------------------------------
+# grammars of height Theta(n)
+# ---------------------------------------------------------------------------
+
+
+def comb_grammar(teeth):
+    """b a^1 b a^2 ... b a^teeth as a comb of height about ``teeth``.
+
+    A_k = A_{k-1} a is a left-deep chain, each tooth hangs A_k under
+    B_k = b A_k, and the teeth are joined left-deep as well.
+    """
+    rules = [Rule(97), Rule(98)]
+    chain = 1
+    joined = None
+    for k in range(1, teeth + 1):
+        if k > 1:
+            rules.append(Rule(chain, 1))
+            chain = len(rules)
+        rules.append(Rule(2, chain))
+        if joined is None:
+            joined = len(rules)
+        else:
+            rules.append(Rule(joined, len(rules)))
+            joined = len(rules)
+    return SlpGrammar(rules)
+
+
+def test_comb_grammar_of_linear_height():
+    teeth = 1000
+    g = comb_grammar(teeth)
+    m = compute_metrics(g)
+    text = expand(g)
+    assert text == b"".join(b"b" + b"a" * k for k in range(1, teeth + 1))
+    for q in (4, 64):
+        nsa = weighted_qgram_counts(_unit_weighted(text, q)).materialize(text)
+        ssa_wt = build_ssa_text(g, m, q)
+        assert weighted_qgram_counts(ssa_wt).materialize(ssa_wt.text) == nsa, q
+        qm = compute_qmarks(g, m, q)
+        graph = build_neighbor_graph(g, m, qm)
+        trie = flatten_neighbor_trie(g, m, qm, graph)
+        trie_wt = trie.to_weighted_text()
+        assert weighted_qgram_counts(trie_wt).materialize(trie_wt.text) == nsa, q
+        stats = compute_dup_stats(g, m, qm, trie, graph)
+        assert stats.trie_size == m.text_length - stats.dup, q

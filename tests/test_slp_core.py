@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,10 @@ from slpgram import (
     SlpFormatError,
     SlpGrammar,
     ValidationError,
+    affix_tables,
     build_chain,
     build_random,
+    build_repair,
     char_frequencies,
     compute_metrics,
     compute_qmarks,
@@ -201,6 +205,36 @@ class TestExtract:
                 for j in {0, 1, (size + 1) // 2, size}:
                     assert extract_prefix(g, m, i, j) == val[i][:j], (name, i, j)
                     assert extract_suffix(g, m, i, j) == val[i][size - j :], (name, i, j)
+
+
+class TestAffixTables:
+    def test_g7_q3(self, g7, g7_metrics):
+        pre, suf = affix_tables(g7, g7_metrics, 3)
+        assert pre[1:] == [b"a", b"b", b"ab", b"aa", b"ab", b"aa", b"aa"]
+        assert suf[1:] == [b"a", b"b", b"ab", b"ab", b"ab", b"ab", b"ab"]
+
+    def test_q_below_two_rejected(self, g7, g7_metrics):
+        with pytest.raises(ValueError):
+            affix_tables(g7, g7_metrics, 1)
+
+    def test_matches_extraction(self, sample_grammars):
+        rng = random.Random(0xAFF1)
+        grammars = list(sample_grammars)
+        for trial in range(12):
+            sigma = rng.choice((2, 4, 256))
+            text = bytes(rng.randrange(sigma) for _ in range(rng.randint(1, 600)))
+            grammars.append((f"chain-{trial}", build_chain(text)))
+            grammars.append((f"repair-{trial}", build_repair(text)))
+        for name, g in grammars:
+            m = compute_metrics(g)
+            for q in (2, 3, 5, 17, 64):
+                pre, suf = affix_tables(g, m, q)
+                for i in range(1, g.n + 1):
+                    take = min(q - 1, m.lengths[i])
+                    assert pre[i] == extract_prefix(g, m, i, take), (name, q, i)
+                    assert suf[i] == extract_suffix(g, m, i, take), (name, q, i)
+                    if m.lengths[i] <= q - 1:
+                        assert pre[i] is suf[i], (name, q, i)
 
 
 class TestCharFrequencies:

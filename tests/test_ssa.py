@@ -28,14 +28,24 @@ class TestBoundaryWindow:
             boundary_window(g7, g7_metrics, 1, 4)
 
     def test_window_length_bounds(self, sample_grammars):
+        # Each window is also its rule's slice of the ssa string, which
+        # holds the windows in ascending rule index.
         for name, g in sample_grammars:
             m = compute_metrics(g)
-            for q in (2, 3, 5):
+            for q in (2, 3, 5, 9):
+                wt = build_ssa_text(g, m, q)
+                offset = 0
                 for i, rule in enumerate(g.rules, start=1):
                     if rule.is_terminal or m.lengths[i] < q:
                         continue
                     w = boundary_window(g, m, q, i)
-                    assert q <= len(w.content) <= 2 * (q - 1), (name, q, i)
+                    size = len(w.content)
+                    assert q <= size <= 2 * (q - 1), (name, q, i)
+                    assert wt.text[offset : offset + size] == w.content, (name, q, i)
+                    weights = wt.end_weights[offset : offset + size].tolist()
+                    assert weights == [0] * (q - 1) + [w.weight] * (size - q + 1), (name, q, i)
+                    offset += size
+                assert offset == len(wt.text), (name, q)
 
 
 class TestBuildSsaText:
