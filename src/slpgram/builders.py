@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slp import ConsistencyError, Rule, SlpGrammar, prune_unused
+from .slp import ConsistencyError, SlpGrammar, prune_unused
 
 RANDOM_LENGTH_CAP = 1 << 20
 
@@ -26,10 +26,12 @@ class BuilderConfig:
             raise ValueError("min_pair_frequency must be at least 2")
 
 
-def _terminal_rules(text: bytes) -> tuple[list[Rule], dict[int, int]]:
+def _terminal_rules(text: bytes) -> tuple[list[int], list[int], dict[int, int]]:
     # Terminals in ascending byte order so outputs are reproducible.
     alphabet = sorted(set(text))
-    return [Rule(b) for b in alphabet], {b: k + 1 for k, b in enumerate(alphabet)}
+    lefts = [0, *alphabet]
+    rights = [0] + [-1] * len(alphabet)
+    return lefts, rights, {b: k + 1 for k, b in enumerate(alphabet)}
 
 
 def build_repair(text: bytes, cfg: BuilderConfig | None = None) -> SlpGrammar:
@@ -44,18 +46,19 @@ def build_repair(text: bytes, cfg: BuilderConfig | None = None) -> SlpGrammar:
         raise ValueError("cannot build a grammar for empty input")
     if cfg is None:
         cfg = BuilderConfig()
-    rules, symbol_of = _terminal_rules(text)
+    lefts, rights, symbol_of = _terminal_rules(text)
     seq = np.array([symbol_of[b] for b in text], dtype=np.int64)
     while seq.size >= 2:
-        left, right, count = _best_pair(seq, len(rules) + 1)
+        left, right, count = _best_pair(seq, len(lefts))
         if count < cfg.min_pair_frequency:
             break
-        rules.append(Rule(left, right))
-        seq = _replace_pair(seq, left, right, len(rules))
-    root = _binarize(seq.tolist(), rules)
-    if root != len(rules):
+        lefts.append(left)
+        rights.append(right)
+        seq = _replace_pair(seq, left, right, len(lefts) - 1)
+    root = _binarize(seq.tolist(), lefts, rights)
+    if root != len(lefts) - 1:
         raise ConsistencyError("pair replacement left a dangling residual symbol")
-    return SlpGrammar(rules)
+    return SlpGrammar(lefts, rights)
 
 
 def _best_pair(seq: np.ndarray, k: int) -> tuple[int, int, int]:
@@ -97,15 +100,16 @@ def _replace_pair(seq: np.ndarray, left: int, right: int, new_symbol: int) -> np
     return seq[keep]
 
 
-def _binarize(symbols: list[int], rules: list[Rule]) -> int:
+def _binarize(symbols: list[int], lefts: list[int], rights: list[int]) -> int:
     def split(lo: int, hi: int) -> int:
         if hi - lo == 1:
             return symbols[lo]
         mid = (lo + hi) // 2
         left = split(lo, mid)
         right = split(mid, hi)
-        rules.append(Rule(left, right))
-        return len(rules)
+        lefts.append(left)
+        rights.append(right)
+        return len(lefts) - 1
 
     return split(0, len(symbols))
 
@@ -114,12 +118,13 @@ def build_chain(text: bytes) -> SlpGrammar:
     """Left-leaning baseline grammar with no sharing beyond terminals."""
     if not text:
         raise ValueError("cannot build a grammar for empty input")
-    rules, symbol_of = _terminal_rules(text)
+    lefts, rights, symbol_of = _terminal_rules(text)
     current = symbol_of[text[0]]
     for b in text[1:]:
-        rules.append(Rule(current, symbol_of[b]))
-        current = len(rules)
-    return SlpGrammar(rules)
+        lefts.append(current)
+        rights.append(symbol_of[b])
+        current = len(lefts) - 1
+    return SlpGrammar(lefts, rights)
 
 
 def build_random(rule_count: int, alphabet_size: int, seed: int) -> SlpGrammar:
@@ -136,7 +141,8 @@ def build_random(rule_count: int, alphabet_size: int, seed: int) -> SlpGrammar:
         raise ValueError("alphabet_size must be in 1..256")
     rng = random.Random(seed)
     terminals = min(alphabet_size, rule_count)
-    rules = [Rule(b) for b in range(terminals)]
+    lefts = [0, *range(terminals)]
+    rights = [0] + [-1] * terminals
     lengths = [0] + [1] * terminals
     for i in range(terminals + 1, rule_count + 1):
         for _ in range(64):
@@ -146,6 +152,7 @@ def build_random(rule_count: int, alphabet_size: int, seed: int) -> SlpGrammar:
                 break
         else:
             left = right = min(range(1, i), key=lengths.__getitem__)
-        rules.append(Rule(left, right))
+        lefts.append(left)
+        rights.append(right)
         lengths.append(lengths[left] + lengths[right])
-    return prune_unused(SlpGrammar(rules))
+    return prune_unused(SlpGrammar(lefts, rights))

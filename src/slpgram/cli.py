@@ -321,7 +321,7 @@ def _parse_q_list(raw: str) -> list[int]:
 
 def _cmd_build(args) -> int:
     if args.builder == "random":
-        g = build_random(args.rules, args.alphabet, args.seed)
+        g = build_random(args.rule_count, args.alphabet, args.seed)
     else:
         if args.input is None:
             raise SlpError("build needs -i unless --algo-builder random")
@@ -381,10 +381,12 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("repair", "chain", "random"),
         default="repair",
     )
-    p.add_argument("--min-pair-freq", type=int, default=2, help="repair stop threshold")
+    p.add_argument("--min-pair-freq", type=_decimal, default=2, help="repair stop threshold")
     p.add_argument("--seed", type=int, default=0, help="random builder seed")
-    p.add_argument("--rules", type=int, default=64, help="random builder rule budget")
-    p.add_argument("--alphabet", type=int, default=4, help="random builder alphabet size")
+    p.add_argument(
+        "--rules", dest="rule_count", type=_decimal, default=64, help="random builder rule budget"
+    )
+    p.add_argument("--alphabet", type=_decimal, default=4, help="random builder alphabet size")
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("decompress", help="expand an SLP back to bytes")

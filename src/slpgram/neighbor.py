@@ -53,7 +53,7 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
     the first case precedes the ones the second case adds, which come in
     ascending order: each successor list is sorted and duplicate-free.
     """
-    lefts, rights = g._arrays
+    lefts, rights = g.lefts, g.rights
     lengths = m.lengths
     vertices = frozenset(i for i in range(1, g.n + 1) if lengths[i] >= qm.q)
     successors: dict[int, list[int]] = {}
@@ -118,7 +118,7 @@ def flatten_neighbor_trie(
     lengths = m.lengths
     if m.text_length < q:
         return FlattenedTrie(q, [], 0, 0, b"", np.zeros(0, dtype=np.int64))
-    lefts, rights = g._arrays
+    lefts, rights = g.lefts, g.rights
     occurrences = m.occurrences
     leftmost = qm.leftmost
     successors = graph.successors
@@ -213,7 +213,7 @@ def compute_dup_stats(
     ``dup``; disagreement means an implementation bug, not bad input.
     """
     q = qm.q
-    lefts, rights = g._arrays
+    lefts, rights = g.lefts, g.rights
     lengths = m.lengths
     occurrences = m.occurrences
     sum_ti = 0

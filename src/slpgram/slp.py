@@ -2,22 +2,23 @@
 
 An SLP is a context-free grammar in Chomsky normal form deriving exactly
 one byte string: rule i is either a terminal byte or an ordered pair of two
-smaller-indexed rules, and the last rule is the start symbol.  Rule indices
-are 1-based; every derived per-rule array in this package is padded so that
-``array[i]`` belongs to rule i and ``array[0]`` is unused.
+smaller-indexed rules, and the last rule is the start symbol.  A grammar is
+stored as two 1-indexed child lists, ``lefts`` and ``rights``: a terminal
+keeps its byte in ``lefts`` and -1 in ``rights``, and index 0 holds the
+padding pair (0, 0).  Every derived per-rule array in this package is padded
+the same way, so ``array[i]`` belongs to rule i and ``array[0]`` is unused.
+
+Decompression is one walk over whole rules into an output of known length:
+a rule already written whole is copied from its first offset instead of
+being walked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 MAX_TEXT_LENGTH = 2**63 - 1
 DEFAULT_EXPAND_CAP = 1 << 30
-
-# Variables at most this long are materialized once and then emitted as
-# cached byte chunks during extraction.
-_CHUNK = 64
 
 
 class SlpError(Exception):
@@ -37,39 +38,20 @@ class ConsistencyError(SlpError):
 
 
 @dataclass(frozen=True)
-class Rule:
-    """One assignment: a terminal byte when ``right`` is None, else a pair."""
-
-    left: int
-    right: int | None = None
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.right is None
-
-
-@dataclass(frozen=True)
 class SlpGrammar:
-    """Ordered rule table; rule ``i`` is ``rules[i - 1]`` and rule n starts."""
+    """The rule table as two 1-indexed child lists; rule n starts.
 
-    rules: list[Rule]
+    When ``rights[i]`` is -1, rule i is the byte ``lefts[i]``; otherwise it
+    is the pair (``lefts[i]``, ``rights[i]``).  Index 0 holds the padding
+    pair (0, 0).
+    """
+
+    lefts: list[int]
+    rights: list[int]
 
     @property
     def n(self) -> int:
-        return len(self.rules)
-
-    def rule(self, i: int) -> Rule:
-        return self.rules[i - 1]
-
-    @cached_property
-    def _arrays(self) -> tuple[list[int], list[int]]:
-        # 1-indexed child tables; terminals keep the byte in lefts, -1 in rights.
-        lefts = [0] * (self.n + 1)
-        rights = [0] * (self.n + 1)
-        for i, rule in enumerate(self.rules, start=1):
-            lefts[i] = rule.left
-            rights[i] = -1 if rule.right is None else rule.right
-        return lefts, rights
+        return len(self.lefts) - 1
 
 
 @dataclass(frozen=True)
@@ -102,24 +84,37 @@ def parse_slp(doc: str) -> SlpGrammar:
     """Parse an SLP v1 document.
 
     One rule per line ("<i> T <byte>" or "<i> N <left> <right>"), indices
-    consecutive from 1, '#' comment lines and blank lines ignored.
+    consecutive from 1, '#' comment lines and blank lines ignored.  Lines
+    end at "\n" (a "\r" just before it counts as whitespace) and fields are
+    separated by ASCII spaces and tabs; any other separator is an error.
     """
-    rules: list[Rule] = []
-    for lineno, raw in enumerate(doc.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lefts = [0]
+    rights = [0]
+    for lineno, raw in enumerate(doc.replace("\r\n", "\n").split("\n"), start=1):
+        line = raw.strip(" \t")
+        if not line or line[0] == "#":
             continue
+        if not line.isprintable():
+            # The space is the only printable character str.split() breaks
+            # on, and the tab is the only other separator allowed.
+            line = line.replace("\t", " ")
+            if not line.isprintable():
+                bad = next(c for c in line if not c.isprintable())
+                raise SlpFormatError(
+                    f"line {lineno}: character {bad!r} found; fields are separated"
+                    " by spaces and tabs only"
+                )
         parts = line.split()
         idx = _int_field(parts[0], lineno)
-        want = len(rules) + 1
-        if idx != want:
-            raise SlpFormatError(f"line {lineno}: rule {want} expected, got {idx}")
+        if idx != len(lefts):
+            raise SlpFormatError(f"line {lineno}: rule {len(lefts)} expected, got {idx}")
         kind = parts[1] if len(parts) > 1 else ""
         if kind == "T" and len(parts) == 3:
             byte = _int_field(parts[2], lineno)
             if not 0 <= byte <= 255:
                 raise SlpFormatError(f"line {lineno}: byte value {byte} out of range")
-            rules.append(Rule(byte))
+            lefts.append(byte)
+            rights.append(-1)
         elif kind == "N" and len(parts) == 4:
             left = _int_field(parts[2], lineno)
             right = _int_field(parts[3], lineno)
@@ -128,12 +123,13 @@ def parse_slp(doc: str) -> SlpGrammar:
                     raise SlpFormatError(f"line {lineno}: child index {child} out of range")
                 if child >= idx:
                     raise SlpFormatError(f"line {lineno}: forward reference to rule {child}")
-            rules.append(Rule(left, right))
+            lefts.append(left)
+            rights.append(right)
         else:
             raise SlpFormatError(f"line {lineno}: malformed rule {line!r}")
-    if not rules:
+    if len(lefts) == 1:
         raise SlpFormatError("document contains no rules")
-    return SlpGrammar(rules)
+    return SlpGrammar(lefts, rights)
 
 
 def _int_field(token: str, lineno: int) -> int:
@@ -145,30 +141,38 @@ def _int_field(token: str, lineno: int) -> int:
 
 def serialize_slp(g: SlpGrammar) -> str:
     """Render a grammar back into the SLP v1 format (parse round trips)."""
-    lines = []
-    for i, rule in enumerate(g.rules, start=1):
-        if rule.is_terminal:
-            lines.append(f"{i} T {rule.left}")
-        else:
-            lines.append(f"{i} N {rule.left} {rule.right}")
+    lefts, rights = g.lefts, g.rights
+    lines = [
+        f"{i} T {lefts[i]}" if rights[i] < 0 else f"{i} N {lefts[i]} {rights[i]}"
+        for i in range(1, g.n + 1)
+    ]
     return "\n".join(lines) + "\n"
 
 
 def validate(g: SlpGrammar) -> list[int]:
     """Check hard structural invariants; return unused rule indices.
 
-    Byte ranges and child ordering violations raise ValidationError.  Rules
-    that never occur in the derivation tree are only reported (callers may
-    pass the grammar through :func:`prune_unused` instead).
+    Mismatched or unpadded child lists, byte ranges and child ordering
+    violations raise ValidationError.  Rules that never occur in the
+    derivation tree are only reported (callers may pass the grammar through
+    :func:`prune_unused` instead).
     """
+    lefts, rights = g.lefts, g.rights
+    if len(lefts) != len(rights):
+        raise ValidationError(
+            f"child lists differ in length: {len(lefts)} lefts, {len(rights)} rights"
+        )
+    if not lefts or lefts[0] != 0 or rights[0] != 0:
+        raise ValidationError("child lists must start with the padding pair (0, 0)")
     if g.n < 1:
         raise ValidationError("grammar has no rules")
-    for i, rule in enumerate(g.rules, start=1):
-        if rule.is_terminal:
-            if not 0 <= rule.left <= 255:
-                raise ValidationError(f"rule {i}: byte value {rule.left} out of range")
+    for i in range(1, g.n + 1):
+        r = rights[i]
+        if r == -1:
+            if not 0 <= lefts[i] <= 255:
+                raise ValidationError(f"rule {i}: byte value {lefts[i]} out of range")
         else:
-            for child in (rule.left, rule.right):
+            for child in (lefts[i], r):
                 if not 1 <= child < i:
                     raise ValidationError(f"rule {i}: child index {child} not in 1..{i - 1}")
     occurrences = _rule_occurrences(g)
@@ -178,23 +182,28 @@ def validate(g: SlpGrammar) -> list[int]:
 def prune_unused(g: SlpGrammar) -> SlpGrammar:
     """Drop rules that never occur in the derivation tree, renumbering the rest."""
     occurrences = _rule_occurrences(g)
-    if all(occurrences[i] for i in range(1, g.n + 1)):
+    if all(occurrences[1:]):
         return g
-    remap: dict[int, int] = {}
-    kept: list[Rule] = []
-    for i, rule in enumerate(g.rules, start=1):
+    old_lefts, old_rights = g.lefts, g.rights
+    remap = [0] * (g.n + 1)
+    lefts = [0]
+    rights = [0]
+    for i in range(1, g.n + 1):
         if occurrences[i] == 0:
             continue
-        if rule.is_terminal:
-            kept.append(rule)
+        r = old_rights[i]
+        if r < 0:
+            lefts.append(old_lefts[i])
+            rights.append(-1)
         else:
-            kept.append(Rule(remap[rule.left], remap[rule.right]))
-        remap[i] = len(kept)
-    return SlpGrammar(kept)
+            lefts.append(remap[old_lefts[i]])
+            rights.append(remap[r])
+        remap[i] = len(lefts) - 1
+    return SlpGrammar(lefts, rights)
 
 
 def _rule_lengths(g: SlpGrammar) -> list[int]:
-    lefts, rights = g._arrays
+    lefts, rights = g.lefts, g.rights
     lengths = [0] * (g.n + 1)
     for i in range(1, g.n + 1):
         r = rights[i]
@@ -211,7 +220,7 @@ def _rule_lengths(g: SlpGrammar) -> list[int]:
 def _rule_occurrences(g: SlpGrammar) -> list[int]:
     occurrences = [0] * (g.n + 1)
     occurrences[g.n] = 1
-    lefts, rights = g._arrays
+    lefts, rights = g.lefts, g.rights
     for i in range(g.n, 0, -1):
         r = rights[i]
         if r >= 0:
@@ -235,7 +244,7 @@ def compute_qmarks(g: SlpGrammar, m: SlpMetrics, q: int) -> QMarks:
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    lefts, rights = g._arrays
+    lefts, rights = g.lefts, g.rights
     lengths = m.lengths
     leftmost: list[int | None] = [None] * (g.n + 1)
     rightmost: list[int | None] = [None] * (g.n + 1)
@@ -269,7 +278,7 @@ def affix_tables(g: SlpGrammar, m: SlpMetrics, q: int) -> tuple[list[bytes], lis
     if q < 2:
         raise ValueError("q must be at least 2")
     k = q - 1
-    lefts, rights = g._arrays
+    lefts, rights = g.lefts, g.rights
     lengths = m.lengths
     pre = [b""] * (g.n + 1)
     suf = [b""] * (g.n + 1)
@@ -289,102 +298,39 @@ def affix_tables(g: SlpGrammar, m: SlpMetrics, q: int) -> tuple[list[bytes], lis
     return pre, suf
 
 
-class Expander:
-    """Iterative partial decompressor for one grammar.
+def _spell(g: SlpGrammar, lengths: list[int], pieces: list[int]) -> bytes:
+    """val(X_k) of every rule k in ``pieces``, concatenated left to right.
 
-    Prefix and suffix extraction descend with an explicit stack, costing
-    O(grammar height + extracted length).  A subtree of at most ``_CHUNK``
-    bytes is materialized once and then copied as a cached chunk wherever
-    it recurs.  It serves :func:`expand` and the ``extract_*`` functions;
-    the reductions read :func:`affix_tables` instead.
+    One walk over whole rules with an explicit stack, writing into an
+    output of known length.  A pair rule met for the first time is split
+    into its children and its offset recorded; every later occurrence is
+    copied from that offset.  The source is always complete by then,
+    because a rule never recurs inside its own expansion.  Each pair rule is
+    split at most once, so the walk takes O(n + len(pieces)) steps plus the
+    copies.
     """
-
-    def __init__(self, g: SlpGrammar, lengths: list[int]):
-        self._lefts, self._rights = g._arrays
-        self._lengths = lengths
-        self._chunks: dict[int, bytes] = {}
-
-    def _chunk(self, i: int) -> bytes:
-        cached = self._chunks.get(i)
-        if cached is None:
-            lefts, rights = self._lefts, self._rights
-            out = bytearray()
-            stack = [i]
-            while stack:
-                k = stack.pop()
-                r = rights[k]
-                if r < 0:
-                    out.append(lefts[k])
-                else:
-                    stack.append(r)
-                    stack.append(lefts[k])
-            cached = bytes(out)
-            self._chunks[i] = cached
-        return cached
-
-    def _emit(self, i: int, out: bytearray) -> None:
-        # All of val(X_i), left to right.
-        lengths = self._lengths
-        if lengths[i] <= _CHUNK:
-            out += self._chunk(i)
-            return
-        lefts, rights = self._lefts, self._rights
-        stack = [i]
-        while stack:
-            k = stack.pop()
-            if lengths[k] <= _CHUNK:
-                out += self._chunk(k)
-            else:
-                stack.append(rights[k])
-                stack.append(lefts[k])
-
-    def prefix(self, i: int, take: int) -> bytes:
-        """First ``take`` characters of val(X_i)."""
-        if take <= 0:
-            return b""
-        lengths = self._lengths
-        lefts, rights = self._lefts, self._rights
-        out = bytearray()
-        stack = [(i, take)]
-        while stack:
-            k, t = stack.pop()
-            while True:
-                if t == lengths[k]:
-                    self._emit(k, out)
-                    break
-                left = lefts[k]
-                ll = lengths[left]
-                if t <= ll:
-                    k = left
-                else:
-                    stack.append((rights[k], t - ll))
-                    k = left
-                    t = ll
-        return bytes(out)
-
-    def suffix(self, i: int, take: int) -> bytes:
-        """Last ``take`` characters of val(X_i)."""
-        if take <= 0:
-            return b""
-        lengths = self._lengths
-        lefts, rights = self._lefts, self._rights
-        out = bytearray()
-        stack = [(i, take)]
-        while stack:
-            k, t = stack.pop()
-            while True:
-                if t == lengths[k]:
-                    self._emit(k, out)
-                    break
-                right = rights[k]
-                rl = lengths[right]
-                if t <= rl:
-                    k = right
-                else:
-                    stack.append((right, rl))
-                    k = lefts[k]
-                    t -= rl
-        return bytes(out)
+    lefts, rights = g.lefts, g.rights
+    out = bytearray(sum(lengths[k] for k in pieces))
+    first: dict[int, int] = {}
+    pos = 0
+    stack = pieces[::-1]
+    while stack:
+        k = stack.pop()
+        r = rights[k]
+        if r < 0:
+            out[pos] = lefts[k]
+            pos += 1
+            continue
+        source = first.get(k)
+        if source is None:
+            first[k] = pos
+            stack.append(r)
+            stack.append(lefts[k])
+        else:
+            size = lengths[k]
+            out[pos : pos + size] = out[source : source + size]
+            pos += size
+    return bytes(out)
 
 
 def _check_extract_args(g: SlpGrammar, m: SlpMetrics, i: int, j: int) -> None:
@@ -395,15 +341,49 @@ def _check_extract_args(g: SlpGrammar, m: SlpMetrics, i: int, j: int) -> None:
 
 
 def extract_prefix(g: SlpGrammar, m: SlpMetrics, i: int, j: int) -> bytes:
-    """First j characters of rule i's expansion, without full decompression."""
+    """First j characters of rule i's expansion, without full decompression.
+
+    The descent collects, left to right, the whole rules that spell them:
+    each left child it passes on its way right, then the rule it stops at.
+    """
     _check_extract_args(g, m, i, j)
-    return Expander(g, m.lengths).prefix(i, j)
+    lengths = m.lengths
+    pieces = []
+    while j:
+        if j == lengths[i]:
+            pieces.append(i)
+            break
+        left = g.lefts[i]
+        if j > lengths[left]:
+            pieces.append(left)
+            j -= lengths[left]
+            i = g.rights[i]
+        else:
+            i = left
+    return _spell(g, lengths, pieces)
 
 
 def extract_suffix(g: SlpGrammar, m: SlpMetrics, i: int, j: int) -> bytes:
-    """Last j characters of rule i's expansion, without full decompression."""
+    """Last j characters of rule i's expansion, without full decompression.
+
+    The mirror image of :func:`extract_prefix`: the pieces are collected
+    right to left and spelled in reverse order.
+    """
     _check_extract_args(g, m, i, j)
-    return Expander(g, m.lengths).suffix(i, j)
+    lengths = m.lengths
+    pieces = []
+    while j:
+        if j == lengths[i]:
+            pieces.append(i)
+            break
+        right = g.rights[i]
+        if j > lengths[right]:
+            pieces.append(right)
+            j -= lengths[right]
+            i = g.lefts[i]
+        else:
+            i = right
+    return _spell(g, lengths, pieces[::-1])
 
 
 def expand(g: SlpGrammar, max_bytes: int = DEFAULT_EXPAND_CAP) -> bytes:
@@ -415,15 +395,15 @@ def expand(g: SlpGrammar, max_bytes: int = DEFAULT_EXPAND_CAP) -> bytes:
     lengths = _rule_lengths(g)
     if lengths[-1] > max_bytes:
         raise SlpError(f"expansion is {lengths[-1]} bytes, above the {max_bytes} byte cap")
-    return Expander(g, lengths).prefix(g.n, lengths[-1])
+    return _spell(g, lengths, [g.n])
 
 
 def char_frequencies(g: SlpGrammar, m: SlpMetrics) -> dict[int, int]:
     """Exact byte histogram of the derived text, computed without expanding."""
+    lefts, rights = g.lefts, g.rights
     freq: dict[int, int] = {}
-    for i, rule in enumerate(g.rules, start=1):
-        if rule.is_terminal:
-            count = m.occurrences[i]
-            if count:
-                freq[rule.left] = freq.get(rule.left, 0) + count
+    for i in range(1, g.n + 1):
+        count = m.occurrences[i]
+        if rights[i] < 0 and count:
+            freq[lefts[i]] = freq.get(lefts[i], 0) + count
     return freq

@@ -36,11 +36,13 @@ def boundary_window(g: SlpGrammar, m: SlpMetrics, q: int, i: int) -> BoundaryWin
     """Window of pair rule i, weighted by its derivation-tree occurrences."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    rule = g.rule(i)
-    if rule.is_terminal:
+    if not 1 <= i <= g.n:
+        raise ValueError(f"rule index {i} not in 1..{g.n}")
+    left, right = g.lefts[i], g.rights[i]
+    if right < 0:
         raise ValueError(f"rule {i} is a terminal; only pair rules have windows")
-    head = extract_suffix(g, m, rule.left, min(q - 1, m.lengths[rule.left]))
-    tail = extract_prefix(g, m, rule.right, min(q - 1, m.lengths[rule.right]))
+    head = extract_suffix(g, m, left, min(q - 1, m.lengths[left]))
+    tail = extract_prefix(g, m, right, min(q - 1, m.lengths[right]))
     return BoundaryWindow(i, head + tail, m.occurrences[i])
 
 
@@ -55,7 +57,7 @@ def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    lefts, rights = g._arrays
+    lefts, rights = g.lefts, g.rights
     lengths = m.lengths
     occurrences = m.occurrences
     pre, suf = affix_tables(g, m, q)

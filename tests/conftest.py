@@ -1,6 +1,13 @@
 import pytest
 
-from slpgram import build_chain, build_random, build_repair, compute_metrics, parse_slp
+from slpgram import (
+    SlpGrammar,
+    build_chain,
+    build_random,
+    build_repair,
+    compute_metrics,
+    parse_slp,
+)
 
 # 13-character sample over {a, b}; small enough to check everything by hand.
 G7_DOC = """\
@@ -13,6 +20,39 @@ G7_DOC = """\
 7 N 6 5
 """
 G7_TEXT = b"aababaababaab"
+
+
+def comb_grammar(teeth):
+    """b a^1 b a^2 ... b a^teeth as a comb of height about ``teeth``.
+
+    A_k = A_{k-1} a is a left-deep chain, each tooth hangs A_k under
+    B_k = b A_k, and the teeth are joined left-deep as well.
+    """
+    lefts = [0, 97, 98]
+    rights = [0, -1, -1]
+
+    def pair(left, right):
+        lefts.append(left)
+        rights.append(right)
+        return len(lefts) - 1
+
+    chain = 1
+    joined = None
+    for k in range(1, teeth + 1):
+        if k > 1:
+            chain = pair(chain, 1)
+        tooth = pair(2, chain)
+        joined = tooth if joined is None else pair(joined, tooth)
+    return SlpGrammar(lefts, rights)
+
+
+def comb_text(teeth):
+    return b"".join(b"b" + b"a" * k for k in range(1, teeth + 1))
+
+
+def doubling_doc(rules):
+    """Rule k derives 2^(k-1) a's, so the text is 2^(rules-1) bytes."""
+    return "1 T 97\n" + "".join(f"{k} N {k - 1} {k - 1}\n" for k in range(2, rules + 1))
 
 
 @pytest.fixture

@@ -34,10 +34,9 @@ def derivation_occurrences(g) -> list[int]:
     while stack:
         i = stack.pop()
         counts[i] += 1
-        rule = g.rule(i)
-        if not rule.is_terminal:
-            stack.append(rule.left)
-            stack.append(rule.right)
+        if g.rights[i] >= 0:
+            stack.append(g.lefts[i])
+            stack.append(g.rights[i])
     return counts
 
 
@@ -49,11 +48,11 @@ def deepest_outer_marks(g, lengths: list[int], q: int):
         if lengths[i] < q:
             continue
         cur = i
-        while not g.rule(cur).is_terminal and lengths[g.rule(cur).left] >= q:
-            cur = g.rule(cur).left
+        while g.rights[cur] >= 0 and lengths[g.lefts[cur]] >= q:
+            cur = g.lefts[cur]
         leftmost[i] = cur
         cur = i
-        while not g.rule(cur).is_terminal and lengths[g.rule(cur).right] >= q:
-            cur = g.rule(cur).right
+        while g.rights[cur] >= 0 and lengths[g.rights[cur]] >= q:
+            cur = g.rights[cur]
         rightmost[i] = cur
     return leftmost, rightmost

@@ -12,13 +12,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import G7_DOC
+from conftest import G7_DOC, comb_grammar, comb_text
 from oracles import naive_lcp_array, naive_suffix_array, sliding_histogram
 from slpgram import (
     BuilderConfig,
     ConsistencyError,
-    Rule,
-    SlpGrammar,
     WeightedText,
     build_chain,
     build_lcp_array,
@@ -54,8 +52,7 @@ def _unit_weighted(text, q):
 
 
 def _window_len(g, m, q, i):
-    rule = g.rule(i)
-    return min(q - 1, m.lengths[rule.left]) + min(q - 1, m.lengths[rule.right])
+    return min(q - 1, m.lengths[g.lefts[i]]) + min(q - 1, m.lengths[g.rights[i]])
 
 
 # ---------------------------------------------------------------------------
@@ -328,34 +325,12 @@ def test_criterion_8_suffix_and_lcp_oracles():
 # ---------------------------------------------------------------------------
 
 
-def comb_grammar(teeth):
-    """b a^1 b a^2 ... b a^teeth as a comb of height about ``teeth``.
-
-    A_k = A_{k-1} a is a left-deep chain, each tooth hangs A_k under
-    B_k = b A_k, and the teeth are joined left-deep as well.
-    """
-    rules = [Rule(97), Rule(98)]
-    chain = 1
-    joined = None
-    for k in range(1, teeth + 1):
-        if k > 1:
-            rules.append(Rule(chain, 1))
-            chain = len(rules)
-        rules.append(Rule(2, chain))
-        if joined is None:
-            joined = len(rules)
-        else:
-            rules.append(Rule(joined, len(rules)))
-            joined = len(rules)
-    return SlpGrammar(rules)
-
-
 def test_comb_grammar_of_linear_height():
     teeth = 1000
     g = comb_grammar(teeth)
     m = compute_metrics(g)
     text = expand(g)
-    assert text == b"".join(b"b" + b"a" * k for k in range(1, teeth + 1))
+    assert text == comb_text(teeth)
     for q in (4, 64):
         nsa = weighted_qgram_counts(_unit_weighted(text, q)).materialize(text)
         ssa_wt = build_ssa_text(g, m, q)

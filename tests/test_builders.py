@@ -4,12 +4,12 @@ from hypothesis import strategies as st
 
 from slpgram import (
     BuilderConfig,
-    Rule,
     build_chain,
     build_random,
     build_repair,
     compute_metrics,
     expand,
+    serialize_slp,
     validate,
 )
 
@@ -17,40 +17,34 @@ from slpgram import (
 class TestRepair:
     def test_abab_trace(self):
         g = build_repair(b"abab")
-        assert g.rules == [Rule(97), Rule(98), Rule(1, 2), Rule(3, 3)]
+        assert serialize_slp(g) == "1 T 97\n2 T 98\n3 N 1 2\n4 N 3 3\n"
         assert expand(g) == b"abab"
 
     def test_aaaa_trace(self):
         # "aa" occurs twice without overlap, then the root pairs the result.
         g = build_repair(b"aaaa")
-        assert g.rules == [Rule(97), Rule(1, 1), Rule(2, 2)]
+        assert serialize_slp(g) == "1 T 97\n2 N 1 1\n3 N 2 2\n"
         assert expand(g) == b"aaaa"
 
     def test_aaa_overlap_not_counted(self):
         # only one non-overlapping "aa": below the threshold, so no pair rule
         # from replacement, just the balanced residual.
         g = build_repair(b"aaa")
-        assert g.rules == [Rule(97), Rule(1, 1), Rule(1, 2)]
+        assert serialize_slp(g) == "1 T 97\n2 N 1 1\n3 N 1 2\n"
         assert expand(g) == b"aaa"
 
     def test_threshold_respected(self):
         # (a,b) occurs twice; with a threshold of 3 nothing is replaced and
         # the residual of four symbols binarizes into three pair rules.
         g = build_repair(b"abab", BuilderConfig(min_pair_frequency=3))
-        assert g.rules == [
-            Rule(97),
-            Rule(98),
-            Rule(1, 2),
-            Rule(1, 2),
-            Rule(3, 4),
-        ]
+        assert serialize_slp(g) == "1 T 97\n2 T 98\n3 N 1 2\n4 N 1 2\n5 N 3 4\n"
         assert expand(g) == b"abab"
 
     def test_tie_breaks_toward_smaller_pair(self):
         # "ba" and "ab" both occur twice; (1, 2) = (a, b) wins the tie.
         g = build_repair(b"abab" + b"ba")
-        first_pair = next(r for r in g.rules if not r.is_terminal)
-        assert (first_pair.left, first_pair.right) == (1, 2)
+        first_pair = next(i for i in range(1, g.n + 1) if g.rights[i] >= 0)
+        assert (g.lefts[first_pair], g.rights[first_pair]) == (1, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -69,10 +63,10 @@ class TestRepair:
 
 class TestChain:
     def test_ab_trace(self):
-        assert build_chain(b"ab").rules == [Rule(97), Rule(98), Rule(1, 2)]
+        assert serialize_slp(build_chain(b"ab")) == "1 T 97\n2 T 98\n3 N 1 2\n"
 
     def test_single(self):
-        assert build_chain(b"a").rules == [Rule(97)]
+        assert serialize_slp(build_chain(b"a")) == "1 T 97\n"
 
     def test_aaaa(self):
         g = build_chain(b"aaaa")
@@ -84,7 +78,7 @@ class TestChain:
             g = build_chain(s)
             distinct = len(set(s))
             assert g.n == distinct + len(s) - 1
-            assert sum(r.is_terminal for r in g.rules) == distinct
+            assert g.rights.count(-1) == distinct
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -94,10 +88,10 @@ class TestChain:
 class TestRandom:
     def test_single_terminal(self):
         g = build_random(1, 1, 7)
-        assert g.rules == [Rule(0)]
+        assert serialize_slp(g) == "1 T 0\n"
 
     def test_deterministic(self):
-        assert build_random(10, 2, 42).rules == build_random(10, 2, 42).rules
+        assert build_random(10, 2, 42) == build_random(10, 2, 42)
 
     def test_valid_and_fully_used(self):
         for seed in range(40):

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import G7_DOC
+from conftest import G7_DOC, doubling_doc
 from oracles import sliding_histogram
 from slpgram import WeightedText, build_chain, build_repair, expand, parse_slp, serialize_slp
 from slpgram.cli import (
@@ -38,8 +40,7 @@ def escape_rule(b: int) -> str:
 
 
 def doubling_grammar(path, rules: int) -> str:
-    """Rule k derives 2^(k-1) a's, so the text is 2^(rules-1) bytes."""
-    path.write_text("1 T 97\n" + "".join(f"{k} N {k - 1} {k - 1}\n" for k in range(2, rules + 1)))
+    path.write_text(doubling_doc(rules))
     return str(path)
 
 
@@ -66,11 +67,10 @@ class TestEscaping:
         data = bytes(range(256))
         assert unescape_bytes(escape_bytes(data)) == data
 
-    def test_round_trip_random(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 64)))
-            assert unescape_bytes(escape_bytes(data)) == data
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.binary(max_size=300))
+    def test_round_trip_random(self, data):
+        assert unescape_bytes(escape_bytes(data)) == data
 
     def test_bad_escape(self):
         # \x needs exactly two hex digits; literals are printable ASCII only
@@ -255,6 +255,17 @@ class TestMain:
                 main(["count", "-i", g7_path, "-q", bad])
             assert exc.value.code == 2, bad
             assert main(["stats", "-i", g7_path, "--q-list", f"2,{bad}"]) == 2, bad
+        out = str(tmp_path / "built.slp")
+        for builder, option, bad in (
+            ("repair", "--min-pair-freq", "\u0662"),
+            ("repair", "--min-pair-freq", "+3"),
+            ("random", "--rules", "1_0"),
+            ("random", "--alphabet", "+2"),
+            ("random", "--alphabet", "\u0663"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["build", "-i", g7_path, "--algo-builder", builder, option, bad, "-o", out])
+            assert exc.value.code == 2, (option, bad)
 
     def test_verify_past_the_expansion_cap(self, tmp_path):
         # 2^62 bytes, far past the cap, so only ssa and stsa can be compared

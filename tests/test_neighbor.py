@@ -136,10 +136,10 @@ class TestFlatten:
                 want = Counter()
                 want[(0, expand(g)[: q - 1])] = 1
                 for i in graph.vertices:
-                    rule = g.rule(i)
+                    left, right = g.lefts[i], g.rights[i]
                     window = extract_suffix(
-                        g, m, rule.left, min(q - 1, m.lengths[rule.left])
-                    ) + extract_prefix(g, m, rule.right, min(q - 1, m.lengths[rule.right]))
+                        g, m, left, min(q - 1, m.lengths[left])
+                    ) + extract_prefix(g, m, right, min(q - 1, m.lengths[right]))
                     want[(i, window[q - 1 :])] += 1
                 assert got == want, (name, q)
 
@@ -193,5 +193,4 @@ class TestDupStats:
 
 
 def _window_len(g, m, q, i):
-    rule = g.rule(i)
-    return min(q - 1, m.lengths[rule.left]) + min(q - 1, m.lengths[rule.right])
+    return min(q - 1, m.lengths[g.lefts[i]]) + min(q - 1, m.lengths[g.rights[i]])

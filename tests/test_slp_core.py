@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G7_DOC, G7_TEXT
+from conftest import G7_DOC, G7_TEXT, comb_grammar, comb_text, doubling_doc
 from oracles import deepest_outer_marks, derivation_occurrences
 from slpgram import (
-    Rule,
     SlpError,
     SlpFormatError,
     SlpGrammar,
@@ -32,17 +31,21 @@ from slpgram import (
 class TestParse:
     def test_g7(self, g7):
         assert g7.n == 7
-        assert g7.rules[:3] == [Rule(97), Rule(98), Rule(1, 2)]
-        assert g7.rules[-1] == Rule(6, 5)
+        assert g7.lefts == [0, 97, 98, 1, 1, 3, 4, 6]
+        assert g7.rights == [0, -1, -1, 2, 3, 4, 5, 5]
 
     def test_single_terminal(self):
         g = parse_slp("1 T 97\n")
-        assert g.rules == [Rule(97)]
+        assert g == SlpGrammar([0, 97], [0, -1])
         assert expand(g) == b"a"
 
     def test_comments_and_blanks(self):
         g = parse_slp("# header\n\n1 T 97\n  \n# mid\n2 N 1 1\n")
         assert g.n == 2
+
+    def test_crlf_and_tabs(self):
+        doc = "# header\r\n1 T 97\r\n\t2\tN 1\t 1 \r\n\r\n"
+        assert parse_slp(doc) == parse_slp("1 T 97\n2 N 1 1\n")
 
     @pytest.mark.parametrize(
         "doc",
@@ -64,11 +67,57 @@ class TestParse:
             "1 T 97\n2 N 1 +1\n",
             "1 N 0 1\n",              # child below 1
             "# nothing\n",            # no rules at all
+            "1 T 97\x1c2 N 1 1\n",    # separators other than space, tab, newline
+            "1 T 97\x0b2 N 1 1\n",
+            "1 T 97\u20282 N 1 1\n",
+            "1 T 97\r2 N 1 1\n",      # a carriage return not before a newline
+            "1\xa0T\u200397\n",
         ],
     )
     def test_rejects(self, doc):
         with pytest.raises(SlpFormatError):
             parse_slp(doc)
+
+    def test_rejects_every_other_whitespace(self):
+        # Every character str.split() or str.splitlines() would break on.
+        for c in map(chr, range(0x110000)):
+            if (c.isspace() or len(f"a{c}b".splitlines()) > 1) and c not in " \t\n":
+                for doc in (f"1 T 97{c}2 N 1 1\n", f"1{c}T 97\n", f"1 T 97\n2 N 1{c}1\n"):
+                    with pytest.raises(SlpFormatError, match="line"):
+                        parse_slp(doc)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 5),
+        st.integers(0, 2**32),
+        st.sampled_from(["sign", "underscore", "digit", "range"]),
+        st.data(),
+    )
+    def test_rejects_one_bad_token(self, rule_count, alphabet, seed, mutation, data):
+        lines = serialize_slp(build_random(rule_count, alphabet, seed)).splitlines()
+        k = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split()
+        if mutation == "range":
+            # a byte above 255, or a child index at or past its own rule
+            pos = 2 if fields[1] == "T" else data.draw(st.sampled_from([2, 3]))
+            low = 256 if fields[1] == "T" else k + 1
+            token = str(data.draw(st.integers(low, low + 10**6)))
+        else:
+            pos = data.draw(st.sampled_from([0, *range(2, len(fields))]))
+            token = fields[pos]
+            cut = data.draw(st.integers(0, len(token) - 1))
+            if mutation == "sign":
+                token = data.draw(st.sampled_from("+-")) + token
+            elif mutation == "underscore":
+                token = token[:cut] + "_" + token[cut:]
+            else:
+                base = data.draw(st.sampled_from([0x660, 0x966, 0x9E6, 0xFF10]))
+                token = token[:cut] + chr(base + int(token[cut])) + token[cut + 1 :]
+        fields[pos] = token
+        lines[k] = " ".join(fields)
+        with pytest.raises(SlpFormatError, match=f"line {k + 1}:"):
+            parse_slp("\n".join(lines) + "\n")
 
 
 class TestSerialize:
@@ -76,12 +125,13 @@ class TestSerialize:
         assert serialize_slp(g7) == G7_DOC
 
     def test_single(self):
-        assert serialize_slp(SlpGrammar([Rule(97)])) == "1 T 97\n"
+        assert serialize_slp(SlpGrammar([0, 97], [0, -1])) == "1 T 97\n"
 
-    def test_round_trip_random_grammars(self):
-        for seed in range(25):
-            g = build_random(40, 3, seed)
-            assert parse_slp(serialize_slp(g)).rules == g.rules
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 120), st.integers(1, 256), st.integers(0, 2**32))
+    def test_round_trip_random_grammars(self, rule_count, alphabet, seed):
+        g = build_random(rule_count, alphabet, seed)
+        assert parse_slp(serialize_slp(g)) == g
 
 
 class TestExpand:
@@ -99,11 +149,15 @@ class TestExpand:
         g = build_chain(b"a" * 5000)
         assert expand(g) == b"a" * 5000
 
+    def test_comb_of_4000_teeth(self):
+        # 12 000 rules of height about 4000, 8 MB of text: every tooth is
+        # copied from the previous chain, not walked byte by byte.
+        assert expand(comb_grammar(4000)) == comb_text(4000)
+
     def test_overflow_rejected(self):
         # 64 doublings: length 2**63 passes the 2**63 - 1 bound.
-        rules = [Rule(97)] + [Rule(i, i) for i in range(1, 64)]
         with pytest.raises(ValidationError):
-            expand(SlpGrammar(rules))
+            expand(parse_slp(doubling_doc(64)))
 
 
 class TestMetrics:
@@ -133,11 +187,7 @@ class TestMetrics:
     def test_terminal_occurrences_sum_to_text_length(self, sample_grammars):
         for name, g in sample_grammars:
             m = compute_metrics(g)
-            total = sum(
-                m.occurrences[i]
-                for i, rule in enumerate(g.rules, start=1)
-                if rule.is_terminal
-            )
+            total = sum(m.occurrences[i] for i in range(1, g.n + 1) if g.rights[i] < 0)
             assert total == m.text_length, name
 
 
@@ -193,12 +243,18 @@ class TestExtract:
             extract_prefix(g7, g7_metrics, 8, 1)
 
     def test_matches_expanded_slices(self, sample_grammars):
-        for name, g in sample_grammars:
+        grammars = [
+            *sample_grammars,
+            ("comb-200", comb_grammar(200)),
+            ("doubling-20", parse_slp(doubling_doc(20))),
+        ]
+        for name, g in grammars:
             m = compute_metrics(g)
             # naive bottom-up expansion of every rule as the oracle
             val: list[bytes] = [b""] * (g.n + 1)
-            for i, rule in enumerate(g.rules, start=1):
-                val[i] = bytes([rule.left]) if rule.is_terminal else val[rule.left] + val[rule.right]
+            for i in range(1, g.n + 1):
+                left, right = g.lefts[i], g.rights[i]
+                val[i] = bytes([left]) if right < 0 else val[left] + val[right]
             assert val[g.n] == expand(g), name
             for i in range(1, g.n + 1):
                 size = m.lengths[i]
@@ -263,21 +319,31 @@ class TestValidate:
         assert validate(g7) == []
 
     def test_unused_is_warning(self):
-        g = SlpGrammar([Rule(97), Rule(98), Rule(1, 1)])
+        g = SlpGrammar([0, 97, 98, 1], [0, -1, -1, 1])
         assert validate(g) == [2]
 
     def test_hard_violations(self):
         with pytest.raises(ValidationError):
-            validate(SlpGrammar([Rule(300)]))
+            validate(SlpGrammar([0, 300], [0, -1]))
         with pytest.raises(ValidationError):
-            validate(SlpGrammar([Rule(97), Rule(2, 1)]))
+            validate(SlpGrammar([0, 97, 2], [0, -1, 1]))
         with pytest.raises(ValidationError):
-            validate(SlpGrammar([]))
+            validate(SlpGrammar([0, 97, 1], [0, -1, -2]))
+        with pytest.raises(ValidationError):
+            validate(SlpGrammar([0], [0]))
+        with pytest.raises(ValidationError, match="differ in length"):
+            validate(SlpGrammar([0, 97, 1], [0, -1]))
+        with pytest.raises(ValidationError, match="differ in length"):
+            validate(SlpGrammar([0, 97], [0, -1, 1]))
+        with pytest.raises(ValidationError, match="padding"):
+            validate(SlpGrammar([97, 1], [-1, 1]))
+        with pytest.raises(ValidationError, match="padding"):
+            validate(SlpGrammar([], []))
 
     def test_prune(self):
-        g = SlpGrammar([Rule(97), Rule(98), Rule(1, 1)])
+        g = SlpGrammar([0, 97, 98, 1], [0, -1, -1, 1])
         pruned = prune_unused(g)
-        assert pruned.rules == [Rule(97), Rule(1, 1)]
+        assert serialize_slp(pruned) == "1 T 97\n2 N 1 1\n"
         assert validate(pruned) == []
         assert expand(pruned) == expand(g)
 
@@ -291,4 +357,4 @@ def test_chain_round_trip_property(data):
     g = build_chain(data)
     assert validate(g) == []
     assert expand(g) == data
-    assert parse_slp(serialize_slp(g)).rules == g.rules
+    assert parse_slp(serialize_slp(g)) == g

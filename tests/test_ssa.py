@@ -35,8 +35,8 @@ class TestBoundaryWindow:
             for q in (2, 3, 5, 9):
                 wt = build_ssa_text(g, m, q)
                 offset = 0
-                for i, rule in enumerate(g.rules, start=1):
-                    if rule.is_terminal or m.lengths[i] < q:
+                for i in range(1, g.n + 1):
+                    if g.rights[i] < 0 or m.lengths[i] < q:
                         continue
                     w = boundary_window(g, m, q, i)
                     size = len(w.content)
