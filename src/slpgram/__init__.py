@@ -29,7 +29,7 @@ from .slp import (
     serialize_slp,
     validate,
 )
-from .ssa import BoundaryWindow, boundary_window, build_ssa_text
+from .ssa import build_ssa_text
 from .suffix import (
     QGramReport,
     WeightedText,
@@ -41,7 +41,6 @@ from .suffix import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryWindow",
     "BuilderConfig",
     "ConsistencyError",
     "DupStats",
@@ -56,7 +55,6 @@ __all__ = [
     "ValidationError",
     "WeightedText",
     "affix_tables",
-    "boundary_window",
     "build_chain",
     "build_lcp_array",
     "build_neighbor_graph",

@@ -382,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="repair",
     )
     p.add_argument("--min-pair-freq", type=_decimal, default=2, help="repair stop threshold")
-    p.add_argument("--seed", type=int, default=0, help="random builder seed")
+    p.add_argument("--seed", type=_decimal, default=0, help="random builder seed")
     p.add_argument(
         "--rules", dest="rule_count", type=_decimal, default=64, help="random builder rule budget"
     )

@@ -4,9 +4,11 @@ Consecutive q-gram occurrences of the text are owned by rules that overlap
 in q-1 characters, so emitting each owning rule's fresh characters once,
 ordered along a spanning traversal of the neighbor graph, reproduces every
 gram of the text while skipping the characters shared between repeated
-rules.  The traversal output is kept as a flat weighted string: one body
-per branch, prefixed by q-1 zero-weighted context characters copied from
-the parent path so grams crossing a branch point still read correctly.
+rules.  The traversal output is kept as a flat weighted string, one
+branch after another.  Each branch opens with its head's whole boundary
+window, whose first q-1 characters are zero-weighted context (the text's
+opener, or the end of the parent path), so grams crossing a branch point
+still read correctly.
 """
 
 from __future__ import annotations
@@ -72,13 +74,16 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
 
 @dataclass(frozen=True, eq=False)
 class FlattenedTrie:
-    """The single weighted text of all branches, each context then body in
-    emission order.
+    """The single weighted text of all branches in emission order, each its
+    head's window followed by the labels of the vertices chained to it.
 
     ``runs`` lists (rule, length) over the whole text: a body run carries
     its rule's occurrence count as the weight of every gram ending in it,
-    and rule 0 marks the zero-weighted runs, the text's q-1 opening
-    characters and each later branch's q-1 context characters.
+    and rule 0 marks the zero-weighted first q-1 characters of each head's
+    window, which open the text for the first branch and repeat the end of
+    the parent path for every later one.  ``body_total`` is the trie size,
+    every body run plus the text's opener; ``branch_count`` counts the
+    branches after the first.
     """
 
     q: int
@@ -101,18 +106,19 @@ def flatten_neighbor_trie(
 ) -> FlattenedTrie:
     """Depth-first emission of every vertex's fresh characters.
 
-    The text opens with the first q-1 characters of the first owner,
-    ``pre[start]`` from :func:`affix_tables`.  Each vertex k then emits its
-    label: its window ``suf[L_k] + pre[R_k]`` past the first q-1
+    Every branch opens with its head's whole window ``suf[L] + pre[R]``
+    from :func:`affix_tables`, whose first q-1 characters are the branch's
+    context: the text's opener for the first owner ``leftmost[n]``, and the
+    parent path's last q-1 characters for every later head.  Each chained
+    vertex k then emits its label, its window past the first q-1
     characters, which the path has already emitted.  A chain of unique
     successors becomes one branch body.  When a chain ends at a rule with a
-    short right child, each unvisited successor starts a new branch
-    carrying the last q-1 characters of the parent path as context; chains
+    short right child, each unvisited successor heads a new branch; chains
     ending on an already visited unique successor spawn nothing.  Child
-    order is ascending rule index and the walk uses an explicit stack, so
-    the output is deterministic and path depth cannot overflow recursion.
-    Branches are written into one text as they are emitted, with run-length
-    weights.
+    order is ascending rule index and the walk keeps a stack of rule
+    indices, so the output is deterministic and path depth cannot overflow
+    recursion.  Branches are written into one text as they are emitted,
+    with run-length weights.
     """
     q = qm.q
     lengths = m.lengths
@@ -124,58 +130,45 @@ def flatten_neighbor_trie(
     successors = graph.successors
     pre, suf = affix_tables(g, m, q)
     visited = bytearray(g.n + 1)
-    start = leftmost[g.n]
     runs: list[tuple[int, int]] = []
     text = bytearray()
-    body_total = 0
-    # Frame (0, b"") stands for the dummy head whose right child is `start`
-    # and whose q-1 label characters open the text.
-    stack: list[tuple[int, bytes]] = [(0, b"")]
+    stack = [leftmost[g.n]]
     while stack:
-        head, context = stack.pop()
-        if head:
-            if visited[head]:
-                continue
-            k = head
-            source = rights[head]
-            take = 0
-            text += context
-        else:
-            k = start
-            source = start
-            take = q - 1
-            text += pre[start]
-        runs.append((0, q - 1))
-        while True:
+        head = stack.pop()
+        if visited[head]:
+            continue
+        visited[head] = 1
+        left, right = suf[lefts[head]], pre[rights[head]]
+        text += left
+        text += right
+        runs += ((0, q - 1), (head, len(left) + len(right) - (q - 1)))
+        # Every character the branch emits past suf[L_head] lies in R_head.
+        fresh = len(right)
+        k = head
+        while lengths[rights[k]] >= q:
+            nxt = leftmost[rights[k]]
+            if visited[nxt]:
+                break
+            k = nxt
+            visited[k] = 1
             # suf[L_k] falls short of q-1 characters only when L_k does, and
             # then the label starts that much later in pre[R_k].
             label = pre[rights[k]][q - 1 - len(suf[lefts[k]]) :]
             text += label
-            take += len(label)
+            fresh += len(label)
             runs.append((k, len(label)))
-            visited[k] = 1
-            successor_root = rights[k]
-            if lengths[successor_root] < q:
-                break
-            nxt = leftmost[successor_root]
-            if visited[nxt]:
-                break
-            k = nxt
-        if take > lengths[source]:
-            raise ConsistencyError("chain would emit past its source rule")
-        body_total += take
-        children = successors.get(k)
-        if children:
-            tail = bytes(text[-(q - 1) :])
-            for child in reversed(children):
-                if not visited[child]:
-                    stack.append((child, tail))
+        if fresh > lengths[rights[head]]:
+            raise ConsistencyError("branch would emit past its head's right child")
+        stack += [child for child in reversed(successors.get(k, ())) if not visited[child]]
     # occurrences[0] is 0, so the rule-0 runs weigh nothing.
     weights = np.repeat(
         np.array([occurrences[rule] for rule, _ in runs], dtype=np.int64),
         [length for _, length in runs],
     )
     branch_count = sum(1 for rule, _ in runs if not rule) - 1
+    # The trie is every body plus the text's q-1 opening characters; later
+    # contexts repeat characters of their parent paths.
+    body_total = sum(length for rule, length in runs if rule) + q - 1
     return FlattenedTrie(q, runs, body_total, branch_count, bytes(text), weights)
 
 

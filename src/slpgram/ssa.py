@@ -10,40 +10,10 @@ per-rule occurrence weights equals counting on the full text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .slp import (
-    ConsistencyError,
-    SlpGrammar,
-    SlpMetrics,
-    affix_tables,
-    extract_prefix,
-    extract_suffix,
-)
+from .slp import ConsistencyError, SlpGrammar, SlpMetrics, affix_tables
 from .suffix import WeightedText
-
-
-@dataclass(frozen=True)
-class BoundaryWindow:
-    variable: int
-    content: bytes
-    weight: int
-
-
-def boundary_window(g: SlpGrammar, m: SlpMetrics, q: int, i: int) -> BoundaryWindow:
-    """Window of pair rule i, weighted by its derivation-tree occurrences."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if not 1 <= i <= g.n:
-        raise ValueError(f"rule index {i} not in 1..{g.n}")
-    left, right = g.lefts[i], g.rights[i]
-    if right < 0:
-        raise ValueError(f"rule {i} is a terminal; only pair rules have windows")
-    head = extract_suffix(g, m, left, min(q - 1, m.lengths[left]))
-    tail = extract_prefix(g, m, right, min(q - 1, m.lengths[right]))
-    return BoundaryWindow(i, head + tail, m.occurrences[i])
 
 
 def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:

@@ -6,6 +6,8 @@ from slpgram import (
     build_random,
     build_repair,
     compute_metrics,
+    extract_prefix,
+    extract_suffix,
     parse_slp,
 )
 
@@ -48,6 +50,16 @@ def comb_grammar(teeth):
 
 def comb_text(teeth):
     return b"".join(b"b" + b"a" * k for k in range(1, teeth + 1))
+
+
+def reference_window(g, m, q, i):
+    """Boundary window of pair rule i: the last q-1 characters of its left
+    child, then the first q-1 of its right child (fewer when a child is
+    shorter)."""
+    left, right = g.lefts[i], g.rights[i]
+    return extract_suffix(g, m, left, min(q - 1, m.lengths[left])) + extract_prefix(
+        g, m, right, min(q - 1, m.lengths[right])
+    )
 
 
 def doubling_doc(rules):

@@ -262,6 +262,10 @@ class TestMain:
             ("random", "--rules", "1_0"),
             ("random", "--alphabet", "+2"),
             ("random", "--alphabet", "\u0663"),
+            ("random", "--seed", "1_0"),
+            ("random", "--seed", "+5"),
+            ("random", "--seed", "\u0663"),
+            ("random", "--seed", "-3"),
         ):
             with pytest.raises(SystemExit) as exc:
                 main(["build", "-i", g7_path, "--algo-builder", builder, option, bad, "-o", out])

@@ -2,21 +2,23 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import G7_TEXT
+from conftest import G7_TEXT, reference_window
 from oracles import sliding_histogram
 from slpgram import (
     ConsistencyError,
+    SlpGrammar,
     build_neighbor_graph,
     build_ssa_text,
     compute_dup_stats,
     compute_metrics,
     compute_qmarks,
     expand,
-    extract_prefix,
-    extract_suffix,
     flatten_neighbor_trie,
     parse_slp,
+    validate,
     weighted_qgram_counts,
 )
 
@@ -116,8 +118,9 @@ class TestFlatten:
 
     def test_emitted_runs_are_the_vertex_labels(self, sample_grammars):
         # every vertex contributes its fresh characters (window minus the
-        # shared q-1 prefix) exactly once; the rule-0 runs are the q-1 dummy
-        # opener, then one q-1 context per later branch
+        # shared q-1 prefix) exactly once; every rule-0 run is the first q-1
+        # characters of the window of the vertex that follows it, the text's
+        # opener for the first branch and a context for each later one
         for name, g in sample_grammars:
             m = compute_metrics(g)
             for q in (2, 3, 5):
@@ -125,22 +128,22 @@ class TestFlatten:
                     continue
                 qm, graph, trie = pipeline(g, m, q)
                 assert trie.runs[0] == (0, q - 1), (name, q)
+                assert trie.text[: q - 1] == expand(g)[: q - 1], (name, q)
                 zero = [length for v, length in trie.runs[1:] if not v]
                 assert zero == [q - 1] * trie.branch_count, (name, q)
                 got = Counter()
                 offset = 0
                 for index, (v, length) in enumerate(trie.runs):
-                    if v or index == 0:
-                        got[(v, trie.text[offset : offset + length])] += 1
+                    run = trie.text[offset : offset + length]
+                    if v:
+                        got[(v, run)] += 1
+                    else:
+                        head = trie.runs[index + 1][0]
+                        assert run == reference_window(g, m, q, head)[: q - 1], (name, q, index)
                     offset += length
                 want = Counter()
-                want[(0, expand(g)[: q - 1])] = 1
                 for i in graph.vertices:
-                    left, right = g.lefts[i], g.rights[i]
-                    window = extract_suffix(
-                        g, m, left, min(q - 1, m.lengths[left])
-                    ) + extract_prefix(g, m, right, min(q - 1, m.lengths[right]))
-                    want[(i, window[q - 1 :])] += 1
+                    want[(i, reference_window(g, m, q, i)[q - 1 :])] += 1
                 assert got == want, (name, q)
 
 
@@ -194,3 +197,64 @@ class TestDupStats:
 
 def _window_len(g, m, q, i):
     return min(q - 1, m.lengths[g.lefts[i]]) + min(q - 1, m.lengths[g.rights[i]])
+
+
+@st.composite
+def tall_grammars(draw):
+    """Left-deep, right-deep or comb-shaped grammars of height up to about
+    400 over 1-3 letters.
+
+    A right-deep spine is one long chain of unique successors in the trie;
+    a left-deep spine ends a chain at every vertex, so it spawns many
+    branches.  The comb hangs a shared left-deep chain under every tooth,
+    and the spines may repeat one of their rules at the end, so both shapes
+    also meet rules that occur more than once.
+    """
+    letters = b"abc"[: draw(st.integers(1, 3))]
+    lefts, rights = [0], [0]
+    terminals = {}
+
+    def pair(left, right):
+        lefts.append(left)
+        rights.append(right)
+        return len(lefts) - 1
+
+    def letter():
+        byte = draw(st.sampled_from(letters))
+        if byte not in terminals:
+            lefts.append(byte)
+            rights.append(-1)
+            terminals[byte] = len(lefts) - 1
+        return terminals[byte]
+
+    shape = draw(st.sampled_from(["left", "right", "comb"]))
+    if shape == "comb":
+        chain = letter()
+        joined = pair(letter(), chain)
+        for _ in range(draw(st.integers(0, 200))):
+            chain = pair(chain, letter())
+            joined = pair(joined, pair(letter(), chain))
+        return SlpGrammar(lefts, rights)
+    spine = [letter()]
+    for _ in range(draw(st.integers(1, 400))):
+        spine.append(pair(spine[-1], letter()) if shape == "left" else pair(letter(), spine[-1]))
+    if draw(st.booleans()):
+        pair(spine[-1], draw(st.sampled_from(spine)))
+    return SlpGrammar(lefts, rights)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tall_grammars(), st.integers(2, 70))
+def test_tall_grammars_agree_with_the_text(g, q):
+    assert validate(g) == []
+    m = compute_metrics(g)
+    text = expand(g)
+    want = sliding_histogram(text, q)
+    ssa = build_ssa_text(g, m, q)
+    assert weighted_qgram_counts(ssa).materialize(ssa.text) == want
+    qm, graph, trie = pipeline(g, m, q)
+    wt = trie.to_weighted_text()
+    assert weighted_qgram_counts(wt).materialize(wt.text) == want
+    stats = compute_dup_stats(g, m, qm, trie, graph)
+    if m.text_length >= q:
+        assert stats.trie_size == m.text_length - stats.dup

@@ -1,8 +1,8 @@
 import pytest
 
+from conftest import reference_window
 from oracles import sliding_histogram
 from slpgram import (
-    boundary_window,
     build_ssa_text,
     compute_metrics,
     expand,
@@ -12,20 +12,12 @@ from slpgram import (
 
 class TestBoundaryWindow:
     def test_examples(self, g7, g7_metrics):
-        w = boundary_window(g7, g7_metrics, 2, 4)
-        assert (w.content, w.weight) == (b"aa", 3)
-        w = boundary_window(g7, g7_metrics, 2, 7)
-        assert (w.content, w.weight) == (b"ba", 1)
-        w = boundary_window(g7, g7_metrics, 3, 5)
-        assert (w.content, w.weight) == (b"abaa", 2)
-
-    def test_terminal_rejected(self, g7, g7_metrics):
-        with pytest.raises(ValueError):
-            boundary_window(g7, g7_metrics, 2, 1)
-
-    def test_q_below_two_rejected(self, g7, g7_metrics):
-        with pytest.raises(ValueError):
-            boundary_window(g7, g7_metrics, 1, 4)
+        assert reference_window(g7, g7_metrics, 2, 4) == b"aa"
+        assert g7_metrics.occurrences[4] == 3
+        assert reference_window(g7, g7_metrics, 2, 7) == b"ba"
+        assert g7_metrics.occurrences[7] == 1
+        assert reference_window(g7, g7_metrics, 3, 5) == b"abaa"
+        assert g7_metrics.occurrences[5] == 2
 
     def test_window_length_bounds(self, sample_grammars):
         # Each window is also its rule's slice of the ssa string, which
@@ -38,17 +30,22 @@ class TestBoundaryWindow:
                 for i in range(1, g.n + 1):
                     if g.rights[i] < 0 or m.lengths[i] < q:
                         continue
-                    w = boundary_window(g, m, q, i)
-                    size = len(w.content)
+                    window = reference_window(g, m, q, i)
+                    size = len(window)
+                    weight = m.occurrences[i]
                     assert q <= size <= 2 * (q - 1), (name, q, i)
-                    assert wt.text[offset : offset + size] == w.content, (name, q, i)
+                    assert wt.text[offset : offset + size] == window, (name, q, i)
                     weights = wt.end_weights[offset : offset + size].tolist()
-                    assert weights == [0] * (q - 1) + [w.weight] * (size - q + 1), (name, q, i)
+                    assert weights == [0] * (q - 1) + [weight] * (size - q + 1), (name, q, i)
                     offset += size
                 assert offset == len(wt.text), (name, q)
 
 
 class TestBuildSsaText:
+    def test_q_below_two_rejected(self, g7, g7_metrics):
+        with pytest.raises(ValueError):
+            build_ssa_text(g7, g7_metrics, 1)
+
     def test_g7_q2(self, g7, g7_metrics):
         wt = build_ssa_text(g7, g7_metrics, 2)
         assert wt.text == b"abaabababa"
