@@ -43,7 +43,7 @@ from .slp import (
     validate,
 )
 from .ssa import build_ssa_text
-from .suffix import WeightedText, weighted_qgram_counts
+from .suffix import WeightedText, check_rankable, weighted_qgram_counts
 
 ALGORITHMS = ("nsa", "ssa", "stsa")
 _HEX_ESCAPE = re.compile(r"\\x([0-9A-Fa-f]{2})")
@@ -122,10 +122,34 @@ def _neighbor_trie(g, m, q: int):
     return qm, graph, flatten_neighbor_trie(g, m, qm, graph)
 
 
+def _ranked_positions(g, m, q: int, algorithm: str) -> int:
+    """How many positions the engine ranks for ssa or stsa, from rule
+    lengths alone, so an oversized reduction is refused before any table
+    is built.
+
+    The ssa string is every vertex's window, sum_ti positions.  The trie
+    holds each window past its first q-1 characters once, plus the text's
+    q-1 opening characters: |T| - dup nodes.
+    """
+    lengths = m.lengths
+    cap = q - 1
+    windows = vertices = 0
+    # Index 0 is the padding pair (0, 0), which is never long enough.
+    for left, right, length in zip(g.lefts, g.rights, lengths):
+        if right >= 0 and length >= q:
+            a, b = lengths[left], lengths[right]
+            windows += (a if a < cap else cap) + (b if b < cap else cap)
+            vertices += 1
+    if algorithm == "ssa" or not vertices:
+        return windows
+    return windows - cap * (vertices - 1)
+
+
 def _pipeline_text(g, m, q: int, algorithm: str) -> tuple[str, WeightedText]:
     """The weighted string a pipeline counts on, plus its reference name."""
     if algorithm == "nsa":
         return "T", _unit_weighted(expand(g), q)
+    check_rankable(_ranked_positions(g, m, q, algorithm))
     if algorithm == "ssa":
         return "z", build_ssa_text(g, m, q)
     return "z", _neighbor_trie(g, m, q)[2].to_weighted_text()
@@ -179,6 +203,8 @@ def _nsa_skipped(text_length: int) -> str:
 
 def _verify_one(g, m, text: bytes | None, q: int, corrupt) -> list[str]:
     problems: list[str] = []
+    # The ssa string is never shorter than the trie.
+    check_rankable(_ranked_positions(g, m, q, "ssa"))
     qm, graph, trie = _neighbor_trie(g, m, q)
     stsa = trie.to_weighted_text()
     texts = {} if text is None else {"nsa": _unit_weighted(text, q)}

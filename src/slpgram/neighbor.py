@@ -84,6 +84,14 @@ class FlattenedTrie:
     the parent path for every later one.  ``body_total`` is the trie size,
     every body run plus the text's opener; ``branch_count`` counts the
     branches after the first.
+
+    The trie itself is every text position but the repeated contexts.
+    ``starts`` holds the text offset where each branch begins and ``hangs``
+    the node it hangs from, the last one of its parent path (-1 for the
+    first branch).  From them follow ``nodes``, the text position of each
+    of the ``body_total`` nodes, and ``parents``, the node above each: the
+    previous node, except at a branch's first one.  The counting engine
+    ranks these nodes; the text only anchors the positions a report prints.
     """
 
     q: int
@@ -92,13 +100,40 @@ class FlattenedTrie:
     branch_count: int
     text: bytes
     end_weights: np.ndarray
+    starts: list[int]
+    hangs: list[int]
 
     @property
     def flattened_length(self) -> int:
         return len(self.text)
 
+    def _firsts(self) -> np.ndarray:
+        """The first node of every branch after the first: the text
+        position just past its context, less the q-1 context characters of
+        each later branch up to and including it."""
+        later = np.array(self.starts[1:], dtype=np.int64)
+        return later - (self.q - 1) * np.arange(later.size)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        # A node's text position is its index plus the q-1 context
+        # characters of every later branch that starts at or before it.
+        size = len(self.text) - (self.q - 1) * self.branch_count
+        nodes = np.zeros(size, dtype=np.int64)
+        nodes[self._firsts()] = self.q - 1
+        np.cumsum(nodes, out=nodes)
+        nodes += np.arange(size)
+        return nodes
+
+    @property
+    def parents(self) -> np.ndarray:
+        size = len(self.text) - (self.q - 1) * self.branch_count
+        parents = np.arange(-1, size - 1)
+        parents[self._firsts()] = self.hangs[1:]
+        return parents
+
     def to_weighted_text(self) -> WeightedText:
-        return WeightedText(self.text, self.end_weights, self.q)
+        return WeightedText(self.text, self.end_weights, self.q, self.nodes, self.parents)
 
 
 def flatten_neighbor_trie(
@@ -115,15 +150,17 @@ def flatten_neighbor_trie(
     successors becomes one branch body.  When a chain ends at a rule with a
     short right child, each unvisited successor heads a new branch; chains
     ending on an already visited unique successor spawn nothing.  Child
-    order is ascending rule index and the walk keeps a stack of rule
-    indices, so the output is deterministic and path depth cannot overflow
-    recursion.  Branches are written into one text as they are emitted,
-    with run-length weights.
+    order is ascending rule index and the walk keeps a stack of (rule, node
+    the branch would hang from) pairs, so the output is deterministic and
+    path depth cannot overflow recursion.  Branches are written into one
+    text as they are emitted, with run-length weights.  The walk also
+    records where each branch starts and the node it hangs from, which give
+    every trie node its text position and parent.
     """
     q = qm.q
     lengths = m.lengths
     if m.text_length < q:
-        return FlattenedTrie(q, [], 0, 0, b"", np.zeros(0, dtype=np.int64))
+        return FlattenedTrie(q, [], 0, 0, b"", np.zeros(0, dtype=np.int64), [], [])
     lefts, rights = g.lefts, g.rights
     occurrences = m.occurrences
     leftmost = qm.leftmost
@@ -132,16 +169,21 @@ def flatten_neighbor_trie(
     visited = bytearray(g.n + 1)
     runs: list[tuple[int, int]] = []
     text = bytearray()
-    stack = [leftmost[g.n]]
+    context = (0, q - 1)
+    starts: list[int] = []
+    hangs: list[int] = []
+    stack = [(leftmost[g.n], -1)]
     while stack:
-        head = stack.pop()
+        head, hang = stack.pop()
         if visited[head]:
             continue
         visited[head] = 1
+        starts.append(len(text))
+        hangs.append(hang)
         left, right = suf[lefts[head]], pre[rights[head]]
         text += left
         text += right
-        runs += ((0, q - 1), (head, len(left) + len(right) - (q - 1)))
+        runs += (context, (head, len(left) + len(right) - (q - 1)))
         # Every character the branch emits past suf[L_head] lies in R_head.
         fresh = len(right)
         k = head
@@ -159,17 +201,20 @@ def flatten_neighbor_trie(
             runs.append((k, len(label)))
         if fresh > lengths[rights[head]]:
             raise ConsistencyError("branch would emit past its head's right child")
-        stack += [child for child in reversed(successors.get(k, ())) if not visited[child]]
+        # The node of the branch's last character: a node's index is its
+        # text position less the q-1 context characters of every branch
+        # after the first.
+        last = len(text) - 1 - (q - 1) * (len(hangs) - 1)
+        stack += [(child, last) for child in reversed(successors.get(k, ())) if not visited[child]]
     # occurrences[0] is 0, so the rule-0 runs weigh nothing.
     weights = np.repeat(
         np.array([occurrences[rule] for rule, _ in runs], dtype=np.int64),
         [length for _, length in runs],
     )
-    branch_count = sum(1 for rule, _ in runs if not rule) - 1
     # The trie is every body plus the text's q-1 opening characters; later
     # contexts repeat characters of their parent paths.
     body_total = sum(length for rule, length in runs if rule) + q - 1
-    return FlattenedTrie(q, runs, body_total, branch_count, bytes(text), weights)
+    return FlattenedTrie(q, runs, body_total, len(hangs) - 1, bytes(text), weights, starts, hangs)
 
 
 @dataclass(frozen=True)

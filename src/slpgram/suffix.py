@@ -18,11 +18,22 @@ class WeightedText:
 
     ``end_weights[p]`` (0-based) belongs to the gram ``text[p - gram + 1 : p + 1]``;
     the first ``gram - 1`` positions cannot end a gram and must weigh zero.
+
+    The text of a flattened trie also carries the trie itself: ``nodes[v]``
+    is the text position of trie node v and ``parents[v]`` the node above
+    it, -1 at the root, node 0.  The gram ending at node v is then read
+    down the parent chain to v; it must equal the text's gram ending at
+    ``nodes[v]``, which is what a report prints.  Positions outside
+    ``nodes`` repeat bytes of the trie and must weigh zero, and so must
+    every node with fewer than ``gram - 1`` ancestors, since no whole gram
+    ends there.
     """
 
     text: bytes
     end_weights: np.ndarray
     gram: int
+    nodes: np.ndarray | None = None
+    parents: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.gram < 1:
@@ -33,6 +44,51 @@ class WeightedText:
             raise ValueError("end_weights must hold one entry per text position")
         if weights[: self.gram - 1].any():
             raise ValueError(f"no q-gram can end before position {self.gram}")
+        if self.nodes is None and self.parents is None:
+            return
+        if self.nodes is None or self.parents is None:
+            raise ValueError("a trie needs both nodes and parents")
+        nodes = np.asarray(self.nodes, dtype=np.int64)
+        parents = np.asarray(self.parents, dtype=np.int64)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "parents", parents)
+        if nodes.ndim != 1 or parents.shape != nodes.shape:
+            raise ValueError("nodes and parents must hold one entry per trie node")
+        if nodes.size and (nodes[0] < 0 or nodes[-1] >= len(self.text)):
+            raise ValueError("node positions must lie in the text")
+        if (nodes[1:] <= nodes[:-1]).any():
+            raise ValueError("node positions must strictly increase")
+        if (parents >= np.arange(parents.size)).any():
+            raise ValueError("every parent must precede its node")
+        if (parents[1:] < 0).any() or (parents[:1] != -1).any():
+            raise ValueError("node 0 must be the one root, with parent -1")
+        off_trie = np.ones(len(self.text), dtype=bool)
+        off_trie[nodes] = False
+        if weights[off_trie].any():
+            raise ValueError("positions outside the trie's nodes must weigh zero")
+        if weights[nodes[_climb(parents, self.gram - 1) < 0]].any():
+            raise ValueError(
+                f"no q-gram can end at a node with fewer than {self.gram - 1} ancestors"
+            )
+
+
+def _climb(parents: np.ndarray, steps: int) -> np.ndarray:
+    """The node ``steps`` parent links above each node, -1 past the root.
+
+    Composed from the jump tables hop_2j = hop_j[hop_j] by the bits of
+    ``steps``.  Slot m of each table stands for "above the root": parent -1
+    indexes it, and it holds -1 itself.
+    """
+    hop = np.append(parents, -1)
+    reach = np.arange(hop.size)
+    reach[-1] = -1
+    while steps:
+        if steps & 1:
+            reach = hop[reach]
+        steps >>= 1
+        if steps:
+            hop = hop[hop]
+    return reach[:-1]
 
 
 @dataclass(frozen=True)
@@ -41,8 +97,10 @@ class QGramReport:
 
     Each entry is ``(end, weight)``: ``end`` is the 1-based end position of
     the gram's earliest occurrence in the source string, so its bytes are
-    ``source[end - gram : end]``.  Entries are in gram byte order and only
-    grams with positive total weight appear.
+    ``source[end - gram : end]``.  For a trie's text (stsa) the earliest
+    occurrence is taken among the trie's nodes only, so it never lies in a
+    context that repeats the parent path.  Entries are in gram byte order
+    and only grams with positive total weight appear.
     """
 
     entries: list[tuple[int, int]]
@@ -63,6 +121,29 @@ class QGramReport:
 _MAX_POSITIONS = 2**31
 
 
+def check_rankable(positions: int) -> None:
+    """Raise ValueError if the engine cannot rank this many positions,
+    before anything of that size is built."""
+    if positions >= _MAX_POSITIONS:
+        limit = _MAX_POSITIONS - 1
+        raise ValueError(f"cannot rank a string of {positions} positions: the limit is {limit}")
+
+
+def _rerank(key: np.ndarray, rank: np.ndarray, first: int) -> tuple[np.ndarray, bool]:
+    """One doubling round: sort the positions by ``key`` and write into
+    ``rank`` their dense ranks from ``first`` on, equal where the key is.
+    Returns the sorted order and whether every rank is distinct."""
+    n = key.size
+    order = np.argsort(key)
+    key = key[order]
+    fresh = np.empty(n, dtype=np.int64)
+    fresh[0] = first
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    np.cumsum(fresh, out=fresh)
+    rank[order] = fresh
+    return order, fresh[-1] == first + n - 1
+
+
 def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """``(order, rank)``: positions sorted by their first ``depth`` bytes
     (equal prefixes in no fixed order), and ranks that are equal exactly
@@ -73,15 +154,12 @@ def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
     once every rank is distinct.  A round that extends prefixes by ``step``
     bytes sorts one int64 key per position, ``rank[p] * base + second`` where
     ``second`` is ``rank[p + step] + 1``, or 0 past the end of the data, and
-    ``base = max(n, 256) + 1`` exceeds every ``second``; new ranks are cut
-    where the sorted key changes.  Raises ValueError for data of
-    ``_MAX_POSITIONS`` or more positions, where the key could overflow.
+    ``base = max(n, 256) + 1`` exceeds every ``second``.  Raises ValueError
+    for data of ``_MAX_POSITIONS`` or more positions, where the key could
+    overflow.
     """
     n = data.size
-    if n >= _MAX_POSITIONS:
-        raise ValueError(
-            f"cannot rank a string of {n} positions: the limit is {_MAX_POSITIONS - 1}"
-        )
+    check_rankable(n)
     base = max(n, 256) + 1
     rank = data.astype(np.int64)
     order = np.argsort(data, kind="stable")
@@ -90,15 +168,62 @@ def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
         step = min(span, depth - span)
         key = rank * base
         key[: n - step] += rank[step:] + 1
-        order = np.argsort(key)
-        key = key[order]
-        fresh = np.zeros(n, dtype=np.int64)
-        np.cumsum(key[1:] != key[:-1], out=fresh[1:])
-        rank[order] = fresh
-        if fresh[-1] == n - 1:
+        order, distinct = _rerank(key, rank, 0)
+        if distinct:
             break
         span += step
     return order, rank
+
+
+def _ancestor_ranks(
+    data: np.ndarray, parents: np.ndarray, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, rank)`` over the nodes of a forest: node v holds byte
+    ``data[v]`` below node ``parents[v]`` (-1 at a root), and is ranked by
+    the last ``depth`` bytes of its path from the root, cut short at the
+    root.  Ranks are equal exactly where those byte strings are; among
+    uncut strings rank order is byte order.
+
+    Karp-Miller-Rosenberg doubling over ancestors: a round that extends the
+    strings from ``span`` to ``span + step`` bytes sorts one int64 key per
+    node, ``rank[anc_step(v)] * base + rank[v]``, with ranks from 1 and
+    rank 0 for the empty string above a root.  The jump tables double,
+    anc_2j = anc_j[anc_j], until the last round, whose step ``depth - span``
+    is cut short like :func:`_prefix_ranks`'s; its table is composed from
+    the doubling ones bit by bit as they pass, so only two ancestor tables
+    are alive at a time.  Slot m of each array stands for "above the root":
+    parent -1 indexes it.
+
+    There is no early stop: ranks that are all distinct already group the
+    nodes, but they order the strings by their last ``span`` bytes, and the
+    gram order needs the first ones.
+    """
+    m = data.size
+    check_rankable(m)
+    base = max(m, 256) + 1
+    rank = np.zeros(m + 1, dtype=np.int64)
+    # Two steps: data + 1 would wrap at byte 255 in uint8.
+    rank[:m] = data
+    rank[:m] += 1
+    if depth < 2 or m == 0:
+        return np.argsort(data, kind="stable"), rank[:m]
+    last = 1 << ((depth - 1).bit_length() - 1)
+    rest = depth - last
+    hop = np.append(parents, -1)
+    reach = None
+    span = 1
+    while True:
+        if rest & span:
+            reach = hop if reach is None else hop[reach]
+        ancestors = hop if span < last else reach
+        key = rank[ancestors[:m]] * base
+        key += rank[:m]
+        order, _ = _rerank(key, rank[:m], 1)
+        if span == last:
+            break
+        hop = hop[hop]
+        span *= 2
+    return order, rank[:m]
 
 
 def build_suffix_array(text: bytes) -> list[int]:
@@ -138,27 +263,39 @@ def build_lcp_array(text: bytes, sa: list[int]) -> list[int]:
 def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     """Group equal q-grams of the text and total their end weights.
 
-    Positions are ranked by their first q bytes only; every position that
-    starts a whole gram joins the group of its rank, in gram byte order.
-    Groups whose total weight is zero (grams that exist only as
-    concatenation bridges) are dropped.
+    A plain string is ranked position by position on its first q bytes
+    (:func:`_prefix_ranks`), and every position that starts a whole gram
+    joins the group of its rank.  A trie's text is ranked on its nodes only,
+    each by the q bytes down its parent chain (:func:`_ancestor_ranks`), so
+    the repeated contexts are never sorted.  Groups come in gram byte order;
+    each reports the text position of its earliest member, and groups whose
+    total weight is zero (grams that exist only as concatenation bridges,
+    or paths cut short at the root) are dropped.
     """
     q = wt.gram
     z = wt.text
     n = len(z)
-    if n < q:
+    if n < q or wt.nodes is not None and not wt.nodes.size:
         return QGramReport([], q, n)
+    data = np.frombuffer(z, dtype=np.uint8)
     # Each array is dropped once used: at n near the 2^31 cap they are
     # gigabytes apiece.
-    order, rank = _prefix_ranks(np.frombuffer(z, dtype=np.uint8), q)
-    starts = order[order <= n - q]
-    del order
-    ranks = rank[starts]
+    if wt.nodes is None:
+        order, rank = _prefix_ranks(data, q)
+        ends = order[order <= n - q]
+        del order
+        ranks = rank[ends]
+        ends += q - 1
+    else:
+        order, rank = _ancestor_ranks(data[wt.nodes], wt.parents, q)
+        ranks = rank[order]
+        ends = wt.nodes[order]
+        del order
     del rank
     cuts = np.r_[0, np.flatnonzero(ranks[1:] != ranks[:-1]) + 1]
     del ranks
-    weights = wt.end_weights[starts + q - 1]
-    totals = np.add.reduceat(weights, cuts)
-    first = np.minimum.reduceat(starts, cuts)
-    entries = [(int(p) + q, int(w)) for p, w in zip(first, totals) if w > 0]
+    totals = np.add.reduceat(wt.end_weights[ends], cuts)
+    first = np.minimum.reduceat(ends, cuts)
+    kept = totals > 0
+    entries = list(zip((first[kept] + 1).tolist(), totals[kept].tolist()))
     return QGramReport(entries, q, n)

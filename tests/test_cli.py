@@ -7,7 +7,19 @@ from hypothesis import strategies as st
 
 from conftest import G7_DOC, doubling_doc
 from oracles import sliding_histogram
-from slpgram import WeightedText, build_chain, build_repair, expand, parse_slp, serialize_slp
+from slpgram import (
+    WeightedText,
+    build_chain,
+    build_neighbor_graph,
+    build_random,
+    build_repair,
+    compute_metrics,
+    compute_qmarks,
+    expand,
+    flatten_neighbor_trie,
+    parse_slp,
+    serialize_slp,
+)
 from slpgram.cli import (
     CountRequest,
     escape_bytes,
@@ -133,6 +145,45 @@ class TestCount:
     def test_deterministic(self, g7_path):
         req = CountRequest(g7_path, 3, "stsa", expand_output=True)
         assert run_count(req) == run_count(req)
+
+    @pytest.mark.parametrize("seed", [None, *range(12)])
+    def test_stsa_ends_are_the_earliest_trie_nodes(self, seed, tmp_path):
+        # G7, then random grammars of 8 to 63 rules over 2 to 4 letters
+        if seed is None:
+            g = parse_slp(G7_DOC)
+        else:
+            g = build_random(8 + 5 * seed, 2 + seed % 3, 300 + seed)
+        path = tmp_path / "g.slp"
+        path.write_text(serialize_slp(g))
+        m = compute_metrics(g)
+        text = expand(g)
+        for q in (2, 3, 5, 9):
+            if q > m.text_length:
+                continue
+            qm = compute_qmarks(g, m, q)
+            trie = flatten_neighbor_trie(g, m, qm, build_neighbor_graph(g, m, qm))
+            z = trie.text
+            # every rule-0 run after the opener repeats the end of the parent
+            # path: a later branch's context, which holds no trie node
+            context, at = set(), 0
+            for index, (rule, length) in enumerate(trie.runs):
+                if index and not rule:
+                    context.update(range(at, at + length))
+                at += length
+            earliest = {}
+            for p in range(q - 1, len(z)):
+                if p not in context:
+                    earliest.setdefault(z[p - q + 1 : p + 1], p + 1)
+            want = sliding_histogram(text, q)
+            header, *lines = run_count(CountRequest(str(path), q, "stsa")).splitlines()
+            assert header == "# end positions refer to z"
+            assert len(lines) == len(want), (seed, q)
+            for line in lines:
+                end, count = map(int, line.split("\t"))
+                gram = z[end - q : end]
+                assert want[gram] == count, (seed, q, end)
+                assert end - 1 not in context, (seed, q, end)
+                assert earliest[gram] == end, (seed, q, end)
 
 
 class TestVerify:
@@ -324,3 +375,35 @@ class TestMain:
             "error: cannot rank a string of 13 positions: the limit is 12\n"
         )
         assert main(["count", "-i", g7_path, "-q", "2", "--algo", "stsa"]) == 0
+
+    def test_oversized_reduction_refused_before_any_table(self, g7_path, tmp_path,
+                                                          monkeypatch, capsys):
+        def no_tables(*args):
+            raise AssertionError("affix tables built for a refused count")
+
+        monkeypatch.setattr("slpgram.ssa.affix_tables", no_tables)
+        monkeypatch.setattr("slpgram.neighbor.affix_tables", no_tables)
+        # G7 at q = 2: the ssa string is sum_ti = 10 positions, the trie has
+        # |T| - dup = 6 nodes
+        monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 10)
+        refused = "error: cannot rank a string of 10 positions: the limit is 9\n"
+        for argv in (["count", "-q", "2", "--algo", "ssa"], ["verify", "--q-max", "2"]):
+            assert main(argv + ["-i", g7_path]) == 2, argv
+            assert capsys.readouterr().err == refused, argv
+        monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 6)
+        assert main(["count", "-i", g7_path, "-q", "2", "--algo", "stsa"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot rank a string of 6 positions: the limit is 5\n"
+        )
+        # at the real limit: 2^40 a's at q = 2^28 make 13 vertices, rule 29
+        # with a window of 2^28 and twelve with 2(q - 1), so the ssa string
+        # would be 25 * 2^28 - 24 positions and the trie 13 * 2^28 - 12 nodes
+        monkeypatch.undo()
+        monkeypatch.setattr("slpgram.ssa.affix_tables", no_tables)
+        monkeypatch.setattr("slpgram.neighbor.affix_tables", no_tables)
+        slp = doubling_grammar(tmp_path / "doubling.slp", 41)
+        for algo, size in (("ssa", 25 * 2**28 - 24), ("stsa", 13 * 2**28 - 12)):
+            assert main(["count", "-i", slp, "-q", str(2**28), "--algo", algo]) == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot rank a string of {size} positions: the limit is {2**31 - 1}\n"
+            )

@@ -72,6 +72,9 @@ class TestFlatten:
         ]
         assert trie.body_total == 6
         assert trie.branch_count == 3
+        # the trie a-a-b with three a's below the b; contexts are no nodes
+        assert list(trie.nodes) == [0, 1, 2, 4, 6, 8]
+        assert list(trie.parents) == [-1, 0, 1, 2, 2, 2]
         wt = trie.to_weighted_text()
         assert wt.text == b"aabbababa"
         assert list(wt.end_weights) == [0, 3, 5, 0, 2, 0, 1, 0, 1]
@@ -257,4 +260,4 @@ def test_tall_grammars_agree_with_the_text(g, q):
     assert weighted_qgram_counts(wt).materialize(wt.text) == want
     stats = compute_dup_stats(g, m, qm, trie, graph)
     if m.text_length >= q:
-        assert stats.trie_size == m.text_length - stats.dup
+        assert wt.nodes.size == stats.trie_size == m.text_length - stats.dup

@@ -13,6 +13,7 @@ from slpgram import (
     build_suffix_array,
     weighted_qgram_counts,
 )
+from slpgram.suffix import _ancestor_ranks, _prefix_ranks
 
 
 def unit_weighted(text: bytes, q: int) -> WeightedText:
@@ -82,6 +83,48 @@ class TestWeightedText:
         wt = WeightedText(b"ab", [0, 3], 2)
         assert wt.end_weights.dtype == np.int64
 
+    # "aab|b|a": the trie a-a-b-a with the context "b" repeated before the
+    # last node, which hangs from node 2
+    TRIE = (b"aabba", [0, 3, 5, 0, 2], 2, [0, 1, 2, 4], [-1, 0, 1, 2])
+
+    def test_accepts_a_trie(self):
+        wt = WeightedText(*self.TRIE)
+        assert wt.nodes.dtype == wt.parents.dtype == np.int64
+        assert weighted_qgram_counts(wt).entries == [(2, 3), (3, 5), (5, 2)]
+        # the same trie at q = 3, with a context of two bytes, where nodes 0
+        # and 1 are too shallow to weigh
+        wt = WeightedText(b"aababa", [0, 0, 5, 0, 0, 2], 3, [0, 1, 2, 5], [-1, 0, 1, 2])
+        assert weighted_qgram_counts(wt).materialize(wt.text) == {b"aab": 5, b"aba": 2}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"parents": [-1, 0, 1]}, "one entry per trie node"),
+            ({"parents": None}, "both nodes and parents"),
+            ({"nodes": [0, 1, 2, 5]}, "lie in the text"),
+            ({"nodes": [0, 2, 1, 4]}, "strictly increase"),
+            ({"nodes": [0, 1, 1, 4]}, "strictly increase"),
+            ({"parents": [-1, 0, 2, 2]}, "precede its node"),
+            ({"parents": [-1, 0, 3, 2]}, "precede its node"),
+            ({"parents": [-1, -1, 1, 2]}, "node 0 must be the one root"),
+            ({"parents": [-2, 0, 1, 2]}, "node 0 must be the one root"),
+            ({"weights": [0, 3, 5, 1, 2]}, "outside the trie's nodes"),
+            # at q = 3, node 2 (position 2) or node 3 (position 4) hangs
+            # from node 0 and so has one ancestor only
+            ({"parents": [-1, 0, 0, 2], "weights": [0, 0, 5, 0, 2], "gram": 3},
+             "fewer than 2 ancestors"),
+            ({"parents": [-1, 0, 1, 0], "weights": [0, 0, 5, 0, 2], "gram": 3},
+             "fewer than 2 ancestors"),
+        ],
+    )
+    def test_rejects_a_bad_trie(self, change, message):
+        text, weights, gram, nodes, parents = self.TRIE
+        fields = {"weights": weights, "gram": gram, "nodes": nodes, "parents": parents}
+        fields.update(change)
+        with pytest.raises(ValueError, match=message):
+            WeightedText(text, fields["weights"], fields["gram"], fields["nodes"],
+                         fields["parents"])
+
 
 class TestWeightedCounts:
     def test_flattening_example(self):
@@ -150,3 +193,63 @@ class TestWeightedCounts:
 def test_unit_weight_property(text, q):
     counts = weighted_qgram_counts(unit_weighted(text, q)).materialize(text)
     assert counts == sliding_histogram(text, q)
+
+
+@st.composite
+def forests(draw):
+    """``(data, parents, depth)``: a forest whose parents precede their
+    nodes, over one to three letters, and a gram length that is mostly not
+    a power of two.
+
+    A string is the forest parent = v - 1; a chain branches off now and
+    then; a star hangs most nodes from the first few; a random forest picks
+    any earlier parent, or none.
+    """
+    size = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(["string", "chain", "star", "random"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    parents = []
+    for v in range(size):
+        if shape == "string" or shape == "chain" and rng.random() < 0.95:
+            parents.append(v - 1)
+        elif shape == "star":
+            parents.append(rng.randrange(-1, min(v, 3)))
+        else:
+            parents.append(rng.randrange(-1, v))
+    letters = draw(st.integers(1, 3))
+    data = np.array([rng.randrange(letters) for _ in range(size)], dtype=np.uint8)
+    return data, np.array(parents, dtype=np.int64), draw(st.integers(1, 70))
+
+
+def upward_gram(data, parents, v, depth):
+    """The last ``depth`` bytes of the path from the root down to v."""
+    gram = []
+    while v >= 0 and len(gram) < depth:
+        gram.append(int(data[v]))
+        v = parents[v]
+    return bytes(reversed(gram))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(forests())
+def test_ancestor_ranks_match_upward_grams(forest):
+    data, parents, depth = forest
+    order, rank = _ancestor_ranks(data, parents, depth)
+    grams = [upward_gram(data, parents, v, depth) for v in range(data.size)]
+    # equal ranks exactly where the grams, cut at the root, are equal
+    rank_of = {}
+    for v, gram in enumerate(grams):
+        assert rank_of.setdefault(gram, rank[v]) == rank[v]
+    assert len(set(rank_of.values())) == len(rank_of)
+    # order walks the ranks up, and whole grams come in byte order
+    assert sorted(order.tolist()) == list(range(data.size))
+    assert (np.diff(rank[order]) >= 0).all()
+    whole = [grams[v] for v in order.tolist() if len(grams[v]) == depth]
+    assert whole == sorted(whole)
+    if (parents == np.arange(-1, data.size - 1)).all() and data.size >= depth:
+        # a string: the gram ending at v is the one _prefix_ranks starts at
+        # v - depth + 1, and the two rankings group and order them alike
+        _, prefix = _prefix_ranks(data, depth)
+        ends = np.arange(depth - 1, data.size)
+        same = np.unique(rank[ends], return_inverse=True)[1]
+        assert (same == np.unique(prefix[ends - depth + 1], return_inverse=True)[1]).all()
