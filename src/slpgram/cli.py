@@ -17,7 +17,6 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -181,10 +180,13 @@ def run_count(req: CountRequest) -> str:
     else:
         reference, wt = _pipeline_text(g, m, req.q, req.algorithm)
         report = weighted_qgram_counts(wt)
+        # Formatting reads the text only: drop the weights and the trie.
+        text = wt.text
+        del wt
         if req.expand_output:
-            escaped = escape_bytes(wt.text)
-            offsets = np.zeros(len(wt.text) + 1, dtype=np.int64)
-            np.cumsum(_ESCAPE_WIDTHS[np.frombuffer(wt.text, dtype=np.uint8)], out=offsets[1:])
+            escaped = escape_bytes(text)
+            offsets = np.zeros(len(text) + 1, dtype=np.int64)
+            np.cumsum(_ESCAPE_WIDTHS[np.frombuffer(text, dtype=np.uint8)], out=offsets[1:])
             for end, weight in report.entries:
                 lines.append(f"{escaped[offsets[end - req.q] : offsets[end]]}\t{weight}")
         else:
@@ -201,15 +203,14 @@ def _nsa_skipped(text_length: int) -> str:
     )
 
 
-def _verify_one(g, m, text: bytes | None, q: int, corrupt) -> list[str]:
+def _verify_one(g, m, text: bytes | None, q: int) -> list[str]:
     problems: list[str] = []
     # The ssa string is never shorter than the trie.
     check_rankable(_ranked_positions(g, m, q, "ssa"))
     qm, graph, trie = _neighbor_trie(g, m, q)
-    stsa = trie.to_weighted_text()
     texts = {} if text is None else {"nsa": _unit_weighted(text, q)}
     texts["ssa"] = build_ssa_text(g, m, q)
-    texts["stsa"] = stsa if corrupt is None else corrupt(stsa)
+    texts["stsa"] = trie.to_weighted_text()
     counts = {name: weighted_qgram_counts(wt).materialize(wt.text) for name, wt in texts.items()}
     reference, *others = counts
     base = counts[reference]
@@ -239,19 +240,14 @@ def _verify_one(g, m, text: bytes | None, q: int, corrupt) -> list[str]:
     return problems
 
 
-def run_verify(
-    grammar_path: str,
-    q_max: int,
-    corrupt: Callable[[WeightedText], WeightedText] | None = None,
-) -> tuple[int, str]:
+def run_verify(grammar_path: str, q_max: int) -> tuple[int, str]:
     """Cross-check the three pipelines for every q in 2..min(q_max, |T|).
 
     T is expanded once, before the first q, and ssa and stsa are checked
     against nsa.  Past the expansion cap nsa is skipped instead (the report's
     first line says so) and stsa is checked against ssa; the size identities
     and bounds are checked either way.  Returns (exit code, report); the
-    report stops at the first divergence.  ``corrupt`` is a test hook applied
-    to the trie pipeline's weighted text before counting.
+    report stops at the first divergence.
     """
     if q_max < 2:
         raise SlpError("q_max must be at least 2")
@@ -263,7 +259,7 @@ def run_verify(
     if text is None:
         lines.append(f"{_nsa_skipped(m.text_length)}; stsa checked against ssa")
     for q in range(2, top + 1):
-        problems = _verify_one(g, m, text, q, corrupt)
+        problems = _verify_one(g, m, text, q)
         if problems:
             lines.extend(problems)
             lines.append(f"q={q}: FAIL")
@@ -275,13 +271,18 @@ def run_verify(
 
 
 def run_stats(grammar_path: str, q_list: list[int]) -> str:
-    """CSV with one size-accounting row per requested q."""
+    """CSV with one size-accounting row per requested q.
+
+    A trie the counting engine could not rank is refused, as ``count``
+    refuses it, before it is built.
+    """
     g = _load_grammar(grammar_path)
     m = compute_metrics(g)
     rows = [CSV_HEADER]
     for q in q_list:
         if q < 2:
             raise SlpError("stats needs q >= 2")
+        check_rankable(_ranked_positions(g, m, q, "stsa"))
         qm, graph, trie = _neighbor_trie(g, m, q)
         rows.append(compute_dup_stats(g, m, qm, trie, graph).csv_row())
     return "\n".join(rows) + "\n"

@@ -81,55 +81,50 @@ class FlattenedTrie:
     its rule's occurrence count as the weight of every gram ending in it,
     and rule 0 marks the zero-weighted first q-1 characters of each head's
     window, which open the text for the first branch and repeat the end of
-    the parent path for every later one.  ``body_total`` is the trie size,
-    every body run plus the text's opener; ``branch_count`` counts the
-    branches after the first.
+    the parent path for every later one.
 
-    The trie itself is every text position but the repeated contexts.
-    ``starts`` holds the text offset where each branch begins and ``hangs``
-    the node it hangs from, the last one of its parent path (-1 for the
-    first branch).  From them follow ``nodes``, the text position of each
-    of the ``body_total`` nodes, and ``parents``, the node above each: the
+    The trie itself is every text position but the repeated contexts.  For
+    each branch after the first, ``firsts`` holds the node index of its
+    first node and ``hangs`` the node it hangs from, the last one of its
+    parent path.  From them follow ``nodes``, the text position of each of
+    the ``body_total`` nodes, and ``parents``, the node above each: the
     previous node, except at a branch's first one.  The counting engine
     ranks these nodes; the text only anchors the positions a report prints.
     """
 
     q: int
     runs: list[tuple[int, int]]
-    body_total: int
-    branch_count: int
     text: bytes
     end_weights: np.ndarray
-    starts: list[int]
+    firsts: list[int]
     hangs: list[int]
 
     @property
-    def flattened_length(self) -> int:
-        return len(self.text)
+    def branch_count(self) -> int:
+        """The branches after the first."""
+        return len(self.hangs)
 
-    def _firsts(self) -> np.ndarray:
-        """The first node of every branch after the first: the text
-        position just past its context, less the q-1 context characters of
-        each later branch up to and including it."""
-        later = np.array(self.starts[1:], dtype=np.int64)
-        return later - (self.q - 1) * np.arange(later.size)
+    @property
+    def body_total(self) -> int:
+        """The trie size: every body run plus the text's opener, which is
+        the text less the q-1 context characters of each later branch."""
+        return len(self.text) - (self.q - 1) * len(self.hangs)
 
     @property
     def nodes(self) -> np.ndarray:
         # A node's text position is its index plus the q-1 context
         # characters of every later branch that starts at or before it.
-        size = len(self.text) - (self.q - 1) * self.branch_count
+        size = self.body_total
         nodes = np.zeros(size, dtype=np.int64)
-        nodes[self._firsts()] = self.q - 1
+        nodes[self.firsts] = self.q - 1
         np.cumsum(nodes, out=nodes)
         nodes += np.arange(size)
         return nodes
 
     @property
     def parents(self) -> np.ndarray:
-        size = len(self.text) - (self.q - 1) * self.branch_count
-        parents = np.arange(-1, size - 1)
-        parents[self._firsts()] = self.hangs[1:]
+        parents = np.arange(-1, self.body_total - 1)
+        parents[self.firsts] = self.hangs
         return parents
 
     def to_weighted_text(self) -> WeightedText:
@@ -153,14 +148,14 @@ def flatten_neighbor_trie(
     order is ascending rule index and the walk keeps a stack of (rule, node
     the branch would hang from) pairs, so the output is deterministic and
     path depth cannot overflow recursion.  Branches are written into one
-    text as they are emitted, with run-length weights.  The walk also
-    records where each branch starts and the node it hangs from, which give
-    every trie node its text position and parent.
+    text as they are emitted, with run-length weights.  For every branch
+    after the first the walk also records its first node and the node it
+    hangs from, which give every trie node its text position and parent.
     """
     q = qm.q
     lengths = m.lengths
     if m.text_length < q:
-        return FlattenedTrie(q, [], 0, 0, b"", np.zeros(0, dtype=np.int64), [], [])
+        return FlattenedTrie(q, [], b"", np.zeros(0, dtype=np.int64), [], [])
     lefts, rights = g.lefts, g.rights
     occurrences = m.occurrences
     leftmost = qm.leftmost
@@ -170,7 +165,7 @@ def flatten_neighbor_trie(
     runs: list[tuple[int, int]] = []
     text = bytearray()
     context = (0, q - 1)
-    starts: list[int] = []
+    firsts: list[int] = []
     hangs: list[int] = []
     stack = [(leftmost[g.n], -1)]
     while stack:
@@ -178,8 +173,12 @@ def flatten_neighbor_trie(
         if visited[head]:
             continue
         visited[head] = 1
-        starts.append(len(text))
-        hangs.append(hang)
+        if hang >= 0:
+            # The first node lies just past the branch's context, and a
+            # node's index is its text position less the q-1 context
+            # characters of each later branch up to and including its own.
+            firsts.append(len(text) - (q - 1) * len(hangs))
+            hangs.append(hang)
         left, right = suf[lefts[head]], pre[rights[head]]
         text += left
         text += right
@@ -201,20 +200,15 @@ def flatten_neighbor_trie(
             runs.append((k, len(label)))
         if fresh > lengths[rights[head]]:
             raise ConsistencyError("branch would emit past its head's right child")
-        # The node of the branch's last character: a node's index is its
-        # text position less the q-1 context characters of every branch
-        # after the first.
-        last = len(text) - 1 - (q - 1) * (len(hangs) - 1)
+        # The node of the branch's last character.
+        last = len(text) - 1 - (q - 1) * len(hangs)
         stack += [(child, last) for child in reversed(successors.get(k, ())) if not visited[child]]
     # occurrences[0] is 0, so the rule-0 runs weigh nothing.
     weights = np.repeat(
         np.array([occurrences[rule] for rule, _ in runs], dtype=np.int64),
         [length for _, length in runs],
     )
-    # The trie is every body plus the text's q-1 opening characters; later
-    # contexts repeat characters of their parent paths.
-    body_total = sum(length for rule, length in runs if rule) + q - 1
-    return FlattenedTrie(q, runs, body_total, len(hangs) - 1, bytes(text), weights, starts, hangs)
+    return FlattenedTrie(q, runs, bytes(text), weights, firsts, hangs)
 
 
 @dataclass(frozen=True)
@@ -266,5 +260,5 @@ def compute_dup_stats(
             f"measured trie size {trie_size} != text length {m.text_length} minus dup {dup}"
         )
     return DupStats(
-        q, sum_ti, trie_size, dup, trie.flattened_length, graph.edge_count, len(graph.vertices)
+        q, sum_ti, trie_size, dup, len(trie.text), graph.edge_count, len(graph.vertices)
     )

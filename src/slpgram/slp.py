@@ -136,7 +136,12 @@ def _int_field(token: str, lineno: int) -> int:
     # int() would also take signs, underscores and non-ASCII digits.
     if not (token.isascii() and token.isdigit()):
         raise SlpFormatError(f"line {lineno}: integer expected, got {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise SlpFormatError(
+            f"line {lineno}: integer of {len(token)} digits is too long"
+        ) from None
 
 
 def serialize_slp(g: SlpGrammar) -> str:

@@ -24,9 +24,10 @@ class WeightedText:
     it, -1 at the root, node 0.  The gram ending at node v is then read
     down the parent chain to v; it must equal the text's gram ending at
     ``nodes[v]``, which is what a report prints.  Positions outside
-    ``nodes`` repeat bytes of the trie and must weigh zero, and so must
-    every node with fewer than ``gram - 1`` ancestors, since no whole gram
-    ends there.
+    ``nodes`` repeat bytes of the trie and must weigh zero.  So must every
+    node with fewer than ``gram - 1`` ancestors, since no whole gram ends
+    there; :func:`weighted_qgram_counts` checks that, as it finds those
+    nodes while ranking.
     """
 
     text: bytes
@@ -62,33 +63,10 @@ class WeightedText:
             raise ValueError("every parent must precede its node")
         if (parents[1:] < 0).any() or (parents[:1] != -1).any():
             raise ValueError("node 0 must be the one root, with parent -1")
-        off_trie = np.ones(len(self.text), dtype=bool)
-        off_trie[nodes] = False
-        if weights[off_trie].any():
+        # The nodes are distinct positions in the text, so every nonzero
+        # weight lies on one exactly when the two counts agree.
+        if np.count_nonzero(weights) != np.count_nonzero(weights[nodes]):
             raise ValueError("positions outside the trie's nodes must weigh zero")
-        if weights[nodes[_climb(parents, self.gram - 1) < 0]].any():
-            raise ValueError(
-                f"no q-gram can end at a node with fewer than {self.gram - 1} ancestors"
-            )
-
-
-def _climb(parents: np.ndarray, steps: int) -> np.ndarray:
-    """The node ``steps`` parent links above each node, -1 past the root.
-
-    Composed from the jump tables hop_2j = hop_j[hop_j] by the bits of
-    ``steps``.  Slot m of each table stands for "above the root": parent -1
-    indexes it, and it holds -1 itself.
-    """
-    hop = np.append(parents, -1)
-    reach = np.arange(hop.size)
-    reach[-1] = -1
-    while steps:
-        if steps & 1:
-            reach = hop[reach]
-        steps >>= 1
-        if steps:
-            hop = hop[hop]
-    return reach[:-1]
 
 
 @dataclass(frozen=True)
@@ -105,7 +83,6 @@ class QGramReport:
 
     entries: list[tuple[int, int]]
     gram: int
-    source_length: int
 
     @property
     def total_weight(self) -> int:
@@ -177,12 +154,14 @@ def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
 
 def _ancestor_ranks(
     data: np.ndarray, parents: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, rank)`` over the nodes of a forest: node v holds byte
-    ``data[v]`` below node ``parents[v]`` (-1 at a root), and is ranked by
-    the last ``depth`` bytes of its path from the root, cut short at the
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(order, rank, shallow)`` over the nodes of a forest: node v holds
+    byte ``data[v]`` below node ``parents[v]`` (-1 at a root), and is ranked
+    by the last ``depth`` bytes of its path from the root, cut short at the
     root.  Ranks are equal exactly where those byte strings are; among
-    uncut strings rank order is byte order.
+    uncut strings rank order is byte order.  Cut strings sort first: the
+    first ``shallow`` nodes of ``order`` are exactly those with fewer than
+    ``depth - 1`` ancestors.
 
     Karp-Miller-Rosenberg doubling over ancestors: a round that extends the
     strings from ``span`` to ``span + step`` bytes sorts one int64 key per
@@ -193,6 +172,11 @@ def _ancestor_ranks(
     the doubling ones bit by bit as they pass, so only two ancestor tables
     are alive at a time.  Slot m of each array stands for "above the root":
     parent -1 indexes it.
+
+    A string is cut short exactly when the one ``step`` bytes above it is
+    cut short or empty.  If the cut strings held ranks 1..cut, those are
+    the keys below ``(cut + 1) * base``: they sort first and take the
+    lowest new ranks, so each round counts them with one comparison.
 
     There is no early stop: ranks that are all distinct already group the
     nodes, but they order the strings by their last ``span`` bytes, and the
@@ -206,24 +190,28 @@ def _ancestor_ranks(
     rank[:m] = data
     rank[:m] += 1
     if depth < 2 or m == 0:
-        return np.argsort(data, kind="stable"), rank[:m]
+        return np.argsort(data, kind="stable"), rank[:m], 0
     last = 1 << ((depth - 1).bit_length() - 1)
     rest = depth - last
     hop = np.append(parents, -1)
     reach = None
     span = 1
+    # No string of one byte is cut short.
+    cut = 0
     while True:
         if rest & span:
             reach = hop if reach is None else hop[reach]
         ancestors = hop if span < last else reach
         key = rank[ancestors[:m]] * base
         key += rank[:m]
+        shallow = np.count_nonzero(key < (cut + 1) * base)
         order, _ = _rerank(key, rank[:m], 1)
+        cut = rank[order[shallow - 1]] if shallow else 0
         if span == last:
             break
         hop = hop[hop]
         span *= 2
-    return order, rank[:m]
+    return order, rank[:m], shallow
 
 
 def build_suffix_array(text: bytes) -> list[int]:
@@ -267,16 +255,18 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     (:func:`_prefix_ranks`), and every position that starts a whole gram
     joins the group of its rank.  A trie's text is ranked on its nodes only,
     each by the q bytes down its parent chain (:func:`_ancestor_ranks`), so
-    the repeated contexts are never sorted.  Groups come in gram byte order;
-    each reports the text position of its earliest member, and groups whose
-    total weight is zero (grams that exist only as concatenation bridges,
-    or paths cut short at the root) are dropped.
+    the repeated contexts are never sorted; a weight on a node with fewer
+    than q - 1 ancestors, where no whole gram ends, raises ValueError.
+    Groups come in gram byte order; each reports the text position of its
+    earliest member, and groups whose total weight is zero (grams that
+    exist only as concatenation bridges, or paths cut short at the root)
+    are dropped.
     """
     q = wt.gram
     z = wt.text
     n = len(z)
     if n < q or wt.nodes is not None and not wt.nodes.size:
-        return QGramReport([], q, n)
+        return QGramReport([], q)
     data = np.frombuffer(z, dtype=np.uint8)
     # Each array is dropped once used: at n near the 2^31 cap they are
     # gigabytes apiece.
@@ -287,10 +277,12 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
         ranks = rank[ends]
         ends += q - 1
     else:
-        order, rank = _ancestor_ranks(data[wt.nodes], wt.parents, q)
+        order, rank, shallow = _ancestor_ranks(data[wt.nodes], wt.parents, q)
         ranks = rank[order]
         ends = wt.nodes[order]
         del order
+        if wt.end_weights[ends[:shallow]].any():
+            raise ValueError(f"no q-gram can end at a node with fewer than {q - 1} ancestors")
     del rank
     cuts = np.r_[0, np.flatnonzero(ranks[1:] != ranks[:-1]) + 1]
     del ranks
@@ -298,4 +290,4 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     first = np.minimum.reduceat(ends, cuts)
     kept = totals > 0
     entries = list(zip((first[kept] + 1).tolist(), totals[kept].tolist()))
-    return QGramReport(entries, q, n)
+    return QGramReport(entries, q)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import G7_DOC, doubling_doc
 from oracles import sliding_histogram
 from slpgram import (
+    FlattenedTrie,
     WeightedText,
     build_chain,
     build_neighbor_graph,
@@ -54,6 +55,20 @@ def escape_rule(b: int) -> str:
 def doubling_grammar(path, rules: int) -> str:
     path.write_text(doubling_doc(rules))
     return str(path)
+
+
+def corrupt_stsa(monkeypatch):
+    """Make the trie pipeline count one more occurrence of its last gram,
+    on a plain weighted text without the trie."""
+    build = FlattenedTrie.to_weighted_text
+
+    def corrupted(trie):
+        wt = build(trie)
+        weights = np.array(wt.end_weights)
+        weights[-1] += 1
+        return WeightedText(wt.text, weights, wt.gram)
+
+    monkeypatch.setattr(FlattenedTrie, "to_weighted_text", corrupted)
 
 
 @pytest.fixture
@@ -200,13 +215,9 @@ class TestVerify:
         code, _ = run_verify(str(path), 11)
         assert code == 0
 
-    def test_corrupted_weights_detected(self, g7_path):
-        def corrupt(wt):
-            weights = np.array(wt.end_weights)
-            weights[-1] += 1
-            return WeightedText(wt.text, weights, wt.gram)
-
-        code, report = run_verify(g7_path, 13, corrupt=corrupt)
+    def test_corrupted_weights_detected(self, g7_path, monkeypatch):
+        corrupt_stsa(monkeypatch)
+        code, report = run_verify(g7_path, 13)
         assert code == 1
         assert "q=2" in report
         assert "stsa[" in report
@@ -322,7 +333,7 @@ class TestMain:
                 main(["build", "-i", g7_path, "--algo-builder", builder, option, bad, "-o", out])
             assert exc.value.code == 2, (option, bad)
 
-    def test_verify_past_the_expansion_cap(self, tmp_path):
+    def test_verify_past_the_expansion_cap(self, tmp_path, monkeypatch):
         # 2^62 bytes, far past the cap, so only ssa and stsa can be compared
         slp = doubling_grammar(tmp_path / "doubling.slp", 63)
         report = tmp_path / "r.txt"
@@ -335,13 +346,8 @@ class TestMain:
             "q=4: ok",
             "verification passed for q in 2..4",
         ]
-
-        def corrupt(wt):
-            weights = np.array(wt.end_weights)
-            weights[-1] += 1
-            return WeightedText(wt.text, weights, wt.gram)
-
-        code, text = run_verify(slp, 4, corrupt=corrupt)
+        corrupt_stsa(monkeypatch)
+        code, text = run_verify(slp, 4)
         assert code == 1
         assert f"q=2: stsa[aa]={2**62} != ssa[aa]={2**62 - 1}" in text
 
@@ -407,3 +413,17 @@ class TestMain:
             assert capsys.readouterr().err == (
                 f"error: cannot rank a string of {size} positions: the limit is {2**31 - 1}\n"
             )
+
+    def test_oversized_trie_refused_by_stats(self, tmp_path, monkeypatch, capsys):
+        # stats never ranks the trie, but building one too large to rank
+        # would exhaust memory first, so it is refused the way count is
+        def no_tables(*args):
+            raise AssertionError("affix tables built for a refused trie")
+
+        monkeypatch.setattr("slpgram.neighbor.affix_tables", no_tables)
+        slp = doubling_grammar(tmp_path / "doubling.slp", 41)
+        assert main(["stats", "-i", slp, "--q-list", str(2**28)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot rank a string of {13 * 2**28 - 12} positions:"
+            f" the limit is {2**31 - 1}\n"
+        )

@@ -72,6 +72,8 @@ class TestFlatten:
         ]
         assert trie.body_total == 6
         assert trie.branch_count == 3
+        # each later branch starts at the next node and hangs from the b
+        assert (trie.firsts, trie.hangs) == ([3, 4, 5], [2, 2, 2])
         # the trie a-a-b with three a's below the b; contexts are no nodes
         assert list(trie.nodes) == [0, 1, 2, 4, 6, 8]
         assert list(trie.parents) == [-1, 0, 1, 2, 2, 2]
@@ -193,7 +195,8 @@ class TestDupStats:
 
     def test_disagreement_raises(self, g7, g7_metrics):
         qm, graph, trie = pipeline(g7, g7_metrics, 2)
-        broken = dataclasses.replace(trie, body_total=trie.body_total + 1)
+        # the trie size is derived from the stored text
+        broken = dataclasses.replace(trie, text=trie.text + b"x")
         with pytest.raises(ConsistencyError):
             compute_dup_stats(g7, g7_metrics, qm, broken, graph)
 

@@ -72,6 +72,9 @@ class TestParse:
             "1 T 97\u20282 N 1 1\n",
             "1 T 97\r2 N 1 1\n",      # a carriage return not before a newline
             "1\xa0T\u200397\n",
+            # more digits than int() converts
+            pytest.param("1 T " + "9" * 5000 + "\n", id="byte of 5000 digits"),
+            pytest.param("1 T 97\n2 N 1 " + "1" * 5000 + "\n", id="child of 5000 digits"),
         ],
     )
     def test_rejects(self, doc):
