@@ -333,14 +333,17 @@ def _decimal(raw: str) -> int:
     # int() would also take signs, underscores and non-ASCII digits.
     if not (raw.isascii() and raw.isdigit()):
         raise argparse.ArgumentTypeError(f"ASCII digits expected, got {raw!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"integer of {len(raw)} digits is too long") from None
 
 
 def _parse_q_list(raw: str) -> list[int]:
     try:
         values = [_decimal(part.strip()) for part in raw.split(",") if part.strip()]
-    except argparse.ArgumentTypeError:
-        raise SlpError(f"bad q list {raw!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise SlpError(f"bad q list: {exc}") from None
     if not values:
         raise SlpError("empty q list")
     return values

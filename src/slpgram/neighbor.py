@@ -1,14 +1,13 @@
 """Right-neighbor graph over SLP rules and its flattened weighted trie.
 
-Consecutive q-gram occurrences of the text are owned by rules that overlap
-in q-1 characters, so emitting each owning rule's fresh characters once,
-ordered along a spanning traversal of the neighbor graph, reproduces every
-gram of the text while skipping the characters shared between repeated
-rules.  The traversal output is kept as a flat weighted string, one
-branch after another.  Each branch opens with its head's whole boundary
-window, whose first q-1 characters are zero-weighted context (the text's
-opener, or the end of the parent path), so grams crossing a branch point
-still read correctly.
+Each vertex, a pair rule of at least q characters, owns a label: its
+boundary window past the first q-1 characters, which end the window of
+each of its in-neighbors.  So every label can hang below an in-neighbor's
+in a trie that spells every gram of the text.  In the order of the rules'
+first occurrences parents come first, and the trie is one flat weighted
+string: a label follows its parent's directly where the parent came just
+before it, and otherwise opens a branch with the whole window, whose first
+q-1 characters are zero-weighted context.
 """
 
 from __future__ import annotations
@@ -25,51 +24,74 @@ CSV_HEADER = "q,sum_ti,trie_size,dup,flattened_len,edges,vertices"
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Rules long enough to own a q-gram, with owner-to-next-owner edges
-    kept as each vertex's successors in ascending rule order."""
+    """Rules long enough to own a q-gram, in first-seam order (the text
+    offset between a rule's children in its first occurrence), with the
+    owner-to-next-owner edges and, indexed by rule, the in-neighbor each
+    vertex hangs below: 0 for the first vertex and for every other rule."""
 
     q: int
-    vertices: frozenset[int]
-    successors: dict[int, list[int]]
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, targets in self.successors.items() for b in targets]
-
-    @property
-    def edge_count(self) -> int:
-        """``len(edges)``, without building the list."""
-        return sum(map(len, self.successors.values()))
+    vertices: list[int]
+    edges: list[tuple[int, int]]
+    parents: list[int]
 
 
 def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGraph:
-    """Edges follow the two successor cases of a pair rule.
+    """Edges follow the two successor cases of a pair rule; each vertex
+    hangs below one in-neighbor.
 
     When a rule's right child is long enough, its unique successor is the
     deepest left mark under that child; otherwise the rule is the unique
     successor of the deepest right mark over its left child.  The union is
-    a structural superset of the true successor relation and keeps every
-    vertex reachable from the text's first owner.
+    a structural superset of the true successor relation.  A left mark has
+    a short left child, so a vertex with a long left child has one
+    in-neighbor, ``rightmost[L_v]``, its parent; any other vertex hangs
+    below its in-neighbor of smallest first seam.
 
-    Children have smaller indices than their rule, so a rule's successor in
-    the first case precedes the ones the second case adds, which come in
-    ascending order: each successor list is sorted and duplicate-free.
+    First offsets come top-down in descending rule order, like occurrence
+    counts: a left child starts where its rule does, a right child at its
+    rule's seam.  A parent's first seam is below its child's, and distinct
+    rules have distinct first seams, so sorting by them orders the vertices
+    strictly, ``leftmost[n]`` first.  Every rule must occur in the text.
     """
+    q = qm.q
     lefts, rights = g.lefts, g.rights
     lengths = m.lengths
-    vertices = frozenset(i for i in range(1, g.n + 1) if lengths[i] >= qm.q)
-    successors: dict[int, list[int]] = {}
-    for i in range(1, g.n + 1):
+    leftmost, rightmost = qm.leftmost, qm.rightmost
+    # Every occurrence starts below the text length.
+    first = [m.text_length] * (g.n + 1)
+    first[g.n] = 0
+    seams = [0] * (g.n + 1)
+    parents = [0] * (g.n + 1)
+    vertices: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for i in range(g.n, 0, -1):
         r = rights[i]
-        if r < 0:
+        # A short rule has no vertex below it.
+        if r < 0 or lengths[i] < q:
             continue
-        successor = qm.leftmost[r]
+        left = lefts[i]
+        start = first[i]
+        seam = start + lengths[left]
+        if start < first[left]:
+            first[left] = start
+        if seam < first[r]:
+            first[r] = seam
+        seams[i] = seam
+        vertices.append(i)
+        successor = leftmost[r]
         if successor is not None:
-            successors.setdefault(i, []).append(successor)
-        predecessor = qm.rightmost[lefts[i]]
+            edges.append((i, successor))
+            parent = parents[successor]
+            if not parent or seam < seams[parent]:
+                parents[successor] = i
+        predecessor = rightmost[left]
         if predecessor is not None:
-            successors.setdefault(predecessor, []).append(i)
-    return NeighborGraph(qm.q, vertices, successors)
+            edges.append((predecessor, i))
+            parents[i] = predecessor
+    vertices.sort(key=seams.__getitem__)
+    if vertices:
+        parents[vertices[0]] = 0
+    return NeighborGraph(q, vertices, edges, parents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +108,8 @@ class FlattenedTrie:
     The trie itself is every text position but the repeated contexts.  For
     each branch after the first, ``firsts`` holds the node index of its
     first node and ``hangs`` the node it hangs from, the last one of its
-    parent path.  From them follow ``nodes``, the text position of each of
-    the ``body_total`` nodes, and ``parents``, the node above each: the
+    parent's label.  From them follow ``nodes``, the text position of each
+    of the ``body_total`` nodes, and ``parents``, the node above each: the
     previous node, except at a branch's first one.  The counting engine
     ranks these nodes; the text only anchors the positions a report prints.
     """
@@ -116,7 +138,9 @@ class FlattenedTrie:
         # characters of every later branch that starts at or before it.
         size = self.body_total
         nodes = np.zeros(size, dtype=np.int64)
-        nodes[self.firsts] = self.q - 1
+        # q may not fit in int64 when there are no branches.
+        if self.hangs:
+            nodes[self.firsts] = self.q - 1
         np.cumsum(nodes, out=nodes)
         nodes += np.arange(size)
         return nodes
@@ -134,76 +158,50 @@ class FlattenedTrie:
 def flatten_neighbor_trie(
     g: SlpGrammar, m: SlpMetrics, qm: QMarks, graph: NeighborGraph
 ) -> FlattenedTrie:
-    """Depth-first emission of every vertex's fresh characters.
+    """One pass over the vertices in first-seam order.
 
-    Every branch opens with its head's whole window ``suf[L] + pre[R]``
-    from :func:`affix_tables`, whose first q-1 characters are the branch's
-    context: the text's opener for the first owner ``leftmost[n]``, and the
-    parent path's last q-1 characters for every later head.  Each chained
-    vertex k then emits its label, its window past the first q-1
-    characters, which the path has already emitted.  A chain of unique
-    successors becomes one branch body.  When a chain ends at a rule with a
-    short right child, each unvisited successor heads a new branch; chains
-    ending on an already visited unique successor spawn nothing.  Child
-    order is ascending rule index and the walk keeps a stack of (rule, node
-    the branch would hang from) pairs, so the output is deterministic and
-    path depth cannot overflow recursion.  Branches are written into one
-    text as they are emitted, with run-length weights.  For every branch
-    after the first the walk also records its first node and the node it
-    hangs from, which give every trie node its text position and parent.
+    A vertex right after its parent emits its label, its window
+    ``suf[L] + pre[R]`` from :func:`affix_tables` past the first q-1
+    characters, which end the parent's label.  Any other vertex heads a
+    branch with its whole window, whose first q-1 characters are context:
+    the text's opener for the first vertex, the end of the parent's label
+    for a later head, whose first node and the node it hangs from the pass
+    records.  The text is written with run-length weights as it is emitted.
     """
     q = qm.q
-    lengths = m.lengths
     if m.text_length < q:
         return FlattenedTrie(q, [], b"", np.zeros(0, dtype=np.int64), [], [])
     lefts, rights = g.lefts, g.rights
-    occurrences = m.occurrences
-    leftmost = qm.leftmost
-    successors = graph.successors
+    parents = graph.parents
     pre, suf = affix_tables(g, m, q)
-    visited = bytearray(g.n + 1)
+    # The node of the last character of each vertex's label.
+    last = [0] * (g.n + 1)
     runs: list[tuple[int, int]] = []
     text = bytearray()
-    context = (0, q - 1)
     firsts: list[int] = []
     hangs: list[int] = []
-    stack = [(leftmost[g.n], -1)]
-    while stack:
-        head, hang = stack.pop()
-        if visited[head]:
-            continue
-        visited[head] = 1
-        if hang >= 0:
-            # The first node lies just past the branch's context, and a
-            # node's index is its text position less the q-1 context
-            # characters of each later branch up to and including its own.
-            firsts.append(len(text) - (q - 1) * len(hangs))
-            hangs.append(hang)
-        left, right = suf[lefts[head]], pre[rights[head]]
-        text += left
-        text += right
-        runs += (context, (head, len(left) + len(right) - (q - 1)))
-        # Every character the branch emits past suf[L_head] lies in R_head.
-        fresh = len(right)
-        k = head
-        while lengths[rights[k]] >= q:
-            nxt = leftmost[rights[k]]
-            if visited[nxt]:
-                break
-            k = nxt
-            visited[k] = 1
-            # suf[L_k] falls short of q-1 characters only when L_k does, and
-            # then the label starts that much later in pre[R_k].
-            label = pre[rights[k]][q - 1 - len(suf[lefts[k]]) :]
+    for previous, v in zip([-1, *graph.vertices], graph.vertices):
+        parent = parents[v]
+        left, right = suf[lefts[v]], pre[rights[v]]
+        if parent == previous:
+            # suf[L_v] falls short of q-1 characters only when L_v does,
+            # and then the label starts that much later in pre[R_v].
+            label = right[q - 1 - len(left) :]
             text += label
-            fresh += len(label)
-            runs.append((k, len(label)))
-        if fresh > lengths[rights[head]]:
-            raise ConsistencyError("branch would emit past its head's right child")
-        # The node of the branch's last character.
-        last = len(text) - 1 - (q - 1) * len(hangs)
-        stack += [(child, last) for child in reversed(successors.get(k, ())) if not visited[child]]
+            runs.append((v, len(label)))
+        else:
+            if parent:
+                # The first node lies just past the branch's context, and a
+                # node's index is its text position less the q-1 context
+                # characters of each later branch up to and including its own.
+                firsts.append(len(text) - (q - 1) * len(hangs))
+                hangs.append(last[parent])
+            text += left
+            text += right
+            runs += ((0, q - 1), (v, len(left) + len(right) - (q - 1)))
+        last[v] = len(text) - 1 - (q - 1) * len(hangs)
     # occurrences[0] is 0, so the rule-0 runs weigh nothing.
+    occurrences = m.occurrences
     weights = np.repeat(
         np.array([occurrences[rule] for rule, _ in runs], dtype=np.int64),
         [length for _, length in runs],
@@ -260,5 +258,5 @@ def compute_dup_stats(
             f"measured trie size {trie_size} != text length {m.text_length} minus dup {dup}"
         )
     return DupStats(
-        q, sum_ti, trie_size, dup, len(trie.text), graph.edge_count, len(graph.vertices)
+        q, sum_ti, trie_size, dup, len(trie.text), len(graph.edges), len(graph.vertices)
     )

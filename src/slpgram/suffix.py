@@ -84,10 +84,6 @@ class QGramReport:
     entries: list[tuple[int, int]]
     gram: int
 
-    @property
-    def total_weight(self) -> int:
-        return sum(w for _, w in self.entries)
-
     def materialize(self, source: bytes) -> dict[bytes, int]:
         """Resolve entries into gram bytes using the string they refer to."""
         return {source[end - self.gram : end]: w for end, w in self.entries}

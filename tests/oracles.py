@@ -56,3 +56,21 @@ def deepest_outer_marks(g, lengths: list[int], q: int):
             cur = g.rights[cur]
         rightmost[i] = cur
     return leftmost, rightmost
+
+
+def first_seams(g) -> dict[int, int]:
+    """Text offset of the seam of each pair rule's first occurrence, by
+    walking the derivation tree node by node in text order."""
+    seams: dict[int, int] = {}
+    offset = 0
+    # (rule, True) marks the seam, reached once the left subtree is spelled.
+    stack = [(g.n, False)]
+    while stack:
+        i, seam = stack.pop()
+        if seam:
+            seams.setdefault(i, offset)
+        elif g.rights[i] < 0:
+            offset += 1
+        else:
+            stack += [(g.rights[i], False), (i, True), (g.lefts[i], False)]
+    return seams

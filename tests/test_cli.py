@@ -126,6 +126,10 @@ class TestCount:
         doc = run_count(CountRequest(g7_path, 2, "nsa"))
         # ends of the first aa/ab/ba occurrences in the text itself
         assert doc == "# end positions refer to T\n2\t3\n3\t5\n4\t4\n"
+        # z = aabababa begins like the text, and its first nodes are the
+        # text's first positions
+        doc = run_count(CountRequest(g7_path, 2, "stsa"))
+        assert doc == "# end positions refer to z\n2\t3\n3\t5\n4\t4\n"
 
     def test_q1_char_mode_for_every_algorithm(self, g7_path):
         for algo in ("nsa", "ssa", "stsa"):
@@ -229,7 +233,7 @@ class TestStats:
         doc = run_stats(g7_path, [2, 13, 14])
         assert doc.splitlines() == [
             "q,sum_ti,trie_size,dup,flattened_len,edges,vertices",
-            "2,10,6,7,9,7,5",
+            "2,10,6,7,8,7,5",
             "13,13,13,0,13,0,1",
             "14,0,0,0,0,0,0",
         ]
@@ -243,7 +247,7 @@ class TestBench:
         rows = [line.split(",") for line in lines[1:]]
         assert [r[1] for r in rows] == ["nsa", "ssa", "stsa"]
         assert all(float(r[2]) > 0 for r in rows)
-        assert [int(r[3]) for r in rows] == [13, 10, 9]
+        assert [int(r[3]) for r in rows] == [13, 10, 8]
 
 
 class TestMain:
@@ -285,7 +289,7 @@ class TestMain:
     def test_stats_and_bench_commands(self, g7_path, tmp_path):
         out = tmp_path / "stats.csv"
         assert main(["stats", "-i", g7_path, "--q-list", "2,13", "-o", str(out)]) == 0
-        assert out.read_text().splitlines()[1] == "2,10,6,7,9,7,5"
+        assert out.read_text().splitlines()[1] == "2,10,6,7,8,7,5"
         out = tmp_path / "bench.csv"
         assert main(["bench", "-i", g7_path, "--q-list", "2", "--reps", "1",
                      "-o", str(out)]) == 0
@@ -302,7 +306,7 @@ class TestMain:
         assert main(["verify", "-i", str(slp), "--q-max", "4",
                      "-o", str(tmp_path / "r.txt")]) == 0
 
-    def test_input_errors_exit_2(self, tmp_path, g7_path):
+    def test_input_errors_exit_2(self, tmp_path, g7_path, capsys):
         missing = str(tmp_path / "nope.slp")
         assert main(["count", "-i", missing, "-q", "2"]) == 2
         bad = tmp_path / "bad.slp"
@@ -317,6 +321,17 @@ class TestMain:
                 main(["count", "-i", g7_path, "-q", bad])
             assert exc.value.code == 2, bad
             assert main(["stats", "-i", g7_path, "--q-list", f"2,{bad}"]) == 2, bad
+        # a number too long for int() is named by its length, not echoed
+        big = "1" * 5000
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "-i", g7_path, "-q", big])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument -q: integer of 5000 digits is too long" in err
+        assert big not in err
+        assert main(["stats", "-i", g7_path, "--q-list", f"2,{big}"]) == 2
+        assert capsys.readouterr().err == "error: bad q list: integer of 5000 digits is too long\n"
         out = str(tmp_path / "built.slp")
         for builder, option, bad in (
             ("repair", "--min-pair-freq", "\u0662"),
@@ -372,6 +387,20 @@ class TestMain:
         assert main(["count", "-i", slp, "-q", "4", "--algo", algo, "--expand",
                      "-o", str(out)]) == 0
         assert out.read_text() == f"aaaa\t{2**62 - 3}\n"
+
+    def test_q_past_int64(self, g7_path, capsys):
+        # 10^20 does not fit in int64; every pipeline finds no gram
+        q = str(10**20)
+        for algo, reference in (("nsa", "T"), ("ssa", "z"), ("stsa", "z")):
+            assert main(["count", "-i", g7_path, "-q", q, "--algo", algo]) == 0, algo
+            assert capsys.readouterr().out == f"# end positions refer to {reference}\n", algo
+        assert main(["bench", "-i", g7_path, "--q-list", q, "--reps", "1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[0], r[1], r[3]) for r in rows] == [
+            (q, "nsa", "13"), (q, "ssa", "0"), (q, "stsa", "0")
+        ]
+        assert main(["stats", "-i", g7_path, "--q-list", q]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"{q},0,0,0,0,0,0"
 
     def test_string_too_long_to_rank_exits_2(self, g7_path, monkeypatch, capsys):
         # the real limit is 2^31 positions; G7's 13 bytes stand in for it

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G7_TEXT, reference_window
-from oracles import sliding_histogram
+from conftest import G7_TEXT, comb_grammar, reference_window
+from oracles import first_seams, sliding_histogram
 from slpgram import (
     ConsistencyError,
     SlpGrammar,
@@ -34,21 +34,26 @@ class TestNeighborGraph:
     def test_g7_q2(self, g7, g7_metrics):
         qm = compute_qmarks(g7, g7_metrics, 2)
         graph = build_neighbor_graph(g7, g7_metrics, qm)
-        assert graph.vertices == frozenset({3, 4, 5, 6, 7})
+        # first seams: 4 at 1, 3 at 2, 6 at 3, 5 at 5, 7 at 8
+        assert graph.vertices == [4, 3, 6, 5, 7]
         assert set(graph.edges) == {(4, 3), (5, 4), (6, 3), (7, 3), (3, 5), (3, 6), (3, 7)}
         assert len(graph.edges) == 7 <= 2 * g7.n
+        # 3 hangs below 4, its in-neighbor with the smallest first seam;
+        # 5, 6 and 7 below 3, their one in-neighbor; 4 opens the text
+        assert graph.parents == [0, 0, 0, 4, 0, 3, 3, 3]
 
     def test_g7_q13(self, g7, g7_metrics):
         qm = compute_qmarks(g7, g7_metrics, 13)
         graph = build_neighbor_graph(g7, g7_metrics, qm)
-        assert graph.vertices == frozenset({7})
+        assert graph.vertices == [7]
         assert graph.edges == []
+        assert graph.parents == [0] * 8
 
     def test_single_terminal(self):
         g = parse_slp("1 T 97\n")
         m = compute_metrics(g)
         graph = build_neighbor_graph(g, m, compute_qmarks(g, m, 2))
-        assert graph.vertices == frozenset()
+        assert graph.vertices == []
         assert graph.edges == []
 
     def test_edge_bound(self, sample_grammars):
@@ -59,27 +64,61 @@ class TestNeighborGraph:
                 assert len(graph.edges) <= 2 * g.n, (name, q)
 
 
+def check_layout(g):
+    """At q = 2..9: the vertices in the order of their first seams, each
+    later one below an in-neighbor that comes earlier, and the text one
+    context longer than the trie per vertex that does not follow its
+    parent."""
+    m = compute_metrics(g)
+    seams = first_seams(g)
+    for q in range(2, 10):
+        qm, graph, trie = pipeline(g, m, q)
+        order = sorted((i for i in seams if m.lengths[i] >= q), key=seams.__getitem__)
+        assert graph.vertices == order, q
+        edges = set(graph.edges)
+        for v in order[1:]:
+            parent = graph.parents[v]
+            assert (parent, v) in edges and seams[parent] < seams[v], (q, v, parent)
+        if m.text_length < q:
+            continue
+        assert graph.parents[order[0]] == 0, q
+        breaks = sum(graph.parents[v] != u for u, v in zip(order, order[1:]))
+        assert trie.branch_count == breaks, q
+        dup = compute_dup_stats(g, m, qm, trie, graph).dup
+        assert len(trie.text) == m.text_length - dup + (q - 1) * breaks, q
+
+
+class TestLayout:
+    def test_sample_grammars(self, sample_grammars):
+        for _, g in sample_grammars:
+            check_layout(g)
+
+    def test_comb(self):
+        check_layout(comb_grammar(200))
+
+
 class TestFlatten:
     def test_g7_q2_runs(self, g7, g7_metrics):
         _, _, trie = pipeline(g7, g7_metrics, 2)
-        # opener "a", body "ab"; then three branches of context "b", body "a"
-        assert trie.text == b"aabbababa"
+        # opener "a", then the labels of 4, 3 and 6, each below the vertex
+        # just before it; 5 and 7 hang below 3, not 6, so each opens a
+        # branch of context "b" and body "a"
+        assert trie.text == b"aabababa"
         assert trie.runs == [
-            (0, 1), (4, 1), (3, 1),
+            (0, 1), (4, 1), (3, 1), (6, 1),
             (0, 1), (5, 1),
-            (0, 1), (6, 1),
             (0, 1), (7, 1),
         ]
         assert trie.body_total == 6
-        assert trie.branch_count == 3
+        assert trie.branch_count == 2
         # each later branch starts at the next node and hangs from the b
-        assert (trie.firsts, trie.hangs) == ([3, 4, 5], [2, 2, 2])
+        assert (trie.firsts, trie.hangs) == ([4, 5], [2, 2])
         # the trie a-a-b with three a's below the b; contexts are no nodes
-        assert list(trie.nodes) == [0, 1, 2, 4, 6, 8]
+        assert list(trie.nodes) == [0, 1, 2, 3, 5, 7]
         assert list(trie.parents) == [-1, 0, 1, 2, 2, 2]
         wt = trie.to_weighted_text()
-        assert wt.text == b"aabbababa"
-        assert list(wt.end_weights) == [0, 3, 5, 0, 2, 0, 1, 0, 1]
+        assert wt.text == b"aabababa"
+        assert list(wt.end_weights) == [0, 3, 5, 1, 0, 2, 0, 1]
         assert weighted_qgram_counts(wt).materialize(wt.text) == {
             b"aa": 3,
             b"ab": 5,
@@ -155,7 +194,7 @@ class TestFlatten:
 class TestDupStats:
     def test_g7_rows(self, g7, g7_metrics):
         for q, row in [
-            (2, "2,10,6,7,9,7,5"),
+            (2, "2,10,6,7,8,7,5"),
             (13, "13,13,13,0,13,0,1"),
             (14, "14,0,0,0,0,0,0"),
         ]:
@@ -210,11 +249,12 @@ def tall_grammars(draw):
     """Left-deep, right-deep or comb-shaped grammars of height up to about
     400 over 1-3 letters.
 
-    A right-deep spine is one long chain of unique successors in the trie;
-    a left-deep spine ends a chain at every vertex, so it spawns many
-    branches.  The comb hangs a shared left-deep chain under every tooth,
-    and the spines may repeat one of their rules at the end, so both shapes
-    also meet rules that occur more than once.
+    Each spine is one long chain in the trie, every vertex right after its
+    parent: the vertex below it in a left-deep spine, the one above it in
+    a right-deep one.  The comb hangs a shared left-deep chain under every
+    tooth, which opens many branches, and the spines may repeat one of
+    their rules at the end, so both shapes also meet rules that occur more
+    than once.
     """
     letters = b"abc"[: draw(st.integers(1, 3))]
     lefts, rights = [0], [0]
@@ -264,3 +304,9 @@ def test_tall_grammars_agree_with_the_text(g, q):
     stats = compute_dup_stats(g, m, qm, trie, graph)
     if m.text_length >= q:
         assert wt.nodes.size == stats.trie_size == m.text_length - stats.dup
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tall_grammars())
+def test_tall_grammars_layout(g):
+    check_layout(g)

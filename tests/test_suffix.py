@@ -144,7 +144,7 @@ class TestWeightedCounts:
         # bb has weight zero (a seam bridge) and is dropped; group
         # representatives are the smallest end positions.
         assert report.entries == [(2, 3), (3, 5), (5, 4)]
-        assert report.total_weight == 12
+        assert sum(w for _, w in report.entries) == 12
 
     def test_all_zero_weights(self):
         wt = WeightedText(b"abcabc", [0] * 6, 3)
@@ -185,7 +185,7 @@ class TestWeightedCounts:
             for p in range(q - 1, n):
                 weights[p] = rng.randrange(4)
             report = weighted_qgram_counts(WeightedText(text, weights, q))
-            assert report.total_weight == int(weights.sum()), trial
+            assert sum(w for _, w in report.entries) == int(weights.sum()), trial
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
