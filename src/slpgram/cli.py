@@ -42,7 +42,7 @@ from .slp import (
     validate,
 )
 from .ssa import build_ssa_text
-from .suffix import WeightedText, check_rankable, weighted_qgram_counts
+from .suffix import WeightedText, weighted_qgram_counts
 
 ALGORITHMS = ("nsa", "ssa", "stsa")
 _HEX_ESCAPE = re.compile(r"\\x([0-9A-Fa-f]{2})")
@@ -115,43 +115,18 @@ def _unit_weighted(text: bytes, q: int) -> WeightedText:
 
 
 def _neighbor_trie(g, m, q: int):
-    """(q-marks, neighbor graph, flattened trie) for one gram length."""
-    qm = compute_qmarks(g, m, q)
-    graph = build_neighbor_graph(g, m, qm)
-    return qm, graph, flatten_neighbor_trie(g, m, qm, graph)
-
-
-def _ranked_positions(g, m, q: int, algorithm: str) -> int:
-    """How many positions the engine ranks for ssa or stsa, from rule
-    lengths alone, so an oversized reduction is refused before any table
-    is built.
-
-    The ssa string is every vertex's window, sum_ti positions.  The trie
-    holds each window past its first q-1 characters once, plus the text's
-    q-1 opening characters: |T| - dup nodes.
-    """
-    lengths = m.lengths
-    cap = q - 1
-    windows = vertices = 0
-    # Index 0 is the padding pair (0, 0), which is never long enough.
-    for left, right, length in zip(g.lefts, g.rights, lengths):
-        if right >= 0 and length >= q:
-            a, b = lengths[left], lengths[right]
-            windows += (a if a < cap else cap) + (b if b < cap else cap)
-            vertices += 1
-    if algorithm == "ssa" or not vertices:
-        return windows
-    return windows - cap * (vertices - 1)
+    """(neighbor graph, flattened trie) for one gram length."""
+    graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+    return graph, flatten_neighbor_trie(g, m, graph)
 
 
 def _pipeline_text(g, m, q: int, algorithm: str) -> tuple[str, WeightedText]:
     """The weighted string a pipeline counts on, plus its reference name."""
     if algorithm == "nsa":
         return "T", _unit_weighted(expand(g), q)
-    check_rankable(_ranked_positions(g, m, q, algorithm))
     if algorithm == "ssa":
         return "z", build_ssa_text(g, m, q)
-    return "z", _neighbor_trie(g, m, q)[2].to_weighted_text()
+    return "z", _neighbor_trie(g, m, q)[1].to_weighted_text()
 
 
 def run_count(req: CountRequest) -> str:
@@ -205,12 +180,12 @@ def _nsa_skipped(text_length: int) -> str:
 
 def _verify_one(g, m, text: bytes | None, q: int) -> list[str]:
     problems: list[str] = []
-    # The ssa string is never shorter than the trie.
-    check_rankable(_ranked_positions(g, m, q, "ssa"))
-    qm, graph, trie = _neighbor_trie(g, m, q)
+    # The ssa string is never shorter than the trie, so building it first
+    # refuses an oversized reduction before the trie or nsa's weights.
+    ssa = build_ssa_text(g, m, q)
+    graph, trie = _neighbor_trie(g, m, q)
     texts = {} if text is None else {"nsa": _unit_weighted(text, q)}
-    texts["ssa"] = build_ssa_text(g, m, q)
-    texts["stsa"] = trie.to_weighted_text()
+    texts.update(ssa=ssa, stsa=trie.to_weighted_text())
     counts = {name: weighted_qgram_counts(wt).materialize(wt.text) for name, wt in texts.items()}
     reference, *others = counts
     base = counts[reference]
@@ -225,7 +200,7 @@ def _verify_one(g, m, text: bytes | None, q: int) -> list[str]:
                 )
                 break
     try:
-        stats = compute_dup_stats(g, m, qm, trie, graph)
+        stats = compute_dup_stats(m, graph, trie)
     except ConsistencyError as exc:
         problems.append(f"q={q}: {exc}")
         return problems
@@ -274,7 +249,7 @@ def run_stats(grammar_path: str, q_list: list[int]) -> str:
     """CSV with one size-accounting row per requested q.
 
     A trie the counting engine could not rank is refused, as ``count``
-    refuses it, before it is built.
+    refuses it, before its tables are built.
     """
     g = _load_grammar(grammar_path)
     m = compute_metrics(g)
@@ -282,9 +257,8 @@ def run_stats(grammar_path: str, q_list: list[int]) -> str:
     for q in q_list:
         if q < 2:
             raise SlpError("stats needs q >= 2")
-        check_rankable(_ranked_positions(g, m, q, "stsa"))
-        qm, graph, trie = _neighbor_trie(g, m, q)
-        rows.append(compute_dup_stats(g, m, qm, trie, graph).csv_row())
+        graph, trie = _neighbor_trie(g, m, q)
+        rows.append(compute_dup_stats(m, graph, trie).csv_row())
     return "\n".join(rows) + "\n"
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .slp import ConsistencyError, QMarks, SlpGrammar, SlpMetrics, affix_tables
-from .suffix import WeightedText
+from .suffix import WeightedText, check_rankable
 
 CSV_HEADER = "q,sum_ti,trie_size,dup,flattened_len,edges,vertices"
 
@@ -27,12 +27,20 @@ class NeighborGraph:
     """Rules long enough to own a q-gram, in first-seam order (the text
     offset between a rule's children in its first occurrence), with the
     owner-to-next-owner edges and, indexed by rule, the in-neighbor each
-    vertex hangs below: 0 for the first vertex and for every other rule."""
+    vertex hangs below: 0 for the first vertex and for every other rule.
+
+    ``sum_ti`` totals the vertices' window lengths, min(q-1, |L_v|) +
+    min(q-1, |R_v|), which is the length of the ssa string; ``dup`` totals
+    (occ_v - 1)(window_v - (q-1)), the fresh characters that the occurrences
+    of each vertex beyond its first would repeat, so the trie has |T| - dup
+    nodes."""
 
     q: int
     vertices: list[int]
     edges: list[tuple[int, int]]
     parents: list[int]
+    sum_ti: int
+    dup: int
 
 
 def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGraph:
@@ -51,11 +59,14 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
     counts: a left child starts where its rule does, a right child at its
     rule's seam.  A parent's first seam is below its child's, and distinct
     rules have distinct first seams, so sorting by them orders the vertices
-    strictly, ``leftmost[n]`` first.  Every rule must occur in the text.
+    strictly, ``leftmost[n]`` first.  The same pass totals the windows and
+    ``dup``.  Every rule must occur in the text.
     """
     q = qm.q
+    cap = q - 1
     lefts, rights = g.lefts, g.rights
     lengths = m.lengths
+    occurrences = m.occurrences
     leftmost, rightmost = qm.leftmost, qm.rightmost
     # Every occurrence starts below the text length.
     first = [m.text_length] * (g.n + 1)
@@ -64,14 +75,19 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
     parents = [0] * (g.n + 1)
     vertices: list[int] = []
     edges: list[tuple[int, int]] = []
+    sum_ti = dup = 0
     for i in range(g.n, 0, -1):
         r = rights[i]
         # A short rule has no vertex below it.
         if r < 0 or lengths[i] < q:
             continue
         left = lefts[i]
+        a, b = lengths[left], lengths[r]
+        window = (a if a < cap else cap) + (b if b < cap else cap)
+        sum_ti += window
+        dup += (occurrences[i] - 1) * (window - cap)
         start = first[i]
-        seam = start + lengths[left]
+        seam = start + a
         if start < first[left]:
             first[left] = start
         if seam < first[r]:
@@ -91,7 +107,7 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
     vertices.sort(key=seams.__getitem__)
     if vertices:
         parents[vertices[0]] = 0
-    return NeighborGraph(q, vertices, edges, parents)
+    return NeighborGraph(q, vertices, edges, parents, sum_ti, dup)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +171,7 @@ class FlattenedTrie:
         return WeightedText(self.text, self.end_weights, self.q, self.nodes, self.parents)
 
 
-def flatten_neighbor_trie(
-    g: SlpGrammar, m: SlpMetrics, qm: QMarks, graph: NeighborGraph
-) -> FlattenedTrie:
+def flatten_neighbor_trie(g: SlpGrammar, m: SlpMetrics, graph: NeighborGraph) -> FlattenedTrie:
     """One pass over the vertices in first-seam order.
 
     A vertex right after its parent emits its label, its window
@@ -167,10 +181,15 @@ def flatten_neighbor_trie(
     the text's opener for the first vertex, the end of the parent's label
     for a later head, whose first node and the node it hangs from the pass
     records.  The text is written with run-length weights as it is emitted.
+
+    A trie the counting engine could not rank is refused with ValueError
+    before any table is built: its size, every window past its first q-1
+    characters plus the text's opener, follows from the graph's totals.
     """
-    q = qm.q
+    q = graph.q
     if m.text_length < q:
         return FlattenedTrie(q, [], b"", np.zeros(0, dtype=np.int64), [], [])
+    check_rankable(graph.sum_ti - (q - 1) * (len(graph.vertices) - 1))
     lefts, rights = g.lefts, g.rights
     parents = graph.parents
     pre, suf = affix_tables(g, m, q)
@@ -228,35 +247,21 @@ class DupStats:
         )
 
 
-def compute_dup_stats(
-    g: SlpGrammar,
-    m: SlpMetrics,
-    qm: QMarks,
-    trie: FlattenedTrie,
-    graph: NeighborGraph,
-) -> DupStats:
-    """Window totals, measured trie size, and the redundancy count.
+def compute_dup_stats(m: SlpMetrics, graph: NeighborGraph, trie: FlattenedTrie) -> DupStats:
+    """Window totals and the redundancy count from the graph's pass, and the
+    measured trie size.
 
     ``dup`` totals, over every vertex, the fresh characters saved by each
     derivation-tree occurrence beyond the first.  Whenever the text hosts a
     q-gram at all, the measured body total must equal text length minus
     ``dup``; disagreement means an implementation bug, not bad input.
     """
-    q = qm.q
-    lefts, rights = g.lefts, g.rights
-    lengths = m.lengths
-    occurrences = m.occurrences
-    sum_ti = 0
-    dup = 0
-    for i in graph.vertices:
-        window = min(q - 1, lengths[lefts[i]]) + min(q - 1, lengths[rights[i]])
-        sum_ti += window
-        dup += (occurrences[i] - 1) * (window - (q - 1))
+    q, dup = graph.q, graph.dup
     trie_size = trie.body_total
     if m.text_length >= q and trie_size != m.text_length - dup:
         raise ConsistencyError(
             f"measured trie size {trie_size} != text length {m.text_length} minus dup {dup}"
         )
     return DupStats(
-        q, sum_ti, trie_size, dup, len(trie.text), len(graph.edges), len(graph.vertices)
+        q, graph.sum_ti, trie_size, dup, len(trie.text), len(graph.edges), len(graph.vertices)
     )

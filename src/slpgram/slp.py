@@ -15,6 +15,7 @@ being walked again.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 MAX_TEXT_LENGTH = 2**63 - 1
@@ -313,29 +314,34 @@ def _spell(g: SlpGrammar, lengths: list[int], pieces: list[int]) -> bytes:
     because a rule never recurs inside its own expansion.  Each pair rule is
     split at most once, so the walk takes O(n + len(pieces)) steps plus the
     copies.
+
+    The walk writes through the buffer of a BytesIO, which hands that
+    buffer over as the returned bytes without a copy once the view is
+    released, so the text is held once, not twice.
     """
     lefts, rights = g.lefts, g.rights
-    out = bytearray(sum(lengths[k] for k in pieces))
+    stream = io.BytesIO(bytes(sum(lengths[k] for k in pieces)))
     first: dict[int, int] = {}
     pos = 0
     stack = pieces[::-1]
-    while stack:
-        k = stack.pop()
-        r = rights[k]
-        if r < 0:
-            out[pos] = lefts[k]
-            pos += 1
-            continue
-        source = first.get(k)
-        if source is None:
-            first[k] = pos
-            stack.append(r)
-            stack.append(lefts[k])
-        else:
-            size = lengths[k]
-            out[pos : pos + size] = out[source : source + size]
-            pos += size
-    return bytes(out)
+    with stream.getbuffer() as out:
+        while stack:
+            k = stack.pop()
+            r = rights[k]
+            if r < 0:
+                out[pos] = lefts[k]
+                pos += 1
+                continue
+            source = first.get(k)
+            if source is None:
+                first[k] = pos
+                stack.append(r)
+                stack.append(lefts[k])
+            else:
+                size = lengths[k]
+                out[pos : pos + size] = out[source : source + size]
+                pos += size
+    return stream.getvalue()
 
 
 def _check_extract_args(g: SlpGrammar, m: SlpMetrics, i: int, j: int) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .slp import ConsistencyError, SlpGrammar, SlpMetrics, affix_tables
-from .suffix import WeightedText
+from .suffix import WeightedText, check_rankable
 
 
 def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:
@@ -24,28 +24,40 @@ def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:
     window the first q-1 positions weigh zero (grams ending there straddle
     the previous window) and the rest weigh the rule's occurrence count, so
     bridge grams created by the concatenation are never counted.
+
+    A first pass over the rules collects the windows' owners and totals
+    their lengths, so a string the counting engine could not rank is
+    refused with ValueError before any table is built.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
+    cap = q - 1
     lefts, rights = g.lefts, g.rights
     lengths = m.lengths
     occurrences = m.occurrences
-    pre, suf = affix_tables(g, m, q)
-    parts: list[bytes] = []
-    run_weights: list[int] = []
-    run_lengths: list[int] = []
+    owners: list[int] = []
+    total = 0
     for i in range(1, g.n + 1):
         r = rights[i]
         if r < 0 or lengths[i] < q:
             continue
+        a, b = lengths[lefts[i]], lengths[r]
+        total += (a if a < cap else cap) + (b if b < cap else cap)
+        owners.append(i)
+    check_rankable(total)
+    pre, suf = affix_tables(g, m, q)
+    parts: list[bytes] = []
+    run_weights: list[int] = []
+    run_lengths: list[int] = []
+    for i in owners:
         head = suf[lefts[i]]
-        tail = pre[r]
+        tail = pre[rights[i]]
         size = len(head) + len(tail)
         if size < q:
             raise ConsistencyError(f"window of rule {i} is shorter than q")
         parts += (head, tail)
         run_weights += [0, occurrences[i]]
-        run_lengths += [q - 1, size - (q - 1)]
+        run_lengths += [cap, size - cap]
     text = b"".join(parts)
     weights = np.repeat(run_weights, run_lengths) if parts else np.zeros(0, dtype=np.int64)
     return WeightedText(text, weights, q)

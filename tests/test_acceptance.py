@@ -94,14 +94,14 @@ def sweep():
             ssa = weighted_qgram_counts(ssa_wt).materialize(ssa_wt.text)
             qm = compute_qmarks(g, m, q)
             graph = build_neighbor_graph(g, m, qm)
-            trie = flatten_neighbor_trie(g, m, qm, graph)
+            trie = flatten_neighbor_trie(g, m, graph)
             trie_wt = trie.to_weighted_text()
             stsa = weighted_qgram_counts(trie_wt).materialize(trie_wt.text)
             if not (naive == nsa == ssa == stsa):
                 violations[1].append(f"instance {index} q={q}: count maps differ")
 
             try:
-                stats = compute_dup_stats(g, m, qm, trie, graph)
+                stats = compute_dup_stats(m, graph, trie)
             except ConsistencyError as exc:
                 violations[3].append(f"instance {index} q={q}: {exc}")
                 continue
@@ -184,7 +184,7 @@ def test_criterion_2_fixture_counts():
     for q, want in expected.items():
         qm = compute_qmarks(g, m, q)
         graph = build_neighbor_graph(g, m, qm)
-        wt = flatten_neighbor_trie(g, m, qm, graph).to_weighted_text()
+        wt = flatten_neighbor_trie(g, m, graph).to_weighted_text()
         z = build_ssa_text(g, m, q)
         nsa_wt = _unit_weighted(text, q)
         for label, candidate in (
@@ -264,8 +264,8 @@ def test_criterion_6_size_trend_on_corpus(corpus, corpus_grammar):
     for q in range(2, 101):
         qm = compute_qmarks(g, m, q)
         graph = build_neighbor_graph(g, m, qm)
-        trie = flatten_neighbor_trie(g, m, qm, graph)
-        stats = compute_dup_stats(g, m, qm, trie, graph)
+        trie = flatten_neighbor_trie(g, m, graph)
+        stats = compute_dup_stats(m, graph, trie)
         if q == 2:
             ratio_q2 = stats.trie_size / stats.sum_ti
         if not stats.trie_size < stats.sum_ti:
@@ -341,8 +341,8 @@ def test_comb_grammar_of_linear_height():
         assert weighted_qgram_counts(ssa_wt).materialize(ssa_wt.text) == nsa, q
         qm = compute_qmarks(g, m, q)
         graph = build_neighbor_graph(g, m, qm)
-        trie = flatten_neighbor_trie(g, m, qm, graph)
+        trie = flatten_neighbor_trie(g, m, graph)
         trie_wt = trie.to_weighted_text()
         assert weighted_qgram_counts(trie_wt).materialize(trie_wt.text) == nsa, q
-        stats = compute_dup_stats(g, m, qm, trie, graph)
+        stats = compute_dup_stats(m, graph, trie)
         assert stats.trie_size == m.text_length - stats.dup, q

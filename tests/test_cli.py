@@ -180,7 +180,7 @@ class TestCount:
             if q > m.text_length:
                 continue
             qm = compute_qmarks(g, m, q)
-            trie = flatten_neighbor_trie(g, m, qm, build_neighbor_graph(g, m, qm))
+            trie = flatten_neighbor_trie(g, m, build_neighbor_graph(g, m, qm))
             z = trie.text
             # every rule-0 run after the opener repeats the end of the parent
             # path: a later branch's context, which holds no trie node

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G7_TEXT, comb_grammar, reference_window
-from oracles import first_seams, sliding_histogram
+from oracles import deepest_outer_marks, first_seams, sliding_histogram
 from slpgram import (
     ConsistencyError,
     SlpGrammar,
@@ -26,7 +26,7 @@ from slpgram import (
 def pipeline(g, m, q):
     qm = compute_qmarks(g, m, q)
     graph = build_neighbor_graph(g, m, qm)
-    trie = flatten_neighbor_trie(g, m, qm, graph)
+    trie = flatten_neighbor_trie(g, m, graph)
     return qm, graph, trie
 
 
@@ -68,14 +68,28 @@ def check_layout(g):
     """At q = 2..9: the vertices in the order of their first seams, each
     later one below an in-neighbor that comes earlier, and the text one
     context longer than the trie per vertex that does not follow its
-    parent."""
+    parent.  The graph's window totals and edges match the oracles: the
+    ssa string, the extracted windows, and one successor from the deepest
+    outer marks per long child of each vertex."""
     m = compute_metrics(g)
     seams = first_seams(g)
     for q in range(2, 10):
         qm, graph, trie = pipeline(g, m, q)
         order = sorted((i for i in seams if m.lengths[i] >= q), key=seams.__getitem__)
         assert graph.vertices == order, q
+        assert graph.sum_ti == len(build_ssa_text(g, m, q).text), q
+        assert graph.dup == sum(
+            (m.occurrences[v] - 1) * (len(reference_window(g, m, q, v)) - (q - 1))
+            for v in order
+        ), q
+        leftmost, rightmost = deepest_outer_marks(g, m.lengths, q)
+        long_rights = [v for v in order if m.lengths[g.rights[v]] >= q]
+        long_lefts = [v for v in order if m.lengths[g.lefts[v]] >= q]
         edges = set(graph.edges)
+        assert edges == {(v, leftmost[g.rights[v]]) for v in long_rights} | {
+            (rightmost[g.lefts[v]], v) for v in long_lefts
+        }, q
+        assert len(graph.edges) == len(long_rights) + len(long_lefts), q
         for v in order[1:]:
             parent = graph.parents[v]
             assert (parent, v) in edges and seams[parent] < seams[v], (q, v, parent)
@@ -84,7 +98,7 @@ def check_layout(g):
         assert graph.parents[order[0]] == 0, q
         breaks = sum(graph.parents[v] != u for u, v in zip(order, order[1:]))
         assert trie.branch_count == breaks, q
-        dup = compute_dup_stats(g, m, qm, trie, graph).dup
+        dup = compute_dup_stats(m, graph, trie).dup
         assert len(trie.text) == m.text_length - dup + (q - 1) * breaks, q
 
 
@@ -199,20 +213,20 @@ class TestDupStats:
             (14, "14,0,0,0,0,0,0"),
         ]:
             qm, graph, trie = pipeline(g7, g7_metrics, q)
-            assert compute_dup_stats(g7, g7_metrics, qm, trie, graph).csv_row() == row
+            assert compute_dup_stats(g7_metrics, graph, trie).csv_row() == row
 
     def test_single_terminal_zero(self):
         g = parse_slp("1 T 97\n")
         m = compute_metrics(g)
         qm, graph, trie = pipeline(g, m, 2)
-        assert compute_dup_stats(g, m, qm, trie, graph).csv_row() == "2,0,0,0,0,0,0"
+        assert compute_dup_stats(m, graph, trie).csv_row() == "2,0,0,0,0,0,0"
 
     def test_size_identity_and_dominance(self, sample_grammars):
         for name, g in sample_grammars:
             m = compute_metrics(g)
             for q in range(2, 13):
                 qm, graph, trie = pipeline(g, m, q)
-                stats = compute_dup_stats(g, m, qm, trie, graph)  # asserts internally
+                stats = compute_dup_stats(m, graph, trie)  # asserts internally
                 if m.text_length >= q:
                     assert stats.trie_size == m.text_length - stats.dup, (name, q)
                     total = sum(
@@ -237,7 +251,31 @@ class TestDupStats:
         # the trie size is derived from the stored text
         broken = dataclasses.replace(trie, text=trie.text + b"x")
         with pytest.raises(ConsistencyError):
-            compute_dup_stats(g7, g7_metrics, qm, broken, graph)
+            compute_dup_stats(g7_metrics, graph, broken)
+
+
+class TestLibraryRefusal:
+    def test_refused_before_any_table(self, g7, g7_metrics, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("affix tables built for a refused reduction")
+
+        monkeypatch.setattr("slpgram.ssa.affix_tables", no_tables)
+        monkeypatch.setattr("slpgram.neighbor.affix_tables", no_tables)
+        graph = build_neighbor_graph(g7, g7_metrics, compute_qmarks(g7, g7_metrics, 2))
+        # G7 at q = 2: the ssa string is sum_ti = 10 positions, the trie has
+        # |T| - dup = 6 nodes
+        monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 10)
+        with pytest.raises(ValueError, match=r"^cannot rank a string of 10 positions: "):
+            build_ssa_text(g7, g7_metrics, 2)
+        monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 6)
+        with pytest.raises(ValueError, match=r"^cannot rank a string of 6 positions: "):
+            flatten_neighbor_trie(g7, g7_metrics, graph)
+        # one position more is allowed, and both are built
+        monkeypatch.undo()
+        monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 11)
+        assert len(build_ssa_text(g7, g7_metrics, 2).text) == 10
+        monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 7)
+        assert flatten_neighbor_trie(g7, g7_metrics, graph).body_total == 6
 
 
 def _window_len(g, m, q, i):
@@ -301,7 +339,7 @@ def test_tall_grammars_agree_with_the_text(g, q):
     qm, graph, trie = pipeline(g, m, q)
     wt = trie.to_weighted_text()
     assert weighted_qgram_counts(wt).materialize(wt.text) == want
-    stats = compute_dup_stats(g, m, qm, trie, graph)
+    stats = compute_dup_stats(m, graph, trie)
     if m.text_length >= q:
         assert wt.nodes.size == stats.trie_size == m.text_length - stats.dup
 

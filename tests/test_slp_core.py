@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,19 @@ class TestExpand:
         # 12 000 rules of height about 4000, 8 MB of text: every tooth is
         # copied from the previous chain, not walked byte by byte.
         assert expand(comb_grammar(4000)) == comb_text(4000)
+
+    def test_text_held_once(self):
+        # 2^24 a's: the walk's buffer becomes the returned bytes, so the
+        # peak stays near one copy of the text, not two.
+        g = parse_slp(doubling_doc(25))
+        tracemalloc.start()
+        try:
+            text = expand(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == b"a" * 2**24
+        assert peak < 1.25 * len(text)
 
     def test_overflow_rejected(self):
         # 64 doublings: length 2**63 passes the 2**63 - 1 bound.
