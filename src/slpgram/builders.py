@@ -26,78 +26,77 @@ class BuilderConfig:
             raise ValueError("min_pair_frequency must be at least 2")
 
 
-def _terminal_rules(text: bytes) -> tuple[list[int], list[int], dict[int, int]]:
-    # Terminals in ascending byte order so outputs are reproducible.
-    alphabet = sorted(set(text))
-    lefts = [0, *alphabet]
-    rights = [0] + [-1] * len(alphabet)
-    return lefts, rights, {b: k + 1 for k, b in enumerate(alphabet)}
+def _terminal_rules(text: bytes) -> tuple[list[int], list[int], np.ndarray]:
+    """Terminal rules in ascending byte order, so outputs are reproducible,
+    and the text as their rule indices through a 256-entry table."""
+    data = np.frombuffer(text, dtype=np.uint8)
+    alphabet = np.flatnonzero(np.bincount(data, minlength=256))
+    symbol = np.zeros(256, dtype=np.int64)
+    symbol[alphabet] = np.arange(1, alphabet.size + 1)
+    return [0, *alphabet.tolist()], [0] + [-1] * alphabet.size, symbol[data]
 
 
 def build_repair(text: bytes, cfg: BuilderConfig | None = None) -> SlpGrammar:
     """Compress by repeatedly replacing the most frequent adjacent pair.
 
     Pair frequency is the non-overlapping left-to-right count; ties pick the
-    smaller (left, right) rule index pair.  Rounds stop once no pair reaches
-    ``cfg.min_pair_frequency``, then the leftover symbol sequence is
-    binarized with balanced midpoint splits to keep the grammar shallow.
+    smaller (left, right) rule index pair.  One mask of the pairs that count
+    takes drives both counting and replacement in each round.  Rounds stop
+    once no pair reaches ``cfg.min_pair_frequency``, then the leftover symbols
+    are binarized with balanced midpoint splits to keep the grammar shallow.
     """
     if not text:
         raise ValueError("cannot build a grammar for empty input")
     if cfg is None:
         cfg = BuilderConfig()
-    lefts, rights, symbol_of = _terminal_rules(text)
-    seq = np.array([symbol_of[b] for b in text], dtype=np.int64)
+    lefts, rights, seq = _terminal_rules(text)
     while seq.size >= 2:
-        left, right, count = _best_pair(seq, len(lefts))
+        taken = _taken_pairs(seq)
+        left, right, count = _best_pair(seq, taken, len(lefts))
         if count < cfg.min_pair_frequency:
             break
         lefts.append(left)
         rights.append(right)
-        seq = _replace_pair(seq, left, right, len(lefts) - 1)
+        seq = _replace_pair(seq, taken, left, right, len(lefts) - 1)
     root = _binarize(seq.tolist(), lefts, rights)
     if root != len(lefts) - 1:
         raise ConsistencyError("pair replacement left a dangling residual symbol")
     return SlpGrammar(lefts, rights)
 
 
-def _best_pair(seq: np.ndarray, k: int) -> tuple[int, int, int]:
-    """Most frequent adjacent pair under non-overlapping counting.
+def _taken_pairs(seq: np.ndarray) -> np.ndarray:
+    """Mask over pair starts of the pairs that greedy left-to-right
+    non-overlapping counting takes: every pair of two different symbols, and
+    in a run of L equal symbols the first self-pair and every other one after
+    it, floor(L/2) in all."""
+    taken = np.ones(seq.size - 1, dtype=bool)
+    # Adjacent self-pairs share their symbol: a gap in ``same`` starts a run.
+    same = np.flatnonzero(seq[1:] == seq[:-1])
+    fresh = np.diff(same, prepend=-2) != 1
+    run_first = np.maximum.accumulate(np.where(fresh, same, 0))
+    taken[same[(same - run_first) % 2 == 1]] = False
+    return taken
 
-    ``k`` must exceed every symbol in ``seq``.  Returns (left, right, count)
-    with ties resolved toward the smallest (left, right).
+
+def _best_pair(seq: np.ndarray, taken: np.ndarray, k: int) -> tuple[int, int, int]:
+    """Most frequent of the ``taken`` pairs; ``k`` must exceed every symbol.
+
+    Returns (left, right, count); the first maximum of the sorted packed
+    pairs breaks ties toward the smallest (left, right).
     """
-    packed = seq[:-1] * k + seq[1:]
-    values, counts = np.unique(packed, return_counts=True)
-    # A run of one symbol overlaps itself: greedy left-to-right counting
-    # yields floor(run/2) occurrences per run, not run-1 adjacencies.
-    run_starts = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1]])
-    run_lengths = np.diff(np.r_[run_starts, seq.size])
-    multi = run_lengths >= 2
-    if multi.any():
-        run_symbols = seq[run_starts[multi]]
-        greedy = np.bincount(run_symbols, weights=run_lengths[multi] // 2, minlength=k)
-        doubled = np.unique(run_symbols)
-        counts[np.searchsorted(values, doubled * k + doubled)] = greedy[doubled].astype(np.int64)
-    pick = np.lexsort((values, -counts))[0]
+    values, counts = np.unique((seq[:-1] * k + seq[1:])[taken], return_counts=True)
+    pick = np.argmax(counts)
     left, right = divmod(int(values[pick]), k)
     return left, right, int(counts[pick])
 
 
-def _replace_pair(seq: np.ndarray, left: int, right: int, new_symbol: int) -> np.ndarray:
-    """Replace non-overlapping left-to-right occurrences of (left, right)."""
-    if left != right:
-        hits = np.flatnonzero((seq[:-1] == left) & (seq[1:] == right))
-    else:
-        cand = np.flatnonzero((seq[:-1] == left) & (seq[1:] == left))
-        # Consecutive candidates are the same run; keep alternate ones.
-        fresh = np.r_[True, np.diff(cand) != 1]
-        run_first = np.maximum.accumulate(np.where(fresh, cand, 0))
-        hits = cand[(cand - run_first) % 2 == 0]
+def _replace_pair(
+    seq: np.ndarray, taken: np.ndarray, left: int, right: int, new_symbol: int
+) -> np.ndarray:
+    """Replace the ``taken`` occurrences of (left, right) by ``new_symbol``."""
+    hits = np.flatnonzero(taken & (seq[:-1] == left) & (seq[1:] == right))
     seq[hits] = new_symbol
-    keep = np.ones(seq.size, dtype=bool)
-    keep[hits + 1] = False
-    return seq[keep]
+    return np.delete(seq, hits + 1)
 
 
 def _binarize(symbols: list[int], lefts: list[int], rights: list[int]) -> int:
@@ -118,11 +117,11 @@ def build_chain(text: bytes) -> SlpGrammar:
     """Left-leaning baseline grammar with no sharing beyond terminals."""
     if not text:
         raise ValueError("cannot build a grammar for empty input")
-    lefts, rights, symbol_of = _terminal_rules(text)
-    current = symbol_of[text[0]]
-    for b in text[1:]:
+    lefts, rights, seq = _terminal_rules(text)
+    current, *rest = seq.tolist()
+    for symbol in rest:
         lefts.append(current)
-        rights.append(symbol_of[b])
+        rights.append(symbol)
         current = len(lefts) - 1
     return SlpGrammar(lefts, rights)
 

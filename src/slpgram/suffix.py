@@ -123,8 +123,9 @@ def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
     where those prefixes are (a prefix cut short by the end of the data sorts
     first).
 
-    Prefix doubling whose last step is cut to ``depth - span``, stopping early
-    once every rank is distinct.  A round that extends prefixes by ``step``
+    A depth below 2 is one stable sort of the bytes.  Deeper prefixes take
+    prefix doubling whose last step is cut to ``depth - span``, stopping early
+    once every rank is distinct; the first round sorts from the bytes alone.  A round that extends prefixes by ``step``
     bytes sorts one int64 key per position, ``rank[p] * base + second`` where
     ``second`` is ``rank[p + step] + 1``, or 0 past the end of the data, and
     ``base = max(n, 256) + 1`` exceeds every ``second``.  Raises ValueError
@@ -135,7 +136,8 @@ def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
     check_rankable(n)
     base = max(n, 256) + 1
     rank = data.astype(np.int64)
-    order = np.argsort(data, kind="stable")
+    if depth < 2:
+        return np.argsort(data, kind="stable"), rank
     span = 1
     while span < depth:
         step = min(span, depth - span)

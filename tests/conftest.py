@@ -67,6 +67,17 @@ def doubling_doc(rules):
     return "1 T 97\n" + "".join(f"{k} N {k - 1} {k - 1}\n" for k in range(2, rules + 1))
 
 
+def periodic_grammar(base, doublings):
+    """``build_chain(base)`` under ``doublings`` rules that each pair the
+    previous root with itself: the text is ``base * 2**doublings``."""
+    g = build_chain(base)
+    lefts, rights = list(g.lefts), list(g.rights)
+    for root in range(g.n, g.n + doublings):
+        lefts.append(root)
+        rights.append(root)
+    return SlpGrammar(lefts, rights)
+
+
 @pytest.fixture
 def g7():
     return parse_slp(G7_DOC)

@@ -74,3 +74,50 @@ def first_seams(g) -> dict[int, int]:
         else:
             stack += [(g.rights[i], False), (i, True), (g.lefts[i], False)]
     return seams
+
+
+def naive_repair(text: bytes, min_pair_frequency: int) -> tuple[list[int], list[int]]:
+    """Re-Pair's rule table, one pair and one position at a time.
+
+    Each round scans left to right and counts a pair unless it overlaps the
+    same pair's previous counted occurrence, takes the most frequent pair
+    (the smallest on ties) while it reaches the threshold, and replaces it
+    greedily from the left; the symbols left over are joined at midpoints.
+    """
+    alphabet = sorted(set(text))
+    lefts, rights = [0, *alphabet], [0] + [-1] * len(alphabet)
+    seq = [alphabet.index(b) + 1 for b in text]
+    while len(seq) >= 2:
+        counts: dict[tuple[int, int], int] = {}
+        last: dict[tuple[int, int], int] = {}
+        for i in range(len(seq) - 1):
+            pair = (seq[i], seq[i + 1])
+            if last.get(pair) != i - 1:
+                last[pair] = i
+                counts[pair] = counts.get(pair, 0) + 1
+        best = min(counts, key=lambda p: (-counts[p], p))
+        if counts[best] < min_pair_frequency:
+            break
+        lefts.append(best[0])
+        rights.append(best[1])
+        replaced, i = [], 0
+        while i < len(seq):
+            if tuple(seq[i : i + 2]) == best:
+                replaced.append(len(lefts) - 1)
+                i += 2
+            else:
+                replaced.append(seq[i])
+                i += 1
+        seq = replaced
+
+    def join(lo: int, hi: int) -> int:
+        if hi - lo == 1:
+            return seq[lo]
+        mid = (lo + hi) // 2
+        left, right = join(lo, mid), join(mid, hi)
+        lefts.append(left)
+        rights.append(right)
+        return len(lefts) - 1
+
+    join(0, len(seq))
+    return lefts, rights

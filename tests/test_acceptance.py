@@ -6,6 +6,7 @@ natural-language corpus.  Each test prints one PASS/FAIL line.  The last
 test runs the pipelines on a grammar whose height is linear in its size.
 """
 
+import hashlib
 import random
 from collections import Counter
 
@@ -251,6 +252,17 @@ def corpus():
 @pytest.fixture(scope="module")
 def corpus_grammar(corpus):
     return build_repair(corpus, BuilderConfig(min_pair_frequency=32))
+
+
+# SHA-256 of the corpus grammar's SLP v1 document; any change to Re-Pair's
+# counting, tie-break or replacement changes the rule sequence.
+CORPUS_GRAMMAR_SHA256 = "791c9d91a10464697a8aef63d8d7716c512b6b90df3f4e610f61c69dce0807d3"
+
+
+def test_corpus_rule_sequence_pinned(corpus_grammar):
+    assert corpus_grammar.n == 21866
+    digest = hashlib.sha256(serialize_slp(corpus_grammar).encode("ascii")).hexdigest()
+    assert digest == CORPUS_GRAMMAR_SHA256
 
 
 def test_criterion_6_size_trend_on_corpus(corpus, corpus_grammar):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_repair
 from slpgram import (
     BuilderConfig,
     build_chain,
@@ -113,3 +114,26 @@ def test_repair_round_trip_property(data):
     g = build_repair(data)
     assert expand(g) == data
     assert validate(g) == []
+
+
+def _letters(sigma):
+    return st.sampled_from(b"abc"[:sigma])
+
+
+# 1-300 bytes over 1-3 letters, drawn letter by letter or as long runs of one
+# letter, where self-pairs overlap
+repair_texts = st.integers(1, 3).flatmap(
+    lambda sigma: st.one_of(
+        st.lists(_letters(sigma), min_size=1, max_size=300).map(bytes),
+        st.lists(st.tuples(_letters(sigma), st.integers(1, 60)), min_size=1, max_size=10).map(
+            lambda runs: b"".join(bytes([c]) * k for c, k in runs)[:300]
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(repair_texts, st.integers(2, 4))
+def test_repair_matches_naive_oracle(text, threshold):
+    g = build_repair(text, BuilderConfig(min_pair_frequency=threshold))
+    assert (g.lefts, g.rights) == naive_repair(text, threshold)

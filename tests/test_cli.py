@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G7_DOC, doubling_doc
+from conftest import G7_DOC, doubling_doc, periodic_grammar
 from oracles import sliding_histogram
 from slpgram import (
     FlattenedTrie,
@@ -365,6 +365,22 @@ class TestMain:
         code, text = run_verify(slp, 4)
         assert code == 1
         assert f"q=2: stsa[aa]={2**62} != ssa[aa]={2**62 - 1}" in text
+
+    def test_verify_periodic_text_near_two_to_the_63(self, tmp_path):
+        # "ab\xff" doubled 61 times: 3 * 2^61 bytes, weights up to 2^61
+        slp = tmp_path / "periodic.slp"
+        slp.write_text(serialize_slp(periodic_grammar(b"ab\xff", 61)))
+        report = tmp_path / "r.txt"
+        assert main(["verify", "-i", str(slp), "--q-max", "5", "-o", str(report)]) == 0
+        assert report.read_text().splitlines() == [
+            f"nsa skipped: the text is {3 * 2**61} bytes, above the {DEFAULT_EXPAND_CAP}"
+            " byte expansion cap; stsa checked against ssa",
+            "q=2: ok",
+            "q=3: ok",
+            "q=4: ok",
+            "q=5: ok",
+            "verification passed for q in 2..5",
+        ]
 
     def test_bench_past_the_expansion_cap(self, tmp_path, capsys):
         slp = doubling_grammar(tmp_path / "doubling.slp", 49)

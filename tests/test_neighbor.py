@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G7_TEXT, comb_grammar, reference_window
+from conftest import G7_TEXT, comb_grammar, periodic_grammar, reference_window
 from oracles import deepest_outer_marks, first_seams, sliding_histogram
 from slpgram import (
     ConsistencyError,
@@ -348,3 +348,40 @@ def test_tall_grammars_agree_with_the_text(g, q):
 @given(tall_grammars())
 def test_tall_grammars_layout(g):
     check_layout(g)
+
+
+@st.composite
+def periodic_near_two_to_the_63(draw):
+    """A base of 1-6 bytes over {a, b, 0xFF}, doubled until the text length
+    |base| * 2^d lies in [2^61, 2^63)."""
+    base = bytes(draw(st.lists(st.sampled_from(b"ab\xff"), min_size=1, max_size=6)))
+    shortest = next(d for d in range(64) if len(base) << d >= 1 << 61)
+    # twice the shortest is still below 2^63, as the shortest is below 2^62
+    return base, shortest + draw(st.integers(0, 1))
+
+
+def periodic_counts(base, doublings, q):
+    """Closed form: the gram at residue r mod p = |base| starts at every
+    r + kp up to |T| - q, floor((|T| - q - r) / p) + 1 times."""
+    p = len(base)
+    total = p << doublings
+    spelled = base * (q // p + 2)
+    counts = Counter()
+    for r in range(p):
+        counts[spelled[r : r + q]] += (total - q - r) // p + 1
+    return dict(counts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(periodic_near_two_to_the_63())
+def test_weights_near_two_to_the_63(case):
+    base, doublings = case
+    g = periodic_grammar(base, doublings)
+    m = compute_metrics(g)
+    assert 1 << 61 <= m.text_length < 1 << 63
+    for q in (2, 3, 5, 17, 64):
+        want = periodic_counts(base, doublings, q)
+        ssa = build_ssa_text(g, m, q)
+        assert weighted_qgram_counts(ssa).materialize(ssa.text) == want, q
+        wt = pipeline(g, m, q)[2].to_weighted_text()
+        assert weighted_qgram_counts(wt).materialize(wt.text) == want, q
