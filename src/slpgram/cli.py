@@ -31,6 +31,7 @@ from .slp import (
     DEFAULT_EXPAND_CAP,
     ConsistencyError,
     SlpError,
+    SlpFormatError,
     SlpGrammar,
     char_frequencies,
     compute_metrics,
@@ -95,8 +96,21 @@ def unescape_bytes(escaped: str) -> bytes:
     return bytes(out)
 
 
+def _read_document(path: str) -> str:
+    """The grammar file decoded as UTF-8 under every locale, with its line
+    ends as they are (the format, not text mode, says what a "\r" means)."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise SlpFormatError(
+            f"line {lineno}: byte 0x{data[exc.start]:02X} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
 def _load_grammar(path: str) -> SlpGrammar:
-    g = parse_slp(Path(path).read_text())
+    g = parse_slp(_read_document(path))
     unused = validate(g)
     if unused:
         # Counting assumes every rule occurs in the derivation tree; dead

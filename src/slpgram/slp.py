@@ -18,6 +18,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_TEXT_LENGTH = 2**63 - 1
 DEFAULT_EXPAND_CAP = 1 << 30
 
@@ -88,7 +90,68 @@ def parse_slp(doc: str) -> SlpGrammar:
     consecutive from 1, '#' comment lines and blank lines ignored.  Lines
     end at "\n" (a "\r" just before it counts as whitespace) and fields are
     separated by ASCII spaces and tabs; any other separator is an error.
+
+    A document in the form :func:`serialize_slp` writes is read with array
+    operations (:func:`_parse_canonical`); any other document, and every
+    malformed one, goes through the line loop (:func:`_parse_lines`), which
+    gives every error message.  Both give the same grammar.
     """
+    g = _parse_canonical(doc)
+    return _parse_lines(doc) if g is None else g
+
+
+# Every byte serialize_slp writes.
+_CANONICAL_BYTES = b"0123456789 TN\n"
+
+
+def _parse_canonical(doc: str) -> SlpGrammar | None:
+    """The grammar of a document made only of digits, spaces, "T", "N" and
+    newlines, ending in a newline, with no digit run longer than 18; None
+    for any other document, or when a rule fails a check.
+
+    " T ", " N " and "\\n" become the tokens -1, -2 and -3.  That leaves
+    only digit runs and those tokens, between spaces, so one
+    ``np.fromstring`` reads every integer up to the end, and no run of at
+    most 18 digits overflows int64.  The checks are array operations: each
+    rule is [i, -1, b, -3] or [i, -2, l, r, -3], with i = 1..n,
+    0 <= b <= 255 and both children in 1..i-1.
+    """
+    if not (doc.endswith("\n") and doc.isascii()):
+        return None
+    data = doc.encode("ascii")
+    if data.translate(None, _CANONICAL_BYTES):
+        return None
+    # The non-digits bound every digit run; the last byte is one of them.
+    separators = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) - 48 > 9)
+    if np.diff(separators, prepend=-1).max() > 19:
+        return None
+    doc = doc.replace(" T ", " -1 ").replace(" N ", " -2 ")
+    if "T" in doc or "N" in doc:
+        return None  # a kind letter not alone between two spaces
+    tokens = np.fromstring(doc.replace("\n", " -3 "), dtype=np.int64, sep=" ")
+    ends = np.flatnonzero(tokens == -3)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    sizes = ends - starts
+    terminal = sizes == 3
+    if not np.all(terminal | (sizes == 4)):
+        return None
+    rules = np.arange(1, len(ends) + 1)
+    lefts = tokens[starts + 2]
+    rights = np.where(terminal, -1, tokens[starts + 3])
+    byte_ok = (lefts >= 0) & (lefts <= 255)
+    children_ok = (np.minimum(lefts, rights) >= 1) & (np.maximum(lefts, rights) < rules)
+    if not (
+        np.array_equal(tokens[starts], rules)
+        and np.array_equal(tokens[starts + 1], np.where(terminal, -1, -2))
+        and np.all(np.where(terminal, byte_ok, children_ok))
+    ):
+        return None
+    return SlpGrammar([0, *lefts.tolist()], [0, *rights.tolist()])
+
+
+def _parse_lines(doc: str) -> SlpGrammar:
+    """Parse an SLP v1 document one line at a time (see :func:`parse_slp`);
+    this loop raises every format error."""
     lefts = [0]
     rights = [0]
     for lineno, raw in enumerate(doc.replace("\r\n", "\n").split("\n"), start=1):

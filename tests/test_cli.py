@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from slpgram.cli import (
     run_verify,
     unescape_bytes,
 )
+import slpgram.slp as slp_core
 from slpgram.slp import DEFAULT_EXPAND_CAP
 
 # Every byte value once, then the bytes the escaping rule treats apart
@@ -471,4 +476,72 @@ class TestMain:
         assert capsys.readouterr().err == (
             f"error: cannot rank a string of {13 * 2**28 - 12} positions:"
             f" the limit is {2**31 - 1}\n"
+        )
+
+
+class TestGrammarFile:
+    def test_canonical_and_commented_forms_print_the_same(self, tmp_path):
+        # The serializer's form is read with array operations, the commented,
+        # tabbed CRLF form by the line loop; every output must be the same.
+        doc = serialize_slp(build_repair(ALL_BYTES_TEXT + b"the cat sat on the mat; " * 30))
+        commented = "# grammar\r\n" + "".join(
+            f"\t{line.replace(' ', chr(9))} \r\n# rule {line.split()[0]}\r\n\r\n"
+            for line in doc.splitlines()
+        )
+        runs = [["verify", "--q-max", "6"], ["stats", "--q-list", "2,4,64"]]
+        for algo in ("nsa", "ssa", "stsa"):
+            for q in ("2", "4", "64"):
+                runs.append(["count", "-q", q, "--algo", algo])
+                runs.append(["count", "-q", q, "--algo", algo, "--expand"])
+        assert slp_core._parse_canonical(commented) is None
+        outputs = {}
+        for form, text in (("canonical", doc), ("commented", commented)):
+            path = tmp_path / f"{form}.slp"
+            path.write_bytes(text.encode())
+            with pytest.MonkeyPatch.context() as patch:
+                if form == "canonical":
+                    patch.setattr(slp_core, "_parse_lines", None)  # the array reader only
+                for k, argv in enumerate(runs):
+                    out = tmp_path / f"{form}-{k}.txt"
+                    assert main([*argv, "-i", str(path), "-o", str(out)]) == 0, (form, argv)
+                    outputs[form, k] = out.read_bytes()
+        for k, argv in enumerate(runs):
+            assert outputs["canonical", k] == outputs["commented", k], argv
+            assert outputs["canonical", k], argv
+
+    @pytest.mark.parametrize(
+        "env",
+        [{"LC_ALL": "C", "PYTHONUTF8": "0"}, {}],
+        ids=["C locale", "inherited"],
+    )
+    def test_decoded_as_utf8_under_every_locale(self, env, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), **env}
+
+        def count(data):
+            path = tmp_path / "g.slp"
+            path.write_bytes(data)
+            return subprocess.run(
+                [sys.executable, "-m", "slpgram.cli", "count", "-i", str(path), "-q", "2",
+                 "--expand"],
+                capture_output=True, env=env, timeout=120,
+            )
+
+        latin1 = count(b"1 T 97\n# caf\xe9\n2 N 1 1\n")
+        assert latin1.returncode == 2
+        assert latin1.stderr == b"error: line 2: byte 0xE9 is not UTF-8 (invalid continuation byte)\n"
+        utf8 = count("1 T 97\n# café\n2 N 1 1\n".encode())
+        assert (utf8.returncode, utf8.stdout, utf8.stderr) == (0, b"aa\t1\n", b"")
+
+    def test_line_ends_as_the_format_defines_them(self, tmp_path, capsys):
+        # No text-mode newline translation: "\r\n" ends a line, and a lone
+        # "\r" is an error here as in parse_slp.
+        path = tmp_path / "g.slp"
+        path.write_bytes(b"1 T 97\r\n2 N 1 1\r\n")
+        assert main(["count", "-i", str(path), "-q", "2", "--expand"]) == 0
+        assert capsys.readouterr().out == "aa\t1\n"
+        path.write_bytes(b"1 T 97\r2 N 1 1\r")
+        assert main(["count", "-i", str(path), "-q", "2", "--expand"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: character '\\r' found; fields are separated by spaces and tabs only\n"
         )

@@ -27,6 +27,52 @@ from slpgram import (
     serialize_slp,
     validate,
 )
+from slpgram import slp
+
+
+def _no_line_loop(doc):
+    raise AssertionError("the line loop read a document in the serializer's form")
+
+
+# Documents as serialize_slp writes them.
+canonical_documents = st.one_of(
+    st.builds(
+        lambda rules, alphabet, seed: serialize_slp(build_random(rules, alphabet, seed)),
+        st.integers(1, 120),
+        st.integers(1, 256),
+        st.integers(0, 2**32),
+    ),
+    st.text("abc", min_size=1, max_size=300).map(lambda t: serialize_slp(build_repair(t.encode()))),
+    st.binary(min_size=1, max_size=100).map(lambda t: serialize_slp(build_chain(t))),
+    st.integers(1, 80).map(doubling_doc),
+)
+
+REWRITES = ("comments", "blanks", "tabs", "crlf", "doubled", "leading", "trailing",
+            "zeros", "no final newline")
+
+
+def rewrite(doc, kinds, rng):
+    """``doc`` with each rewrite in ``kinds`` applied at random places; the
+    line loop reads every result as the same grammar."""
+    newline = "\r\n" if "crlf" in kinds else "\n"
+    separators = [" "] + [sep for kind, sep in (("tabs", "\t"), ("doubled", "  ")) if kind in kinds]
+    lines = []
+    for line in doc.splitlines():
+        if "comments" in kinds and rng.random() < 0.3:
+            lines.append(rng.choice(["#", "# 1 T 97", "#\tN"]))
+        if "blanks" in kinds and rng.random() < 0.3:
+            lines.append(rng.choice(["", " ", "\t"]))
+        fields = line.split(" ")
+        if "zeros" in kinds:
+            fields = [f if f in "TN" else "0" * rng.randrange(4) + f for f in fields]
+        line = "".join(f + rng.choice(separators) for f in fields[:-1]) + fields[-1]
+        if "leading" in kinds and rng.random() < 0.5:
+            line = rng.choice([" ", "  ", "\t"]) + line
+        if "trailing" in kinds and rng.random() < 0.5:
+            line += rng.choice([" ", "  ", "\t"])
+        lines.append(line)
+    rewritten = newline.join(lines)
+    return rewritten if "no final newline" in kinds else rewritten + newline
 
 
 class TestParse:
@@ -55,6 +101,7 @@ class TestParse:
             "1 T 97\n2 N 2 1\n",      # self reference
             "1 T 97\n1 T 98\n",       # duplicate index
             "1 T 97\n3 T 98\n",       # gap
+            "1 T 97\n2 N 1 1\n4 N 2 2\n",
             "2 T 97\n",               # does not start at 1
             "1 T 256\n",              # byte out of range
             "1 T -1\n",
@@ -76,11 +123,43 @@ class TestParse:
             # more digits than int() converts
             pytest.param("1 T " + "9" * 5000 + "\n", id="byte of 5000 digits"),
             pytest.param("1 T 97\n2 N 1 " + "1" * 5000 + "\n", id="child of 5000 digits"),
+            # canonical-looking documents the array reader must pass on
+            pytest.param(f"1 T {2**64 + 97}\n", id="byte of 2**64 + 97"),
+            pytest.param("1 T 97\n2 N 1 " + "1" * 20 + "\n", id="child of 20 digits"),
+            "1 T97\n",
+            "1 T 9 7\n",
+            "1 N 1 T\n",
+            "1 T  T \n",
+            "\n\n\n",              # only newlines
         ],
     )
     def test_rejects(self, doc):
-        with pytest.raises(SlpFormatError):
+        with pytest.raises(SlpFormatError) as raised:
             parse_slp(doc)
+        # whichever reader saw it first, the line loop gives the message
+        with pytest.raises(SlpFormatError) as expected:
+            slp._parse_lines(doc)
+        assert str(raised.value) == str(expected.value)
+
+    def test_digit_runs_past_eighteen_go_to_the_line_loop(self):
+        # Every run of 18 digits fits int64; the array reader reads no
+        # longer one, so how np.fromstring treats overflow never matters.
+        for digits, read in ((18, True), (19, False), (22, False)):
+            doc = "1 T " + "97".zfill(digits) + "\n"
+            assert (slp._parse_canonical(doc) is not None) == read, digits
+            assert parse_slp(doc) == SlpGrammar([0, 97], [0, -1]), digits
+        assert parse_slp("1 T " + "0" * 20 + "97") == SlpGrammar([0, 97], [0, -1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(canonical_documents, st.sets(st.sampled_from(REWRITES)), st.integers(0, 2**32))
+    def test_array_reader_matches_line_loop(self, doc, kinds, seed):
+        g = slp._parse_lines(doc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(slp, "_parse_lines", _no_line_loop)
+            assert parse_slp(doc) == g
+        other = rewrite(doc, kinds, random.Random(seed))
+        assert slp._parse_lines(other) == g
+        assert parse_slp(other) == g
 
     def test_rejects_every_other_whitespace(self):
         # Every character str.split() or str.splitlines() would break on.
