@@ -64,14 +64,19 @@ _ESCAPES = [
     for b in range(256)
 ]
 _ESCAPE_WIDTHS = np.array([len(e) for e in _ESCAPES], dtype=np.int64)
+# The bytes that escape to themselves: printable ASCII except the backslash.
+_LITERAL = bytes(b for b in range(0x20, 0x7F) if b != 0x5C)
 
 
 def escape_bytes(data: bytes) -> str:
     """Printable ASCII stays literal, backslash doubles, the rest is \\xNN.
 
-    One table lookup per byte: ``data`` is decoded as latin-1 and translated
-    through a 256-entry table of escapes.
+    Data made only of literal bytes (deleting them leaves nothing) is
+    decoded as ASCII.  Any other is decoded as latin-1 and translated
+    through a 256-entry table of escapes, one lookup per byte.
     """
+    if not data.translate(None, _LITERAL):
+        return data.decode("ascii")
     return data.decode("latin-1").translate(_ESCAPES)
 
 
@@ -143,6 +148,14 @@ def _pipeline_text(g, m, q: int, algorithm: str) -> tuple[str, WeightedText]:
     return "z", _neighbor_trie(g, m, q)[1].to_weighted_text()
 
 
+def _tsv(keys, counts: list[int]) -> str:
+    """Lines "<key>\\t<count>\\n", made by one join over the cells."""
+    cells = [None, "\t", None, "\n"] * len(counts)
+    cells[0::4] = keys
+    cells[2::4] = map(str, counts)
+    return "".join(cells)
+
+
 def run_count(req: CountRequest) -> str:
     """TSV of q-gram counts, sorted by gram byte order.
 
@@ -151,9 +164,10 @@ def run_count(req: CountRequest) -> str:
     positions refer to.  The expanded form escapes the counted string once
     and cuts each gram out of it: ``offsets[p]`` is the escaped width of its
     first p bytes, so the gram ending at ``end`` is
-    ``escaped[offsets[end - q] : offsets[end]]``.  q = 1 always uses the
-    escaped byte form (character counts come straight off the grammar and
-    have no reduction string).
+    ``escaped[offsets[end - q] : offsets[end]]``.  The report's columns are
+    read as lists and every output is one join over them, with no string
+    formatted per line.  q = 1 always uses the escaped byte form (character
+    counts come straight off the grammar and have no reduction string).
     """
     if req.q < 1:
         raise SlpError("q must be at least 1")
@@ -161,28 +175,26 @@ def run_count(req: CountRequest) -> str:
         raise SlpError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
     g = _load_grammar(req.grammar_path)
     m = compute_metrics(g)
-    lines: list[str] = []
     if req.q == 1:
         freq = char_frequencies(g, m)
-        for byte in sorted(freq):
-            lines.append(f"{escape_bytes(bytes([byte]))}\t{freq[byte]}")
-    else:
-        reference, wt = _pipeline_text(g, m, req.q, req.algorithm)
-        report = weighted_qgram_counts(wt)
-        # Formatting reads the text only: drop the weights and the trie.
-        text = wt.text
-        del wt
-        if req.expand_output:
-            escaped = escape_bytes(text)
-            offsets = np.zeros(len(text) + 1, dtype=np.int64)
-            np.cumsum(_ESCAPE_WIDTHS[np.frombuffer(text, dtype=np.uint8)], out=offsets[1:])
-            for end, weight in report.entries:
-                lines.append(f"{escaped[offsets[end - req.q] : offsets[end]]}\t{weight}")
-        else:
-            lines.append(f"# end positions refer to {reference}")
-            for end, weight in report.entries:
-                lines.append(f"{end}\t{weight}")
-    return "\n".join(lines) + "\n" if lines else ""
+        found = sorted(freq)
+        return _tsv([escape_bytes(bytes([b])) for b in found], [freq[b] for b in found])
+    reference, wt = _pipeline_text(g, m, req.q, req.algorithm)
+    ends, weights = weighted_qgram_counts(wt).entries.T
+    # Formatting reads the text only: drop the weights and the trie.
+    text = wt.text
+    del wt
+    if not req.expand_output:
+        header = f"# end positions refer to {reference}\n"
+        return header + _tsv(map(str, ends.tolist()), weights.tolist())
+    if not ends.size:
+        # q may not fit in int64, so ends - q is only taken when a gram exists
+        return ""
+    escaped = escape_bytes(text)
+    offsets = np.zeros(len(text) + 1, dtype=np.int64)
+    np.cumsum(_ESCAPE_WIDTHS[np.frombuffer(text, dtype=np.uint8)], out=offsets[1:])
+    bounds = zip(offsets[ends - req.q].tolist(), offsets[ends].tolist())
+    return _tsv([escaped[start:stop] for start, stop in bounds], weights.tolist())
 
 
 def _nsa_skipped(text_length: int) -> str:

@@ -69,24 +69,25 @@ class WeightedText:
             raise ValueError("positions outside the trie's nodes must weigh zero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QGramReport:
     """Distinct q-grams of a string with their total weights.
 
-    Each entry is ``(end, weight)``: ``end`` is the 1-based end position of
-    the gram's earliest occurrence in the source string, so its bytes are
+    ``entries`` is a (k, 2) int64 array with one row ``(end, weight)`` per
+    gram: ``end`` is the 1-based end position of the gram's earliest
+    occurrence in the source string, so its bytes are
     ``source[end - gram : end]``.  For a trie's text (stsa) the earliest
     occurrence is taken among the trie's nodes only, so it never lies in a
-    context that repeats the parent path.  Entries are in gram byte order
-    and only grams with positive total weight appear.
+    context that repeats the parent path.  Rows are in gram byte order and
+    only grams with positive total weight appear.
     """
 
-    entries: list[tuple[int, int]]
+    entries: np.ndarray
     gram: int
 
     def materialize(self, source: bytes) -> dict[bytes, int]:
         """Resolve entries into gram bytes using the string they refer to."""
-        return {source[end - self.gram : end]: w for end, w in self.entries}
+        return {source[end - self.gram : end]: w for end, w in self.entries.tolist()}
 
 
 # A round's sort key is below base^2 with base = max(n, 256) + 1, which fits
@@ -121,13 +122,15 @@ def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
     """``(order, rank)``: positions sorted by their first ``depth`` bytes
     (equal prefixes in no fixed order), and ranks that are equal exactly
     where those prefixes are (a prefix cut short by the end of the data sorts
-    first).
+    first).  :func:`build_suffix_array` ranks whole suffixes with it;
+    counting q-grams takes :func:`_gram_ranks`, which never cuts a prefix.
 
     A depth below 2 is one stable sort of the bytes.  Deeper prefixes take
-    prefix doubling whose last step is cut to ``depth - span``, stopping early
-    once every rank is distinct; the first round sorts from the bytes alone.  A round that extends prefixes by ``step``
-    bytes sorts one int64 key per position, ``rank[p] * base + second`` where
-    ``second`` is ``rank[p + step] + 1``, or 0 past the end of the data, and
+    prefix doubling whose last step is cut to ``depth - span``, stopping
+    early once every rank is distinct; the first round sorts from the bytes
+    alone.  A round that extends prefixes by ``step`` bytes sorts one int64
+    key per position, ``rank[p] * base + second`` where ``second`` is
+    ``rank[p + step] + 1``, or 0 past the end of the data, and
     ``base = max(n, 256) + 1`` exceeds every ``second``.  Raises ValueError
     for data of ``_MAX_POSITIONS`` or more positions, where the key could
     overflow.
@@ -147,6 +150,57 @@ def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]
         if distinct:
             break
         span += step
+    return order, rank
+
+
+def _gram_ranks(data: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, rank)`` over the positions 0..n-q of ``data`` (n >= q),
+    which start a whole q-gram: ``order`` sorts them by their grams in byte
+    order (equal grams in no fixed order), and ranks are equal exactly where
+    the grams are.
+
+    The first round sorts one uint64 per position: its first min(q, 8)
+    bytes, read big-endian through a strided view of a copy padded with 7
+    zero bytes, and shifted right past the bytes beyond the gram when q < 8.
+    The key is unsigned because a signed one would sort bytes >= 0x80 first.
+    Prefix doubling then extends the ranked prefixes from ``span`` to
+    ``span + step`` bytes, with the last step cut to ``q - span``.  Each
+    round ranks only the positions whose longer prefix lies in the text, by
+    ``rank[p] * base + rank[p + step]``, so no prefix is ever cut short and
+    nothing stands for the end of the data.  So q <= 8 takes one sort and
+    q = 64 takes four.  Ranking stops early once every rank is distinct.
+    Raises ValueError for data of ``_MAX_POSITIONS`` or more positions.
+    """
+    n = data.size
+    check_rankable(n)
+    padded = np.zeros(n + 7, dtype=np.uint8)
+    padded[:n] = data
+    span = min(q, 8)
+    count = n - span + 1
+    key = np.ndarray((count,), dtype=">u8", buffer=padded, strides=(1,)).astype(np.uint64)
+    del padded
+    if span < 8:
+        key >>= np.uint64(8 * (8 - span))
+    rank = np.empty(count, dtype=np.int64)
+    order, distinct = _rerank(key, rank, 0)
+    del key
+    # Ranks run from 0 to below the number of positions ranked, so below n.
+    base = n
+    while span < q and not distinct:
+        step = min(span, q - span)
+        count = n - span - step + 1
+        key = rank[:count] * base
+        key += rank[step : step + count]
+        rank = rank[:count]
+        del order
+        order, distinct = _rerank(key, rank, 0)
+        del key
+        span += step
+    if span < q:
+        # Distinct shorter prefixes already order and group the grams.
+        count = n - q + 1
+        order = order[order < count]
+        rank = rank[:count]
     return order, rank
 
 
@@ -249,29 +303,27 @@ def build_lcp_array(text: bytes, sa: list[int]) -> list[int]:
 def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     """Group equal q-grams of the text and total their end weights.
 
-    A plain string is ranked position by position on its first q bytes
-    (:func:`_prefix_ranks`), and every position that starts a whole gram
-    joins the group of its rank.  A trie's text is ranked on its nodes only,
-    each by the q bytes down its parent chain (:func:`_ancestor_ranks`), so
-    the repeated contexts are never sorted; a weight on a node with fewer
-    than q - 1 ancestors, where no whole gram ends, raises ValueError.
-    Groups come in gram byte order; each reports the text position of its
-    earliest member, and groups whose total weight is zero (grams that
-    exist only as concatenation bridges, or paths cut short at the root)
-    are dropped.
+    A plain string is ranked on its positions that start a whole gram, by
+    the gram's bytes (:func:`_gram_ranks`).  A trie's text is ranked on its
+    nodes only, each by the q bytes down its parent chain
+    (:func:`_ancestor_ranks`), so the repeated contexts are never sorted; a
+    weight on a node with fewer than q - 1 ancestors, where no whole gram
+    ends, raises ValueError.  Groups come in gram byte order; each reports
+    the text position of its earliest member, and groups whose total weight
+    is zero (grams that exist only as concatenation bridges, or paths cut
+    short at the root) are dropped.  The report's entries are one array
+    built from the group totals, with no Python object per group.
     """
     q = wt.gram
     z = wt.text
     n = len(z)
     if n < q or wt.nodes is not None and not wt.nodes.size:
-        return QGramReport([], q)
+        return QGramReport(np.empty((0, 2), dtype=np.int64), q)
     data = np.frombuffer(z, dtype=np.uint8)
     # Each array is dropped once used: at n near the 2^31 cap they are
     # gigabytes apiece.
     if wt.nodes is None:
-        order, rank = _prefix_ranks(data, q)
-        ends = order[order <= n - q]
-        del order
+        ends, rank = _gram_ranks(data, q)
         ranks = rank[ends]
         ends += q - 1
     else:
@@ -287,5 +339,4 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     totals = np.add.reduceat(wt.end_weights[ends], cuts)
     first = np.minimum.reduceat(ends, cuts)
     kept = totals > 0
-    entries = list(zip((first[kept] + 1).tolist(), totals[kept].tolist()))
-    return QGramReport(entries, q)
+    return QGramReport(np.stack((first[kept] + 1, totals[kept]), axis=1), q)

@@ -39,6 +39,7 @@ def test_traced_worker_reads_every_span(tmp_path):
         "neighbor.flatten": {"q", "trie_bytes", "branches"},
         "neighbor.weighted_text": {"q", "bytes"},
         "neighbor.dup_stats": {"q", "dup"},
+        "suffix.count": {"q", "grams"},
     }
     seen = set()
     for argv, reply in zip(requests, replies):
@@ -49,4 +50,9 @@ def test_traced_worker_reads_every_span(tmp_path):
                 seen.add(name)
                 ints = {key for key, value in attrs.items() if isinstance(value, int)}
                 assert required[name] <= ints, (argv, name, attrs)
+        if argv[0] == "count":
+            # one count per call, and its gram count is the TSV's line count
+            counts = [attrs for name, _, _, _, attrs in reply["spans"] if name == "suffix.count"]
+            lines = Path(argv[-1]).read_bytes().count(b"\n")
+            assert counts == [{"q": int(argv[4]), "grams": lines}], (argv, counts)
     assert seen == set(required)

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from oracles import naive_lcp_array, naive_suffix_array, sliding_histogram
 from slpgram import (
-    QGramReport,
     WeightedText,
     build_lcp_array,
     build_suffix_array,
     weighted_qgram_counts,
 )
-from slpgram.suffix import _ancestor_ranks, _prefix_ranks
+from slpgram.suffix import _ancestor_ranks, _gram_ranks, _prefix_ranks
 
 
 def unit_weighted(text: bytes, q: int) -> WeightedText:
@@ -90,7 +89,7 @@ class TestWeightedText:
     def test_accepts_a_trie(self):
         wt = WeightedText(*self.TRIE)
         assert wt.nodes.dtype == wt.parents.dtype == np.int64
-        assert weighted_qgram_counts(wt).entries == [(2, 3), (3, 5), (5, 2)]
+        assert weighted_qgram_counts(wt).entries.tolist() == [[2, 3], [3, 5], [5, 2]]
         # the same trie at q = 3, with a context of two bytes, where nodes 0
         # and 1 are too shallow to weigh
         wt = WeightedText(b"aababa", [0, 0, 5, 0, 0, 2], 3, [0, 1, 2, 5], [-1, 0, 1, 2])
@@ -143,12 +142,12 @@ class TestWeightedCounts:
         assert report.materialize(wt.text) == {b"aa": 3, b"ab": 5, b"ba": 4}
         # bb has weight zero (a seam bridge) and is dropped; group
         # representatives are the smallest end positions.
-        assert report.entries == [(2, 3), (3, 5), (5, 4)]
+        assert report.entries.tolist() == [[2, 3], [3, 5], [5, 4]]
         assert sum(w for _, w in report.entries) == 12
 
     def test_all_zero_weights(self):
         wt = WeightedText(b"abcabc", [0] * 6, 3)
-        assert weighted_qgram_counts(wt).entries == []
+        assert weighted_qgram_counts(wt).entries.tolist() == []
 
     def test_unit_weights_match_sliding_window(self):
         text = b"aababaababaab"
@@ -157,7 +156,7 @@ class TestWeightedCounts:
 
     def test_q_longer_than_text(self):
         report = weighted_qgram_counts(unit_weighted(b"ab", 5))
-        assert report == QGramReport([], 5)
+        assert (report.entries.shape, report.gram) == ((0, 2), 5)
 
     def test_random_unit_weights_match_histogram(self):
         # long repeats keep ranks tied through every doubling round, so odd
@@ -203,6 +202,56 @@ class TestWeightedCounts:
 def test_unit_weight_property(text, q):
     counts = weighted_qgram_counts(unit_weighted(text, q)).materialize(text)
     assert counts == sliding_histogram(text, q)
+
+
+# Five byte values: 0x80 and 0xFF sort after 0x7F only in an unsigned key,
+# and 0x00 equals the padding.  So few values make ties in the first key
+# bytes common.
+EDGE_BYTES = st.sampled_from([0x00, 0x01, 0x7F, 0x80, 0xFF])
+
+
+@st.composite
+def gram_texts(draw):
+    """``(text, q)``: q in 1..17, 63, 64 or 65 and a text of n >= q bytes.
+    n is below 8 (every first key reads into the padding) or at most q + 8
+    (the last keys do); a periodic text adds up to 120 bytes and keeps
+    ranks tied through the doubling rounds."""
+    q = draw(st.sampled_from([*range(1, 18), 63, 64, 65]))
+    if q < 8 and draw(st.booleans()):
+        n = draw(st.integers(q, 7))
+    else:
+        n = draw(st.integers(q, q + 8))
+    shape = draw(st.sampled_from(["binary", "edges", "periodic"]))
+    if shape == "binary":
+        return draw(st.binary(min_size=n, max_size=n)), q
+    if shape == "periodic":
+        n += draw(st.integers(0, 120))
+        unit = draw(st.lists(EDGE_BYTES, min_size=1, max_size=9))
+        return (bytes(unit) * n)[:n], q
+    return bytes(draw(st.lists(EDGE_BYTES, min_size=n, max_size=n))), q
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(gram_texts())
+def test_gram_ranks_match_prefix_ranks_and_sliding_window(case):
+    text, q = case
+    data = np.frombuffer(text, dtype=np.uint8)
+    order, rank = _gram_ranks(data, q)
+    starts = len(text) - q + 1
+    grams = [text[p : p + q] for p in range(starts)]
+    assert rank.shape == (starts,)
+    assert sorted(order.tolist()) == list(range(starts))
+    # order walks the ranks up, and the grams come in byte order
+    assert (np.diff(rank[order]) >= 0).all()
+    in_order = [grams[p] for p in order.tolist()]
+    assert in_order == sorted(grams)
+    # the same grouping as ranking whole q-byte prefixes with cut-short ends
+    _, prefix = _prefix_ranks(data, q)
+    same = np.unique(rank, return_inverse=True)[1]
+    assert (same == np.unique(prefix[:starts], return_inverse=True)[1]).all()
+    # one rank per distinct gram, held by as many starts as the window counts
+    sizes = dict(zip(*np.unique(rank, return_counts=True)))
+    assert {grams[p]: sizes[rank[p]] for p in range(starts)} == sliding_histogram(text, q)
 
 
 @st.composite
