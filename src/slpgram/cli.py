@@ -64,19 +64,14 @@ _ESCAPES = [
     for b in range(256)
 ]
 _ESCAPE_WIDTHS = np.array([len(e) for e in _ESCAPES], dtype=np.int64)
-# The bytes that escape to themselves: printable ASCII except the backslash.
-_LITERAL = bytes(b for b in range(0x20, 0x7F) if b != 0x5C)
 
 
 def escape_bytes(data: bytes) -> str:
     """Printable ASCII stays literal, backslash doubles, the rest is \\xNN.
 
-    Data made only of literal bytes (deleting them leaves nothing) is
-    decoded as ASCII.  Any other is decoded as latin-1 and translated
-    through a 256-entry table of escapes, one lookup per byte.
+    One table lookup per byte: ``data`` is decoded as latin-1 and translated
+    through a 256-entry table of escapes.
     """
-    if not data.translate(None, _LITERAL):
-        return data.decode("ascii")
     return data.decode("latin-1").translate(_ESCAPES)
 
 

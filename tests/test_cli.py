@@ -104,14 +104,6 @@ class TestEscaping:
     def test_round_trip_random(self, data):
         assert unescape_bytes(escape_bytes(data)) == data
 
-    @pytest.mark.parametrize("last", [b"", b"\\", b"\x7f", b"\x80"])
-    def test_literal_text_with_one_escape_at_the_end(self, last):
-        # printable ASCII without a backslash decodes as it is; one byte
-        # that escapes, even the very last, sends the whole text the slow way
-        literal = bytes(b for b in range(0x20, 0x7F) if b != 0x5C) * 3
-        for data in (literal + last, last):
-            assert escape_bytes(data) == "".join(map(escape_rule, data)), data
-
     def test_bad_escape(self):
         # \x needs exactly two hex digits; literals are printable ASCII only
         for escaped in ["\\q", "\\x4", "\\x+4", "\\x 4", "\\x", "\\xzz", "\u00e9", "a\\"]:
