@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -33,6 +34,7 @@ from .slp import (
     SlpError,
     SlpFormatError,
     SlpGrammar,
+    affix_tables,
     char_frequencies,
     compute_metrics,
     compute_qmarks,
@@ -43,7 +45,7 @@ from .slp import (
     validate,
 )
 from .ssa import build_ssa_text
-from .suffix import WeightedText, weighted_qgram_counts
+from .suffix import WeightedText, check_rankable, weighted_qgram_counts
 
 ALGORITHMS = ("nsa", "ssa", "stsa")
 _HEX_ESCAPE = re.compile(r"\\x([0-9A-Fa-f]{2})")
@@ -201,10 +203,15 @@ def _nsa_skipped(text_length: int) -> str:
 
 def _verify_one(g, m, text: bytes | None, q: int) -> list[str]:
     problems: list[str] = []
-    # The ssa string is never shorter than the trie, so building it first
-    # refuses an oversized reduction before the trie or nsa's weights.
-    ssa = build_ssa_text(g, m, q)
-    graph, trie = _neighbor_trie(g, m, q)
+    graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+    # The ssa string, sum_ti positions, is never shorter than the trie, so
+    # refusing it first refuses an oversized reduction before the affix
+    # tables, the trie or nsa's weights; both then share the tables.
+    check_rankable(graph.sum_ti)
+    tables = affix_tables(g, m, q)
+    ssa = build_ssa_text(g, m, q, tables)
+    trie = flatten_neighbor_trie(g, m, graph, tables)
+    del tables  # counting needs the texts only
     texts = {} if text is None else {"nsa": _unit_weighted(text, q)}
     texts.update(ssa=ssa, stsa=trie.to_weighted_text())
     counts = {name: weighted_qgram_counts(wt).materialize(wt.text) for name, wt in texts.items()}
@@ -390,7 +397,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="slpgram",
         description="q-gram frequencies over grammar-compressed (SLP) strings",

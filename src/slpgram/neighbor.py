@@ -171,7 +171,12 @@ class FlattenedTrie:
         return WeightedText(self.text, self.end_weights, self.q, self.nodes, self.parents)
 
 
-def flatten_neighbor_trie(g: SlpGrammar, m: SlpMetrics, graph: NeighborGraph) -> FlattenedTrie:
+def flatten_neighbor_trie(
+    g: SlpGrammar,
+    m: SlpMetrics,
+    graph: NeighborGraph,
+    tables: tuple[list[bytes], list[bytes]] | None = None,
+) -> FlattenedTrie:
     """One pass over the vertices in first-seam order.
 
     A vertex right after its parent emits its label, its window
@@ -184,7 +189,9 @@ def flatten_neighbor_trie(g: SlpGrammar, m: SlpMetrics, graph: NeighborGraph) ->
 
     A trie the counting engine could not rank is refused with ValueError
     before any table is built: its size, every window past its first q-1
-    characters plus the text's opener, follows from the graph's totals.
+    characters plus the text's opener, follows from the graph's totals.  A
+    caller that holds this q's ``(pre, suf)`` tables already passes them as
+    ``tables``.
     """
     q = graph.q
     if m.text_length < q:
@@ -192,7 +199,7 @@ def flatten_neighbor_trie(g: SlpGrammar, m: SlpMetrics, graph: NeighborGraph) ->
     check_rankable(graph.sum_ti - (q - 1) * (len(graph.vertices) - 1))
     lefts, rights = g.lefts, g.rights
     parents = graph.parents
-    pre, suf = affix_tables(g, m, q)
+    pre, suf = affix_tables(g, m, q) if tables is None else tables
     # The node of the last character of each vertex's label.
     last = [0] * (g.n + 1)
     runs: list[tuple[int, int]] = []

@@ -16,7 +16,9 @@ from .slp import ConsistencyError, SlpGrammar, SlpMetrics, affix_tables
 from .suffix import WeightedText, check_rankable
 
 
-def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:
+def build_ssa_text(
+    g: SlpGrammar, m: SlpMetrics, q: int, tables: tuple[list[bytes], list[bytes]] | None = None
+) -> WeightedText:
     """Concatenate the windows of all long-enough pair rules.
 
     Windows appear in ascending rule index.  The window of rule i is
@@ -27,7 +29,10 @@ def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:
 
     A first pass over the rules collects the windows' owners and totals
     their lengths, so a string the counting engine could not rank is
-    refused with ValueError before any table is built.
+    refused with ValueError before any table is built, and a grammar where
+    no rule is long enough to own a window (q > |T|) gives the empty string
+    without any.  A caller that holds this q's ``(pre, suf)`` tables
+    already passes them as ``tables``.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -45,7 +50,9 @@ def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:
         total += (a if a < cap else cap) + (b if b < cap else cap)
         owners.append(i)
     check_rankable(total)
-    pre, suf = affix_tables(g, m, q)
+    if not owners:
+        return WeightedText(b"", np.zeros(0, dtype=np.int64), q)
+    pre, suf = affix_tables(g, m, q) if tables is None else tables
     parts: list[bytes] = []
     run_weights: list[int] = []
     run_lengths: list[int] = []
@@ -59,5 +66,4 @@ def build_ssa_text(g: SlpGrammar, m: SlpMetrics, q: int) -> WeightedText:
         run_weights += [0, occurrences[i]]
         run_lengths += [cap, size - cap]
     text = b"".join(parts)
-    weights = np.repeat(run_weights, run_lengths) if parts else np.zeros(0, dtype=np.int64)
-    return WeightedText(text, weights, q)
+    return WeightedText(text, np.repeat(run_weights, run_lengths), q)

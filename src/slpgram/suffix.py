@@ -28,6 +28,14 @@ class WeightedText:
     node with fewer than ``gram - 1`` ancestors, since no whole gram ends
     there; :func:`weighted_qgram_counts` checks that, as it finds those
     nodes while ranking.
+
+    The engine reads each node's first key from the text, so the part of
+    that contract it relies on is checked here: the up to
+    k - 1 = min(gram, 8) - 1 bytes before ``nodes[v]`` are the bytes of v's
+    nearest ancestors, as many as it has.  A node whose parent is the node
+    before it, and which lies one text position after that node, inherits
+    this from its parent.  So only the other nodes, the heads, are checked,
+    with at most k - 1 gathers over them; a wrong byte raises ValueError.
     """
 
     text: bytes
@@ -67,6 +75,31 @@ class WeightedText:
         # weight lies on one exactly when the two counts agree.
         if np.count_nonzero(weights) != np.count_nonzero(weights[nodes]):
             raise ValueError("positions outside the trie's nodes must weigh zero")
+        heads = np.flatnonzero(
+            (parents[1:] != np.arange(nodes.size - 1)) | (nodes[1:] != nodes[:-1] + 1)
+        ) + 1
+        if not heads.size or self.gram < 2:
+            return
+        # Row j - 1 holds each head's j-th ancestor, or -1 past the root: an
+        # ancestor is below its node, and parents[-1] is not below -1.
+        ancestors = np.empty((min(self.gram, 8) - 1, heads.size), dtype=np.int64)
+        up = heads
+        for row in ancestors:
+            up = np.minimum(np.take(parents, up, out=row), up, out=row)
+        # Node positions strictly increase and ancestors are earlier nodes,
+        # so a head lies past as many bytes as it has ancestors: the
+        # positions read for real ancestors are in the text.
+        backs = np.arange(1, ancestors.shape[0] + 1)[:, None]
+        data = np.frombuffer(self.text, dtype=np.uint8)
+        before = np.take(data, nodes[heads] - backs, mode="clip")
+        wrong = np.argwhere((before != data[nodes[ancestors]]) & (ancestors >= 0))
+        if wrong.size:
+            back, column = wrong[0] + (1, 0)
+            v, u = heads[column], ancestors[back - 1, column]
+            raise ValueError(
+                f"text position {nodes[v] - back}, {back} before node {v}, must hold"
+                f" the byte of its ancestor node {u}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +123,9 @@ class QGramReport:
         return {source[end - self.gram : end]: w for end, w in self.entries.tolist()}
 
 
-# A round's sort key is below base^2 with base = max(n, 256) + 1, which fits
-# in int64 only while n is below about 3 * 10^9.
+# A round's sort key is below base^2 with base = max(n, 256) + 1 in
+# _prefix_ranks, and combines at least two ranks below n in the q-gram
+# rankers; either fits in int64 only while n is below about 3 * 10^9.
 _MAX_POSITIONS = 2**31
 
 
@@ -103,19 +137,35 @@ def check_rankable(positions: int) -> None:
         raise ValueError(f"cannot rank a string of {positions} positions: the limit is {limit}")
 
 
-def _rerank(key: np.ndarray, rank: np.ndarray, first: int) -> tuple[np.ndarray, bool]:
-    """One doubling round: sort the positions by ``key`` and write into
-    ``rank`` their dense ranks from ``first`` on, equal where the key is.
-    Returns the sorted order and whether every rank is distinct."""
-    n = key.size
-    order = np.argsort(key)
+def _rank_in_order(order: np.ndarray, key: np.ndarray, rank: np.ndarray, first: int) -> int:
+    """Write into ``rank[order]`` dense ranks from ``first`` on, equal where
+    ``key[order]``, which must be sorted, is; return the last one."""
     key = key[order]
-    fresh = np.empty(n, dtype=np.int64)
+    fresh = np.empty(order.size, dtype=np.int64)
     fresh[0] = first
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
     np.cumsum(fresh, out=fresh)
     rank[order] = fresh
-    return order, fresh[-1] == first + n - 1
+    return int(fresh[-1])
+
+
+def _rerank(key: np.ndarray, rank: np.ndarray, first: int) -> tuple[np.ndarray, bool]:
+    """One doubling round: sort the positions by ``key`` and write into
+    ``rank`` their dense ranks from ``first`` on, equal where the key is.
+    Returns the sorted order and whether every rank is distinct."""
+    order = np.argsort(key)
+    return order, _rank_in_order(order, key, rank, first) == first + key.size - 1
+
+
+def _fan_in(ranks: int) -> int:
+    """How many ranked spans one int64 key can combine when there are
+    ``ranks`` rank values: the largest c >= 2 with ranks^c <= 2^63 - 1, as
+    the key sum(r_j * ranks^(c-1-j)) is at most ranks^c - 1.  Below
+    ``_MAX_POSITIONS`` ranks it is never less than 2; one rank counts as two."""
+    fan = 2
+    while max(ranks, 2) ** (fan + 1) < 2**63:
+        fan += 1
+    return fan
 
 
 def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,13 +213,19 @@ def _gram_ranks(data: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     bytes, read big-endian through a strided view of a copy padded with 7
     zero bytes, and shifted right past the bytes beyond the gram when q < 8.
     The key is unsigned because a signed one would sort bytes >= 0x80 first.
-    Prefix doubling then extends the ranked prefixes from ``span`` to
-    ``span + step`` bytes, with the last step cut to ``q - span``.  Each
-    round ranks only the positions whose longer prefix lies in the text, by
-    ``rank[p] * base + rank[p + step]``, so no prefix is ever cut short and
-    nothing stands for the end of the data.  So q <= 8 takes one sort and
-    q = 64 takes four.  Ranking stops early once every rank is distinct.
-    Raises ValueError for data of ``_MAX_POSITIONS`` or more positions.
+    Each later round extends the ranked prefixes from ``span`` bytes to
+    ``reach = min(q, c * span)`` by combining c ranked spans, where c is
+    :func:`_fan_in` of the D ranks so far, but no more than the ceil(q/span)
+    spans that reach q.  The spans start at 0, span, ..., (c - 2) * span,
+    and the last one at ``reach - span``, so that it ends at ``reach``
+    (overlapping the one before when reach < c * span).  A round ranks only
+    the positions whose longer prefix lies in the text, by the key
+    sum(rank[p + start_j] * D^(c-1-j)), so no prefix is ever cut short and
+    nothing stands for the end of the data.  So q <= 8 takes one sort, and
+    q = 64 three while fewer than 2^21 distinct 8- and 24-byte prefixes
+    keep c at 3 (8, 24, 64 bytes), and never more than four.  Ranking stops
+    early once every rank is distinct.  Raises ValueError for data of
+    ``_MAX_POSITIONS`` or more positions.
     """
     n = data.size
     check_rankable(n)
@@ -184,18 +240,21 @@ def _gram_ranks(data: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty(count, dtype=np.int64)
     order, distinct = _rerank(key, rank, 0)
     del key
-    # Ranks run from 0 to below the number of positions ranked, so below n.
-    base = n
     while span < q and not distinct:
-        step = min(span, q - span)
-        count = n - span - step + 1
-        key = rank[:count] * base
-        key += rank[step : step + count]
+        # Ranks run from 0 to the last one in order.
+        ranks = int(rank[order[-1]]) + 1
+        fan = min(_fan_in(ranks), -(-q // span))
+        reach = min(q, fan * span)
+        count = n - reach + 1
+        key = rank[:count].copy()
+        for start in [*range(span, (fan - 1) * span, span), reach - span]:
+            key *= ranks
+            key += rank[start : start + count]
         rank = rank[:count]
         del order
         order, distinct = _rerank(key, rank, 0)
         del key
-        span += step
+        span = reach
     if span < q:
         # Distinct shorter prefixes already order and group the grams.
         count = n - q + 1
@@ -204,65 +263,163 @@ def _gram_ranks(data: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return order, rank
 
 
+def _shallow_nodes(parents: np.ndarray, hop: np.ndarray, count: int) -> np.ndarray:
+    """The nodes of a forest with fewer than ``count`` ancestors, ascending.
+
+    A node whose parent is the node before it has one ancestor more than
+    that node, so only the first ``count`` nodes of such a chain can have
+    too few, and only the chains' heads need their ancestors counted: in at
+    most ``count`` steps up ``hop``, the parent table with one more slot
+    that maps -1 to itself.
+    """
+    m = parents.size
+    # node 0 is a root, and so a head
+    heads = np.concatenate(([0], np.flatnonzero(parents != np.arange(-1, m - 1))))
+    ancestors = np.empty((count, heads.size), dtype=np.int64)
+    up = heads
+    for row in ancestors:
+        up = np.take(hop, up, out=row)
+    above = np.count_nonzero(ancestors >= 0, axis=0)
+    # node heads[i] + t of a chain has above[i] + t ancestors
+    room = np.minimum(count - above, np.diff(heads, append=m))
+    firsts = np.cumsum(room) - room
+    return np.repeat(heads - firsts, room) + np.arange(firsts[-1] + room[-1])
+
+
+def _lift(hop: np.ndarray, distance: int) -> np.ndarray:
+    """The table of the node ``distance`` above each node, from the parent
+    table ``hop`` by repeated squaring; two tables besides it are alive."""
+    table = None
+    while True:
+        if distance & 1:
+            table = hop if table is None else hop[table]
+        distance >>= 1
+        if not distance:
+            return table
+        hop = hop[hop]
+
+
 def _ancestor_ranks(
-    data: np.ndarray, parents: np.ndarray, depth: int
+    text: np.ndarray, nodes: np.ndarray, parents: np.ndarray, depth: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(order, rank, shallow)`` over the nodes of a forest: node v holds
-    byte ``data[v]`` below node ``parents[v]`` (-1 at a root), and is ranked
-    by the last ``depth`` bytes of its path from the root, cut short at the
-    root.  Ranks are equal exactly where those byte strings are; among
-    uncut strings rank order is byte order.  Cut strings sort first: the
-    first ``shallow`` nodes of ``order`` are exactly those with fewer than
-    ``depth - 1`` ancestors.
+    """``(order, rank, shallow)`` over the nodes of a forest laid out in
+    ``text``: node v holds byte ``text[nodes[v]]`` below node ``parents[v]``
+    (-1 at a root), and is ranked by the last ``depth`` bytes of its path
+    from the root, cut short at the root.  Ranks are equal exactly where
+    those byte strings are; among uncut strings rank order is byte order.
+    Cut strings sort first: the first ``shallow`` nodes of ``order`` are
+    exactly those with fewer than ``depth - 1`` ancestors.
 
-    Karp-Miller-Rosenberg doubling over ancestors: a round that extends the
-    strings from ``span`` to ``span + step`` bytes sorts one int64 key per
-    node, ``rank[anc_step(v)] * base + rank[v]``, with ranks from 1 and
-    rank 0 for the empty string above a root.  The jump tables double,
-    anc_2j = anc_j[anc_j], until the last round, whose step ``depth - span``
-    is cut short like :func:`_prefix_ranks`'s; its table is composed from
-    the doubling ones bit by bit as they pass, so only two ancestor tables
-    are alive at a time.  Slot m of each array stands for "above the root":
-    parent -1 indexes it.
+    With k = min(depth, 8), the text must hold each node's context: the
+    k - 1 bytes before ``nodes[v]`` are the bytes of v's k - 1 nearest
+    ancestors whenever v has that many (:class:`WeightedText` checks it at
+    the heads).  So the first round sorts one uint64 per node, the k bytes
+    of text ending at ``nodes[v]``, read big-endian through a strided view
+    of a copy padded with 7 zero bytes in front and masked to its low 8k
+    bits.  The nodes with fewer than k - 1 ancestors hold cut strings and
+    may follow any bytes: :func:`_shallow_nodes` finds them, their key is
+    their bytes read up the parent chain and then their length, and they
+    are moved ahead of the sorted order to take ranks 1..cut.  Uncut
+    strings take the ranks after, and rank 0 stands for the empty string
+    above a root, in slot m of ``rank``.
 
-    A string is cut short exactly when the one ``step`` bytes above it is
-    cut short or empty.  If the cut strings held ranks 1..cut, those are
-    the keys below ``(cut + 1) * base``: they sort first and take the
-    lowest new ranks, so each round counts them with one comparison.
+    Later rounds combine ancestor ranks as :func:`_gram_ranks` combines
+    spans: from ``span`` to ``reach = min(depth, c * span)`` bytes, with c
+    from :func:`_fan_in` over the D rank values (0 included), the key of v
+    is sum(rank[anc_j(v)] * D^(c-1-j)) over the nodes ``reach - span``,
+    (c - 2) * span, ..., span and 0 above v (the top span overlaps the one
+    below when reach < c * span).  The table of the node ``span`` above
+    each node comes from the parent table by squaring (:func:`_lift`) and
+    is carried from round to round; the multiples are composed from it, and
+    when ``reach - span`` is no multiple of span (the last round only), the
+    top's table composes the last multiple with one lifted for the rest.
+    Slot m of a table stands for "above the root", and the parent -1
+    indexes it.  So depth <= 8 takes one sort, and depth = 64 three while c
+    stays at 3, and at most four.
+
+    A string is cut short exactly when its top span is cut short or empty.
+    If the cut strings held ranks 1..cut, those are the keys below
+    ``(cut + 1) * D^(c-1)``: they sort first and take the lowest new ranks,
+    so each round counts them with one comparison.
 
     There is no early stop: ranks that are all distinct already group the
     nodes, but they order the strings by their last ``span`` bytes, and the
     gram order needs the first ones.
     """
-    m = data.size
+    m = nodes.size
     check_rankable(m)
-    base = max(m, 256) + 1
     rank = np.zeros(m + 1, dtype=np.int64)
-    # Two steps: data + 1 would wrap at byte 255 in uint8.
-    rank[:m] = data
-    rank[:m] += 1
-    if depth < 2 or m == 0:
-        return np.argsort(data, kind="stable"), rank[:m], 0
-    last = 1 << ((depth - 1).bit_length() - 1)
-    rest = depth - last
+    if not m:
+        return np.zeros(0, dtype=np.int64), rank[:m], 0
+    span = min(depth, 8)
+    padded = np.zeros(text.size + 7, dtype=np.uint8)
+    padded[7:] = text
+    key = np.ndarray((text.size,), dtype=np.uint64, buffer=padded, strides=(1,))[nodes]
+    del padded
+    if np.little_endian:
+        # read big-endian, in place
+        key.byteswap(inplace=True)
+    if span < 8:
+        key &= np.uint64((1 << 8 * span) - 1)
     hop = np.append(parents, -1)
-    reach = None
-    span = 1
-    # No string of one byte is cut short.
+    cut_nodes = _shallow_nodes(parents, hop, span - 1)
+    shallow = cut_nodes.size
+    if shallow:
+        # At most span - 1 bytes, from the cut node (row 0) up, the lowest
+        # first; slots past a root hold -1 and read as no byte.
+        chain = np.empty((span - 1, shallow), dtype=np.int64)
+        up = chain[0] = cut_nodes
+        for row in chain[1:]:
+            up = np.take(hop, up, out=row)
+        live = chain >= 0
+        byte = np.where(live, text[nodes[chain]], 0).astype(np.uint64)
+        byte <<= np.arange(0, 8 * (span - 1), 8, dtype=np.uint64)[:, None]
+        string = np.bitwise_or.reduce(byte, axis=0)
+        key[cut_nodes] = string << np.uint64(3) | np.count_nonzero(live, axis=0).astype(np.uint64)
+    order = np.argsort(key)
     cut = 0
-    while True:
-        if rest & span:
-            reach = hop if reach is None else hop[reach]
-        ancestors = hop if span < last else reach
-        key = rank[ancestors[:m]] * base
+    if shallow:
+        below = np.zeros(m, dtype=bool)
+        below[cut_nodes] = True
+        below = below[order]
+        ahead = order[below]
+        cut = _rank_in_order(ahead, key, rank, 1)
+        order = np.concatenate((ahead, order[~below]))
+    if shallow < m:
+        _rank_in_order(order[shallow:], key, rank, cut + 1)
+    del key
+    step = None
+    while span < depth:
+        # Ranks run from 0 to the last one in order.
+        ranks = int(rank[order[-1]]) + 1
+        fan = min(_fan_in(ranks), -(-depth // span))
+        reach = min(depth, fan * span)
+        if step is None:
+            step = _lift(hop, span)
+        # the tables of the nodes span, 2 * span, ..., (fan - 2) * span above,
+        # and the top span's, ``rest`` more above the last of them, where
+        # rest < span only in the last round
+        tables = []
+        for _ in range(fan - 2):
+            tables.append(step[tables[-1]] if tables else step)
+        rest = reach - (fan - 1) * span
+        lift = step if rest == span else _lift(hop, rest)
+        top = lift[tables[-1]] if tables else lift
+        key = rank[top[:m]]
+        for table in reversed(tables):
+            key *= ranks
+            key += rank[table[:m]]
+        key *= ranks
         key += rank[:m]
-        shallow = np.count_nonzero(key < (cut + 1) * base)
+        if reach < depth:
+            step = step[top]
+        del tables, lift, top
+        shallow = np.count_nonzero(key < (cut + 1) * ranks ** (fan - 1))
+        del order
         order, _ = _rerank(key, rank[:m], 1)
-        cut = rank[order[shallow - 1]] if shallow else 0
-        if span == last:
-            break
-        hop = hop[hop]
-        span *= 2
+        del key
+        cut = int(rank[order[shallow - 1]]) if shallow else 0
+        span = reach
     return order, rank[:m], shallow
 
 
@@ -306,9 +463,11 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     A plain string is ranked on its positions that start a whole gram, by
     the gram's bytes (:func:`_gram_ranks`).  A trie's text is ranked on its
     nodes only, each by the q bytes down its parent chain
-    (:func:`_ancestor_ranks`), so the repeated contexts are never sorted; a
-    weight on a node with fewer than q - 1 ancestors, where no whole gram
-    ends, raises ValueError.  Groups come in gram byte order; each reports
+    (:func:`_ancestor_ranks`, which takes the whole text, since the first
+    key of a node is read from the bytes that end at it), so the repeated
+    contexts are never sorted; a weight on a node with fewer than q - 1
+    ancestors, where no whole gram ends, raises ValueError.  Either way
+    q <= 8 takes one sort and q = 64 at most four.  Groups come in gram byte order; each reports
     the text position of its earliest member, and groups whose total weight
     is zero (grams that exist only as concatenation bridges, or paths cut
     short at the root) are dropped.  The report's entries are one array
@@ -327,7 +486,7 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
         ranks = rank[ends]
         ends += q - 1
     else:
-        order, rank, shallow = _ancestor_ranks(data[wt.nodes], wt.parents, q)
+        order, rank, shallow = _ancestor_ranks(data, wt.nodes, wt.parents, q)
         ranks = rank[order]
         ends = wt.nodes[order]
         del order

@@ -441,6 +441,7 @@ class TestMain:
 
         monkeypatch.setattr("slpgram.ssa.affix_tables", no_tables)
         monkeypatch.setattr("slpgram.neighbor.affix_tables", no_tables)
+        monkeypatch.setattr("slpgram.cli.affix_tables", no_tables)
         # G7 at q = 2: the ssa string is sum_ti = 10 positions, the trie has
         # |T| - dup = 6 nodes
         monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 10)
@@ -459,12 +460,69 @@ class TestMain:
         monkeypatch.undo()
         monkeypatch.setattr("slpgram.ssa.affix_tables", no_tables)
         monkeypatch.setattr("slpgram.neighbor.affix_tables", no_tables)
+        monkeypatch.setattr("slpgram.cli.affix_tables", no_tables)
         slp = doubling_grammar(tmp_path / "doubling.slp", 41)
         for algo, size in (("ssa", 25 * 2**28 - 24), ("stsa", 13 * 2**28 - 12)):
             assert main(["count", "-i", slp, "-q", str(2**28), "--algo", algo]) == 2
             assert capsys.readouterr().err == (
                 f"error: cannot rank a string of {size} positions: the limit is {2**31 - 1}\n"
             )
+
+    def test_no_tables_when_no_rule_owns_a_window(self, tmp_path, monkeypatch, capsys):
+        # 2^48 a's at q = 10^20: no rule is long enough to own a window, so
+        # no affix table is built (every rule's whole text would be ~2^49 bytes)
+        def no_tables(*args):
+            raise AssertionError("affix tables built where no window needs them")
+
+        for module in ("ssa", "neighbor", "cli"):
+            monkeypatch.setattr(f"slpgram.{module}.affix_tables", no_tables)
+        slp = doubling_grammar(tmp_path / "doubling.slp", 49)
+        q = str(10**20)
+        for algo in ("ssa", "stsa"):
+            assert main(["count", "-i", slp, "-q", q, "--algo", algo]) == 0, algo
+            assert capsys.readouterr().out == "# end positions refer to z\n", algo
+            assert main(["count", "-i", slp, "-q", q, "--algo", algo, "--expand"]) == 0, algo
+            assert capsys.readouterr().out == "", algo
+        assert main(["stats", "-i", slp, "--q-list", q]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"{q},0,0,0,0,0,0"
+        assert main(["bench", "-i", slp, "--q-list", q, "--reps", "1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[0], r[1], r[3]) for r in rows] == [(q, "ssa", "0"), (q, "stsa", "0")]
+
+    def test_verify_builds_the_affix_tables_once_per_q(self, tmp_path, monkeypatch):
+        built = []
+        real = slp_core.affix_tables
+
+        def counted(g, m, q):
+            built.append(q)
+            return real(g, m, q)
+
+        for module in ("ssa", "neighbor", "cli"):
+            monkeypatch.setattr(f"slpgram.{module}.affix_tables", counted)
+        slp = tmp_path / "g.slp"
+        slp.write_text(serialize_slp(build_repair(ALL_BYTES_TEXT)))
+        assert main(["verify", "-i", str(slp), "--q-max", "13", "-o", str(tmp_path / "r")]) == 0
+        assert built == list(range(2, 14))
+
+    def test_calls_in_one_process_are_independent(self, g7_path, capsys):
+        # the parser is built once per process; nothing of one call's
+        # arguments may reach the next
+        assert main(["count", "-i", g7_path, "-q", "2", "--expand"]) == 0
+        assert capsys.readouterr().out == "aa\t3\nab\t5\nba\t4\n"
+        assert main(["count", "-i", g7_path, "-q", "2"]) == 0
+        assert capsys.readouterr().out.startswith("# end positions refer to z\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "-i", g7_path, "-q", "2", "--algo", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["count", "-i", g7_path, "-q", "2", "--algo", "nsa"]) == 0
+        assert capsys.readouterr().out.startswith("# end positions refer to T\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-i", g7_path])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["stats", "-i", g7_path, "--q-list", "2"]) == 0
+        assert capsys.readouterr().out.startswith("q,sum_ti,")
 
     def test_oversized_trie_refused_by_stats(self, tmp_path, monkeypatch, capsys):
         # stats never ranks the trie, but building one too large to rank

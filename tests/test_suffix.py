@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,17 @@ from oracles import naive_lcp_array, naive_suffix_array, sliding_histogram
 from slpgram import (
     WeightedText,
     build_lcp_array,
+    build_neighbor_graph,
+    build_repair,
+    build_ssa_text,
     build_suffix_array,
+    compute_metrics,
+    compute_qmarks,
+    flatten_neighbor_trie,
+    parse_slp,
     weighted_qgram_counts,
 )
-from slpgram.suffix import _ancestor_ranks, _gram_ranks, _prefix_ranks
+from slpgram.suffix import _ancestor_ranks, _fan_in, _gram_ranks, _prefix_ranks
 
 
 def unit_weighted(text: bytes, q: int) -> WeightedText:
@@ -109,21 +118,26 @@ class TestWeightedText:
             ({"parents": [-2, 0, 1, 2]}, "node 0 must be the one root"),
             ({"weights": [0, 3, 5, 1, 2]}, "outside the trie's nodes"),
             # at q = 3, node 2 (position 2) or node 3 (position 4) hangs
-            # from node 0 and so has one ancestor only
-            ({"parents": [-1, 0, 0, 2], "weights": [0, 0, 5, 0, 2], "gram": 3},
-             "fewer than 2 ancestors"),
-            ({"parents": [-1, 0, 1, 0], "weights": [0, 0, 5, 0, 2], "gram": 3},
-             "fewer than 2 ancestors"),
+            # from node 0 and so has one ancestor only; the texts repeat each
+            # head's ancestors in the bytes before it
+            ({"text": b"aaaab", "parents": [-1, 0, 0, 2], "weights": [0, 0, 5, 0, 2],
+              "gram": 3}, "fewer than 2 ancestors"),
+            ({"text": b"aabaa", "parents": [-1, 0, 1, 0], "weights": [0, 0, 5, 0, 2],
+              "gram": 3}, "fewer than 2 ancestors"),
+            # the byte before node 3 is not its parent's
+            ({"text": b"aabaa"}, "position 3, 1 before node 3, must hold the byte of its"
+             " ancestor node 2"),
         ],
     )
     def test_rejects_a_bad_trie(self, change, message):
         text, weights, gram, nodes, parents = self.TRIE
-        fields = {"weights": weights, "gram": gram, "nodes": nodes, "parents": parents}
+        fields = {"text": text, "weights": weights, "gram": gram, "nodes": nodes,
+                  "parents": parents}
         fields.update(change)
 
         def trie():
-            return WeightedText(text, fields["weights"], fields["gram"], fields["nodes"],
-                                fields["parents"])
+            return WeightedText(fields["text"], fields["weights"], fields["gram"],
+                                fields["nodes"], fields["parents"])
 
         if "ancestors" in message:
             # the engine finds the shallow nodes while ranking
@@ -133,6 +147,28 @@ class TestWeightedText:
         else:
             with pytest.raises(ValueError, match=message):
                 trie()
+
+    # "abcdefghij" down from the root, then node 10 below node 8: its 7
+    # context bytes repeat nodes 2..8, "cdefghi"
+    CONTEXT = b"abcdefghij" + b"cdefghi" + b"X"
+    CONTEXT_NODES = [*range(10), 17]
+    CONTEXT_PARENTS = [*range(-1, 9), 8]
+
+    @pytest.mark.parametrize("back", range(1, 8))
+    def test_rejects_a_wrong_context_byte(self, back):
+        weights = [0] * len(self.CONTEXT)
+        WeightedText(self.CONTEXT, weights, 8, self.CONTEXT_NODES, self.CONTEXT_PARENTS)
+        text = bytearray(self.CONTEXT)
+        text[17 - back] ^= 0x20
+        with pytest.raises(ValueError, match=f"{back} before node 10, must hold the byte of"
+                                             f" its ancestor node {9 - back}"):
+            WeightedText(bytes(text), weights, 8, self.CONTEXT_NODES, self.CONTEXT_PARENTS)
+        # the engine reads min(gram, 8) - 1 context bytes, and only those are checked
+        if back >= 4:
+            WeightedText(bytes(text), weights, 4, self.CONTEXT_NODES, self.CONTEXT_PARENTS)
+        else:
+            with pytest.raises(ValueError, match=f"{back} before node 10"):
+                WeightedText(bytes(text), weights, 4, self.CONTEXT_NODES, self.CONTEXT_PARENTS)
 
 
 class TestWeightedCounts:
@@ -256,13 +292,16 @@ def test_gram_ranks_match_prefix_ranks_and_sliding_window(case):
 
 @st.composite
 def forests(draw):
-    """``(data, parents, depth)``: a forest whose parents precede their
-    nodes, over one to three letters, and a gram length that is mostly not
-    a power of two.
+    """``(data, parents, depth, text, nodes)``: a forest whose parents
+    precede their nodes, over one to three letters, and a gram length that
+    is mostly not a power of two, laid out in a text as a flattened trie is.
 
     A string is the forest parent = v - 1; a chain branches off now and
     then; a star hangs most nodes from the first few; a random forest picks
-    any earlier parent, or none.
+    any earlier parent, or none.  In the text each node whose parent is not
+    the node before it (and node 0) starts afresh: up to three junk letters,
+    then the bytes of its nearest ancestors, at most 7, then its own byte.
+    Every other node's byte follows the one before.
     """
     size = draw(st.integers(1, 300))
     shape = draw(st.sampled_from(["string", "chain", "star", "random"]))
@@ -277,7 +316,15 @@ def forests(draw):
             parents.append(rng.randrange(-1, v))
     letters = draw(st.integers(1, 3))
     data = np.array([rng.randrange(letters) for _ in range(size)], dtype=np.uint8)
-    return data, np.array(parents, dtype=np.int64), draw(st.integers(1, 70))
+    text, nodes = bytearray(), []
+    for v, parent in enumerate(parents):
+        if v == 0 or parent != v - 1:
+            text += bytes(rng.randrange(letters) for _ in range(rng.randrange(4)))
+            text += upward_gram(data, parents, parent, 7)
+        nodes.append(len(text))
+        text.append(data[v])
+    return (data, np.array(parents, dtype=np.int64), draw(st.integers(1, 70)),
+            np.frombuffer(bytes(text), dtype=np.uint8), np.array(nodes, dtype=np.int64))
 
 
 def upward_gram(data, parents, v, depth):
@@ -292,8 +339,8 @@ def upward_gram(data, parents, v, depth):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(forests())
 def test_ancestor_ranks_match_upward_grams(forest):
-    data, parents, depth = forest
-    order, rank, shallow = _ancestor_ranks(data, parents, depth)
+    data, parents, depth, text, nodes = forest
+    order, rank, shallow = _ancestor_ranks(text, nodes, parents, depth)
     grams = [upward_gram(data, parents, v, depth) for v in range(data.size)]
     # the nodes first in order are exactly those whose gram is cut at the root
     assert sorted(order[:shallow].tolist()) == [
@@ -316,3 +363,94 @@ def test_ancestor_ranks_match_upward_grams(forest):
         ends = np.arange(depth - 1, data.size)
         same = np.unique(rank[ends], return_inverse=True)[1]
         assert (same == np.unique(prefix[ends - depth + 1], return_inverse=True)[1]).all()
+    if (parents[1:] >= 0).all():
+        # one root: the layout is a trie's text, and WeightedText accepts it
+        WeightedText(text.tobytes(), np.zeros(text.size, dtype=np.int64), depth, nodes, parents)
+
+
+def test_fan_in_at_its_boundary():
+    # 2^21 ranks cubed is 2^63, one past the largest int64
+    assert _fan_in(2_097_151) == 3
+    assert _fan_in(2_097_152) == 2
+    assert _fan_in(2**31 - 1) == 2
+    assert _fan_in(2) == _fan_in(1) == 62
+    assert _fan_in(55_108) == 4 and _fan_in(55_109) == 3
+
+
+def naive_texts(sigma, q):
+    """Random and periodic texts over ``sigma`` byte values, with lengths
+    from q to a few hundred past it."""
+    rng = random.Random(sigma * 1000 + q)
+    values = [0, 255, 128, 127][:sigma] if sigma <= 4 else list(range(256))
+    texts = []
+    for n in (q, q + 1, q + 7, q + 50, q + 300):
+        texts.append(bytes(rng.choice(values) for _ in range(n)))
+        unit = bytes(rng.choice(values) for _ in range(rng.randint(1, 12)))
+        texts.append((unit * n)[:n])
+    return texts
+
+
+@pytest.mark.parametrize("q", [9, 24, 25, 33, 64, 65, 200])
+@pytest.mark.parametrize("sigma", [1, 2, 4, 256])
+def test_gram_ranks_match_sorted_grams(sigma, q):
+    # few byte values keep few ranks and so a large fan-in; 256 values
+    # bring it down towards 2
+    for text in naive_texts(sigma, q):
+        order, rank = _gram_ranks(np.frombuffer(text, dtype=np.uint8), q)
+        grams = [text[p : p + q] for p in range(len(text) - q + 1)]
+        assert [grams[p] for p in order.tolist()] == sorted(grams)
+        assert (np.diff(rank[order]) >= 0).all()
+        rank_of = {}
+        for p, gram in enumerate(grams):
+            assert rank_of.setdefault(gram, rank[p]) == rank[p]
+        assert len(set(rank_of.values())) == len(rank_of)
+
+
+def count_sorts(monkeypatch):
+    """A list that records the size of every argsort from here on."""
+    sizes = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 8, 64, 65])
+def test_sort_counts(q, monkeypatch):
+    # one sort at q <= 8, and at most four at q = 64 or 65
+    text = bytes(random.Random(q).choice(b"ab") for _ in range(3000))
+    g = build_repair(text)
+    m = compute_metrics(g)
+    for name, wt in (
+        ("string", unit_weighted(text, q)),
+        ("trie", flatten_neighbor_trie(
+            g, m, build_neighbor_graph(g, m, compute_qmarks(g, m, q))).to_weighted_text()),
+    ):
+        sizes = count_sorts(monkeypatch)
+        counts = weighted_qgram_counts(wt).materialize(wt.text)
+        monkeypatch.undo()
+        if name == "string":
+            assert counts == sliding_histogram(text, q)
+        assert len(sizes) == 1 if q <= 8 else 2 <= len(sizes) <= 4, (name, sizes)
+
+
+def test_sort_counts_on_the_benchmark_versions_grammar(monkeypatch):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import bench_inputs
+    finally:
+        sys.path.pop(0)
+    g = parse_slp(bench_inputs.make_versions(1).document)
+    m = compute_metrics(g)
+    for q, string_sorts, trie_sorts in ((4, 1, 1), (8, 1, 1), (64, 3, 3)):
+        graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+        trie = flatten_neighbor_trie(g, m, graph).to_weighted_text()
+        for wt, expected in ((build_ssa_text(g, m, q), string_sorts), (trie, trie_sorts)):
+            sizes = count_sorts(monkeypatch)
+            weighted_qgram_counts(wt)
+            monkeypatch.undo()
+            assert len(sizes) == expected, (q, sizes)
