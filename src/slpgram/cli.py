@@ -36,6 +36,7 @@ from .slp import (
     SlpGrammar,
     affix_tables,
     char_frequencies,
+    check_affix_tables,
     compute_metrics,
     compute_qmarks,
     expand,
@@ -206,8 +207,10 @@ def _verify_one(g, m, text: bytes | None, q: int) -> list[str]:
     graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
     # The ssa string, sum_ti positions, is never shorter than the trie, so
     # refusing it first refuses an oversized reduction before the affix
-    # tables, the trie or nsa's weights; both then share the tables.
+    # tables, the trie or nsa's weights; both then share the tables, which
+    # are refused past their own cap before they are built.
     check_rankable(graph.sum_ti)
+    check_affix_tables(g, m, q)
     tables = affix_tables(g, m, q)
     ssa = build_ssa_text(g, m, q, tables)
     trie = flatten_neighbor_trie(g, m, graph, tables)

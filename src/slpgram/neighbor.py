@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slp import ConsistencyError, QMarks, SlpGrammar, SlpMetrics, affix_tables
+from .slp import (
+    ConsistencyError,
+    QMarks,
+    SlpGrammar,
+    SlpMetrics,
+    affix_tables,
+    check_affix_tables,
+)
 from .suffix import WeightedText, check_rankable
 
 CSV_HEADER = "q,sum_ti,trie_size,dup,flattened_len,edges,vertices"
@@ -189,7 +196,8 @@ def flatten_neighbor_trie(
 
     A trie the counting engine could not rank is refused with ValueError
     before any table is built: its size, every window past its first q-1
-    characters plus the text's opener, follows from the graph's totals.  A
+    characters plus the text's opener, follows from the graph's totals.  So
+    are tables past :func:`check_affix_tables`' cap.  A
     caller that holds this q's ``(pre, suf)`` tables already passes them as
     ``tables``.
     """
@@ -199,7 +207,10 @@ def flatten_neighbor_trie(
     check_rankable(graph.sum_ti - (q - 1) * (len(graph.vertices) - 1))
     lefts, rights = g.lefts, g.rights
     parents = graph.parents
-    pre, suf = affix_tables(g, m, q) if tables is None else tables
+    if tables is None:
+        check_affix_tables(g, m, q)
+        tables = affix_tables(g, m, q)
+    pre, suf = tables
     # The node of the last character of each vertex's label.
     last = [0] * (g.n + 1)
     runs: list[tuple[int, int]] = []

@@ -367,6 +367,42 @@ def affix_tables(g: SlpGrammar, m: SlpMetrics, q: int) -> tuple[list[bytes], lis
     return pre, suf
 
 
+def affix_table_bytes(g: SlpGrammar, m: SlpMetrics, q: int) -> int:
+    """Bytes the tables of :func:`affix_tables` would hold for this q, from
+    the rule lengths alone.
+
+    A rule of at most q-1 bytes holds its text once.  A longer rule holds a
+    new (q-1)-byte prefix only when its left child is shorter than q-1, and
+    shares the child's otherwise; suffixes are symmetric.  On a left-leaning
+    chain at q = |T| that is about |T|^2/2 bytes.
+    """
+    k = q - 1
+    lefts, rights = g.lefts, g.rights
+    lengths = m.lengths
+    total = 0
+    for i in range(1, g.n + 1):
+        size = lengths[i]
+        if size <= k:
+            total += size
+        else:
+            total += k * ((lengths[lefts[i]] < k) + (lengths[rights[i]] < k))
+    return total
+
+
+def check_affix_tables(g: SlpGrammar, m: SlpMetrics, q: int) -> None:
+    """Raise ValueError, before any table is built, if the affix tables for
+    this q would hold more than ``DEFAULT_EXPAND_CAP`` bytes.  No rule holds
+    more than 2(q-1) bytes, so most grammars need no count."""
+    if 2 * (q - 1) * g.n <= DEFAULT_EXPAND_CAP:
+        return
+    total = affix_table_bytes(g, m, q)
+    if total > DEFAULT_EXPAND_CAP:
+        raise ValueError(
+            f"the affix tables for q={q} would hold {total} bytes,"
+            f" above the {DEFAULT_EXPAND_CAP} byte cap"
+        )
+
+
 def _spell(g: SlpGrammar, lengths: list[int], pieces: list[int]) -> bytes:
     """val(X_k) of every rule k in ``pieces``, concatenated left to right.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .slp import ConsistencyError, SlpGrammar, SlpMetrics, affix_tables
+from .slp import ConsistencyError, SlpGrammar, SlpMetrics, affix_tables, check_affix_tables
 from .suffix import WeightedText, check_rankable
 
 
@@ -28,8 +28,9 @@ def build_ssa_text(
     bridge grams created by the concatenation are never counted.
 
     A first pass over the rules collects the windows' owners and totals
-    their lengths, so a string the counting engine could not rank is
-    refused with ValueError before any table is built, and a grammar where
+    their lengths, so a string the counting engine could not rank, or
+    tables past :func:`check_affix_tables`' cap, are refused with
+    ValueError before any table is built, and a grammar where
     no rule is long enough to own a window (q > |T|) gives the empty string
     without any.  A caller that holds this q's ``(pre, suf)`` tables
     already passes them as ``tables``.
@@ -52,7 +53,10 @@ def build_ssa_text(
     check_rankable(total)
     if not owners:
         return WeightedText(b"", np.zeros(0, dtype=np.int64), q)
-    pre, suf = affix_tables(g, m, q) if tables is None else tables
+    if tables is None:
+        check_affix_tables(g, m, q)
+        tables = affix_tables(g, m, q)
+    pre, suf = tables
     parts: list[bytes] = []
     run_weights: list[int] = []
     run_lengths: list[int] = []

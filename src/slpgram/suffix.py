@@ -67,17 +67,28 @@ class WeightedText:
             raise ValueError("node positions must lie in the text")
         if (nodes[1:] <= nodes[:-1]).any():
             raise ValueError("node positions must strictly increase")
-        if (parents >= np.arange(parents.size)).any():
+        # lag[v] = v - 1 - parents[v]: at least 0 where the parent precedes
+        # v, and 0 where it is the node before v.  It wraps only for a parent
+        # near -2**63, so a negative lag is checked again without it.
+        lag = np.arange(-1, nodes.size - 1)
+        lag -= parents
+        if lag.size and lag.min() < 0 and (parents >= np.arange(parents.size)).any():
             raise ValueError("every parent must precede its node")
-        if (parents[1:] < 0).any() or (parents[:1] != -1).any():
+        if lag.size and (parents[0] != -1 or (lag.size > 1 and parents[1:].min() < 0)):
             raise ValueError("node 0 must be the one root, with parent -1")
+        # A node other than 0 heads a branch unless its parent is the node
+        # before it (lag 0) and it lies one text position later (step 1);
+        # both are at least that, so their sum tells.  Summed in place, so
+        # that no second array of the nodes' size is alive at once.
+        lag[1:] += nodes[1:]
+        lag[1:] -= nodes[:-1]
+        fresh = lag[1:] != 1
+        del lag
         # The nodes are distinct positions in the text, so every nonzero
         # weight lies on one exactly when the two counts agree.
         if np.count_nonzero(weights) != np.count_nonzero(weights[nodes]):
             raise ValueError("positions outside the trie's nodes must weigh zero")
-        heads = np.flatnonzero(
-            (parents[1:] != np.arange(nodes.size - 1)) | (nodes[1:] != nodes[:-1] + 1)
-        ) + 1
+        heads = np.flatnonzero(fresh) + 1
         if not heads.size or self.gram < 2:
             return
         # Row j - 1 holds each head's j-th ancestor, or -1 past the root: an

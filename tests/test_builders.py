@@ -1,5 +1,9 @@
+import hashlib
+import random
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_repair
@@ -13,6 +17,9 @@ from slpgram import (
     serialize_slp,
     validate,
 )
+from slpgram.builders import END, VOID, _PairLabels, _terminal_rules
+from slpgram.cli import main
+from test_acceptance import make_corpus
 
 
 class TestRepair:
@@ -137,3 +144,116 @@ repair_texts = st.integers(1, 3).flatmap(
 def test_repair_matches_naive_oracle(text, threshold):
     g = build_repair(text, BuilderConfig(min_pair_frequency=threshold))
     assert (g.lefts, g.rights) == naive_repair(text, threshold)
+
+
+def _fresh_labels(seq):
+    """Each pair start's packed pair where greedy left-to-right counting
+    takes it, VOID where it skips a self-pair, then END twice."""
+    seq = seq.tolist()
+    labels = []
+    for i, (a, b) in enumerate(zip(seq, seq[1:])):
+        skipped = a == b and i > 0 and seq[i - 1] == a and labels[-1] != VOID
+        labels.append(VOID if skipped else a << 32 | b)
+    return labels + [END, END]
+
+
+def _pieces(letters):
+    letter = st.sampled_from(letters)
+    return st.one_of(
+        letter.map(lambda c: bytes([c])),
+        # runs, where self-pairs overlap, next to whatever piece follows
+        st.tuples(letter, st.integers(2, 12)).map(lambda t: bytes([t[0]]) * t[1]),
+        # alternations, whose replacement makes runs of the new symbol
+        st.tuples(letter, letter, st.integers(2, 8)).map(lambda t: bytes(t[:2]) * t[2]),
+    )
+
+
+label_texts = st.integers(1, 4).flatmap(
+    lambda sigma: st.lists(_pieces(b"abcd"[:sigma]), min_size=1, max_size=12).map(b"".join)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(label_texts, st.integers(2, 4))
+@example(b"aaab", 2)
+@example(b"abbbbbbb", 2)
+@example(b"abbbabbbab", 2)
+@example(b"ababababa", 2)
+@example(b"aaaaaaaaab", 3)
+def test_round_labels_match_a_fresh_labelling(text, threshold):
+    """After every round the ids a round kept or gave equal a labelling of
+    the current symbols from scratch, and no two live ids name one pair."""
+    lefts, rights, seq = _terminal_rules(text)
+    pairs = _PairLabels(seq, len(lefts))
+    symbol = len(lefts)
+    while True:
+        keys = np.array(pairs.keys)
+        assert keys[pairs.pid].tolist() == _fresh_labels(pairs.seq)
+        live = np.unique(pairs.pid[pairs.pid > END])
+        assert np.unique(keys[live]).size == live.size
+        pair = pairs.step(threshold, symbol)
+        if pair is None:
+            break
+        lefts.append(pair[0])
+        rights.append(pair[1])
+        symbol += 1
+    # the rounds' rules open the oracle's table, before the binarization
+    expected_lefts, expected_rights = naive_repair(text, threshold)
+    assert lefts == expected_lefts[: len(lefts)]
+    assert rights == expected_rights[: len(rights)]
+
+
+# SHA-256 of the SLP v1 documents, computed with the sort-per-round Re-Pair
+# that came before the pair ids.
+@pytest.mark.parametrize(
+    "name, text, frequency, rules, digest",
+    [
+        (
+            "bench corpus prefix",
+            lambda: make_corpus(1 << 17),
+            16,
+            4158,
+            "cb2515334c898832cddccbc95d2eeef9bcba1a30de0466d1b47b541107ce6818",
+        ),
+        (
+            "two letters",
+            lambda: bytes(random.Random(20).choices(b"ab", k=20_000)),
+            2,
+            2898,
+            "3003ae15baa381d0588904b3216cdc827a6fadee99ff95a16d61fd5430d70a80",
+        ),
+        (
+            "alternation",
+            lambda: b"ab" * 50_000,
+            2,
+            23,
+            "4cbe0fcf18e654c0f2f1159f359b44aa50e04554db728f0b9ae9b5286ea65443",
+        ),
+        (
+            "one run",
+            lambda: b"a" * 99_999 + b"b",
+            2,
+            28,
+            "b94cde4a3446248930dac603cb5eb29b888a07b601ed303fc037b183cca97c2e",
+        ),
+    ],
+)
+def test_repair_rule_sequence_pinned(name, text, frequency, rules, digest):
+    g = build_repair(text(), BuilderConfig(min_pair_frequency=frequency))
+    assert g.n == rules
+    assert hashlib.sha256(serialize_slp(g).encode("ascii")).hexdigest() == digest
+
+
+def test_frequency_past_int64_replaces_nothing(tmp_path, capsys):
+    # no pair count reaches 2^63 + 1, so the grammar is the terminals and
+    # the balanced binarization of the whole text
+    text = b"mississippi" * 3
+    raw = tmp_path / "in.txt"
+    raw.write_bytes(text)
+    for frequency in (2**63 + 1, 10**30):
+        g = build_repair(text, BuilderConfig(min_pair_frequency=frequency))
+        assert (g.lefts, g.rights) == naive_repair(text, frequency)
+        assert g.n == 4 + len(text) - 1
+        argv = ["build", "-i", str(raw), "--min-pair-freq", str(frequency)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serialize_slp(g)

@@ -504,6 +504,53 @@ class TestMain:
         assert main(["verify", "-i", str(slp), "--q-max", "13", "-o", str(tmp_path / "r")]) == 0
         assert built == list(range(2, 14))
 
+    def test_oversized_affix_tables_refused_before_any_table(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a chain of 40 bytes at q = 40 owns one window, but its tables
+        # would hold 820 bytes (test_affix_tables_refused_past_the_cap);
+        # verify builds them for every q up to 39, which need at most 818
+        real = slp_core.affix_tables
+
+        def below_40(g, m, q):
+            assert q < 40, "affix tables built past their cap"
+            return real(g, m, q)
+
+        for module in ("ssa", "neighbor", "cli"):
+            monkeypatch.setattr(f"slpgram.{module}.affix_tables", below_40)
+        monkeypatch.setattr(slp_core, "DEFAULT_EXPAND_CAP", 819)
+        slp = tmp_path / "chain.slp"
+        slp.write_text(serialize_slp(build_chain(b"ab" * 20)))
+        refused = "error: the affix tables for q=40 would hold 820 bytes, above the 819 byte cap\n"
+        for argv in (
+            ["count", "-q", "40", "--algo", "ssa"],
+            ["count", "-q", "40", "--algo", "stsa", "--expand"],
+            ["stats", "--q-list", "40"],
+            ["verify", "--q-max", "40"],
+        ):
+            assert main(argv + ["-i", str(slp)]) == 2, argv
+            assert capsys.readouterr().err == refused, argv
+        # nsa builds no tables
+        assert main(["count", "-q", "40", "--algo", "nsa", "-i", str(slp)]) == 0
+        assert capsys.readouterr().out.endswith("\t1\n")
+
+    def test_affix_tables_of_a_long_chain_refused(self, tmp_path, monkeypatch, capsys):
+        # at the real cap: a chain of 50 000 bytes at q = 50 000 would need
+        # 1 + 1 + (2 + ... + 49 999) + 49 999 bytes of tables
+        def no_tables(*args):
+            raise AssertionError("affix tables built past their cap")
+
+        for module in ("ssa", "neighbor", "cli"):
+            monkeypatch.setattr(f"slpgram.{module}.affix_tables", no_tables)
+        slp = tmp_path / "chain.slp"
+        slp.write_text(serialize_slp(build_chain(b"ab" * 25_000)))
+        total = 2 + (49_999 * 50_000 // 2 - 1) + 49_999
+        for algo in ("ssa", "stsa"):
+            assert main(["count", "-q", "50000", "--algo", algo, "-i", str(slp)]) == 2, algo
+            assert capsys.readouterr().err == (
+                f"error: the affix tables for q=50000 would hold {total} bytes,"
+                f" above the {DEFAULT_EXPAND_CAP} byte cap\n"
+            )
+
     def test_calls_in_one_process_are_independent(self, g7_path, capsys):
         # the parser is built once per process; nothing of one call's
         # arguments may reach the next

@@ -389,6 +389,38 @@ class TestAffixTables:
                         assert pre[i] is suf[i], (name, q, i)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 5),
+    st.integers(0, 2**32),
+    st.sampled_from([2, 3, 4, 5, 8, 17, 64, 1000]),
+)
+def test_affix_table_bytes_match_the_tables(rules, sigma, seed, q):
+    # distinct terminal bytes, so no two rules' objects are equal by chance
+    g = build_random(rules, sigma, seed)
+    m = compute_metrics(g)
+    pre, suf = affix_tables(g, m, q)
+    distinct = {id(b): len(b) for b in pre[1:] + suf[1:]}
+    assert slp.affix_table_bytes(g, m, q) == sum(distinct.values())
+    slp.check_affix_tables(g, m, q)
+
+
+def test_affix_tables_refused_past_the_cap(monkeypatch):
+    # a chain of 40 bytes at q = 40: the two terminals and the chain rules
+    # of 2..39 bytes hold their whole texts, and the root shares its left
+    # child's 39 bytes as its prefix but needs a new 39-byte suffix
+    g = build_chain(b"ab" * 20)
+    m = compute_metrics(g)
+    assert slp.affix_table_bytes(g, m, 40) == 2 + (39 * 40 // 2 - 1) + 39 == 820
+    monkeypatch.setattr(slp, "DEFAULT_EXPAND_CAP", 820)
+    slp.check_affix_tables(g, m, 40)
+    monkeypatch.setattr(slp, "DEFAULT_EXPAND_CAP", 819)
+    with pytest.raises(ValueError, match="^the affix tables for q=40 would hold 820 bytes,"
+                       " above the 819 byte cap$"):
+        slp.check_affix_tables(g, m, 40)
+
+
 class TestCharFrequencies:
     def test_g7(self, g7, g7_metrics):
         assert char_frequencies(g7, g7_metrics) == {97: 8, 98: 5}

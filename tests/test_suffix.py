@@ -148,6 +148,21 @@ class TestWeightedText:
             with pytest.raises(ValueError, match=message):
                 trie()
 
+    @pytest.mark.parametrize(
+        "parents, message",
+        [
+            ([-1, 0, -(2**63), 2], "node 0 must be the one root"),
+            ([-(2**63), 0, 1, 2], "node 0 must be the one root"),
+            ([-1, 2**63 - 1, 1, 2], "precede its node"),
+            ([-1, 0, 2**63 - 1, -(2**63)], "precede its node"),
+        ],
+    )
+    def test_rejects_parents_at_the_ends_of_int64(self, parents, message):
+        # the head search's v - 1 - parents[v] wraps around for these
+        text, weights, gram, nodes, _ = self.TRIE
+        with pytest.raises(ValueError, match=message):
+            WeightedText(text, weights, gram, nodes, parents)
+
     # "abcdefghij" down from the root, then node 10 below node 8: its 7
     # context bytes repeat nodes 2..8, "cdefghi"
     CONTEXT = b"abcdefghij" + b"cdefghi" + b"X"
