@@ -22,8 +22,6 @@ from .slp import (
     compute_metrics,
     compute_qmarks,
     expand,
-    extract_prefix,
-    extract_suffix,
     parse_slp,
     prune_unused,
     serialize_slp,
@@ -33,8 +31,6 @@ from .ssa import build_ssa_text
 from .suffix import (
     QGramReport,
     WeightedText,
-    build_lcp_array,
-    build_suffix_array,
     weighted_qgram_counts,
 )
 
@@ -56,19 +52,15 @@ __all__ = [
     "WeightedText",
     "affix_tables",
     "build_chain",
-    "build_lcp_array",
     "build_neighbor_graph",
     "build_random",
     "build_repair",
     "build_ssa_text",
-    "build_suffix_array",
     "char_frequencies",
     "compute_dup_stats",
     "compute_metrics",
     "compute_qmarks",
     "expand",
-    "extract_prefix",
-    "extract_suffix",
     "flatten_neighbor_trie",
     "parse_slp",
     "prune_unused",

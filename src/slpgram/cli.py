@@ -253,13 +253,16 @@ def run_verify(grammar_path: str, q_max: int) -> tuple[int, str]:
     against nsa.  Past the expansion cap nsa is skipped instead (the report's
     first line says so) and stsa is checked against ssa; the size identities
     and bounds are checked either way.  Returns (exit code, report); the
-    report stops at the first divergence.
+    report stops at the first divergence.  A one-byte text has no q to
+    check, and its report says that nothing was checked.
     """
     if q_max < 2:
         raise SlpError("q_max must be at least 2")
     g = _load_grammar(grammar_path)
     m = compute_metrics(g)
     top = min(q_max, m.text_length)
+    if top < 2:
+        return 0, f"nothing checked: no q >= 2 fits a text of {m.text_length} byte\n"
     lines = []
     text = expand(g) if m.text_length <= DEFAULT_EXPAND_CAP else None
     if text is None:

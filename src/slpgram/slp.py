@@ -403,26 +403,25 @@ def check_affix_tables(g: SlpGrammar, m: SlpMetrics, q: int) -> None:
         )
 
 
-def _spell(g: SlpGrammar, lengths: list[int], pieces: list[int]) -> bytes:
-    """val(X_k) of every rule k in ``pieces``, concatenated left to right.
+def _spell(g: SlpGrammar, lengths: list[int], rule: int) -> bytes:
+    """val(X_rule), in ``lengths[rule]`` bytes.
 
     One walk over whole rules with an explicit stack, writing into an
     output of known length.  A pair rule met for the first time is split
     into its children and its offset recorded; every later occurrence is
     copied from that offset.  The source is always complete by then,
     because a rule never recurs inside its own expansion.  Each pair rule is
-    split at most once, so the walk takes O(n + len(pieces)) steps plus the
-    copies.
+    split at most once, so the walk takes O(n) steps plus the copies.
 
     The walk writes through the buffer of a BytesIO, which hands that
     buffer over as the returned bytes without a copy once the view is
     released, so the text is held once, not twice.
     """
     lefts, rights = g.lefts, g.rights
-    stream = io.BytesIO(bytes(sum(lengths[k] for k in pieces)))
+    stream = io.BytesIO(bytes(lengths[rule]))
     first: dict[int, int] = {}
     pos = 0
-    stack = pieces[::-1]
+    stack = [rule]
     with stream.getbuffer() as out:
         while stack:
             k = stack.pop()
@@ -443,59 +442,6 @@ def _spell(g: SlpGrammar, lengths: list[int], pieces: list[int]) -> bytes:
     return stream.getvalue()
 
 
-def _check_extract_args(g: SlpGrammar, m: SlpMetrics, i: int, j: int) -> None:
-    if not 1 <= i <= g.n:
-        raise ValueError(f"rule index {i} not in 1..{g.n}")
-    if not 0 <= j <= m.lengths[i]:
-        raise ValueError(f"cannot take {j} characters from a rule of length {m.lengths[i]}")
-
-
-def extract_prefix(g: SlpGrammar, m: SlpMetrics, i: int, j: int) -> bytes:
-    """First j characters of rule i's expansion, without full decompression.
-
-    The descent collects, left to right, the whole rules that spell them:
-    each left child it passes on its way right, then the rule it stops at.
-    """
-    _check_extract_args(g, m, i, j)
-    lengths = m.lengths
-    pieces = []
-    while j:
-        if j == lengths[i]:
-            pieces.append(i)
-            break
-        left = g.lefts[i]
-        if j > lengths[left]:
-            pieces.append(left)
-            j -= lengths[left]
-            i = g.rights[i]
-        else:
-            i = left
-    return _spell(g, lengths, pieces)
-
-
-def extract_suffix(g: SlpGrammar, m: SlpMetrics, i: int, j: int) -> bytes:
-    """Last j characters of rule i's expansion, without full decompression.
-
-    The mirror image of :func:`extract_prefix`: the pieces are collected
-    right to left and spelled in reverse order.
-    """
-    _check_extract_args(g, m, i, j)
-    lengths = m.lengths
-    pieces = []
-    while j:
-        if j == lengths[i]:
-            pieces.append(i)
-            break
-        right = g.rights[i]
-        if j > lengths[right]:
-            pieces.append(right)
-            j -= lengths[right]
-            i = g.lefts[i]
-        else:
-            i = right
-    return _spell(g, lengths, pieces[::-1])
-
-
 def expand(g: SlpGrammar, max_bytes: int = DEFAULT_EXPAND_CAP) -> bytes:
     """Decompress the whole text iteratively.
 
@@ -505,7 +451,7 @@ def expand(g: SlpGrammar, max_bytes: int = DEFAULT_EXPAND_CAP) -> bytes:
     lengths = _rule_lengths(g)
     if lengths[-1] > max_bytes:
         raise SlpError(f"expansion is {lengths[-1]} bytes, above the {max_bytes} byte cap")
-    return _spell(g, lengths, [g.n])
+    return _spell(g, lengths, g.n)
 
 
 def char_frequencies(g: SlpGrammar, m: SlpMetrics) -> dict[int, int]:

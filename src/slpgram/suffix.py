@@ -1,7 +1,9 @@
-"""Suffix arrays, LCP arrays, and the weighted q-gram counting engine.
+"""The weighted q-gram counting engine.
 
 Every counting pipeline in this package reduces its input to one
-:class:`WeightedText` and feeds it through :func:`weighted_qgram_counts`.
+:class:`WeightedText` and feeds it through :func:`weighted_qgram_counts`,
+which groups equal q-grams by ranking them: a string on the positions that
+start a whole gram, a trie on its nodes.
 """
 
 from __future__ import annotations
@@ -134,9 +136,8 @@ class QGramReport:
         return {source[end - self.gram : end]: w for end, w in self.entries.tolist()}
 
 
-# A round's sort key is below base^2 with base = max(n, 256) + 1 in
-# _prefix_ranks, and combines at least two ranks below n in the q-gram
-# rankers; either fits in int64 only while n is below about 3 * 10^9.
+# A doubling round's sort key combines at least two ranks, each at most n,
+# which fits in int64 only while n is below about 3 * 10^9.
 _MAX_POSITIONS = 2**31
 
 
@@ -177,41 +178,6 @@ def _fan_in(ranks: int) -> int:
     while max(ranks, 2) ** (fan + 1) < 2**63:
         fan += 1
     return fan
-
-
-def _prefix_ranks(data: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, rank)``: positions sorted by their first ``depth`` bytes
-    (equal prefixes in no fixed order), and ranks that are equal exactly
-    where those prefixes are (a prefix cut short by the end of the data sorts
-    first).  :func:`build_suffix_array` ranks whole suffixes with it;
-    counting q-grams takes :func:`_gram_ranks`, which never cuts a prefix.
-
-    A depth below 2 is one stable sort of the bytes.  Deeper prefixes take
-    prefix doubling whose last step is cut to ``depth - span``, stopping
-    early once every rank is distinct; the first round sorts from the bytes
-    alone.  A round that extends prefixes by ``step`` bytes sorts one int64
-    key per position, ``rank[p] * base + second`` where ``second`` is
-    ``rank[p + step] + 1``, or 0 past the end of the data, and
-    ``base = max(n, 256) + 1`` exceeds every ``second``.  Raises ValueError
-    for data of ``_MAX_POSITIONS`` or more positions, where the key could
-    overflow.
-    """
-    n = data.size
-    check_rankable(n)
-    base = max(n, 256) + 1
-    rank = data.astype(np.int64)
-    if depth < 2:
-        return np.argsort(data, kind="stable"), rank
-    span = 1
-    while span < depth:
-        step = min(span, depth - span)
-        key = rank * base
-        key[: n - step] += rank[step:] + 1
-        order, distinct = _rerank(key, rank, 0)
-        if distinct:
-            break
-        span += step
-    return order, rank
 
 
 def _gram_ranks(data: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -434,40 +400,6 @@ def _ancestor_ranks(
     return order, rank[:m], shallow
 
 
-def build_suffix_array(text: bytes) -> list[int]:
-    """1-based suffix start positions in ascending lexicographic order."""
-    data = np.frombuffer(bytes(text), dtype=np.uint8)
-    order, _ = _prefix_ranks(data, data.size)
-    return [p + 1 for p in order.tolist()]
-
-
-def build_lcp_array(text: bytes, sa: list[int]) -> list[int]:
-    """``lcp[0] = 0``; ``lcp[k]`` compares sorted suffixes k-1 and k."""
-    if len(sa) != len(text):
-        raise ValueError("suffix array length does not match the text")
-    # Kasai's amortized O(n) scan over text order, on 0-based starts.
-    text = bytes(text)
-    sa = [p - 1 for p in sa]
-    n = len(text)
-    rank = [0] * n
-    for position, start in enumerate(sa):
-        rank[start] = position
-    lcp = [0] * n
-    match = 0
-    for start in range(n):
-        r = rank[start]
-        if r == 0:
-            match = 0
-            continue
-        other = sa[r - 1]
-        while start + match < n and other + match < n and text[start + match] == text[other + match]:
-            match += 1
-        lcp[r] = match
-        if match:
-            match -= 1
-    return lcp
-
-
 def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     """Group equal q-grams of the text and total their end weights.
 
@@ -478,11 +410,12 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     key of a node is read from the bytes that end at it), so the repeated
     contexts are never sorted; a weight on a node with fewer than q - 1
     ancestors, where no whole gram ends, raises ValueError.  Either way
-    q <= 8 takes one sort and q = 64 at most four.  Groups come in gram byte order; each reports
-    the text position of its earliest member, and groups whose total weight
-    is zero (grams that exist only as concatenation bridges, or paths cut
-    short at the root) are dropped.  The report's entries are one array
-    built from the group totals, with no Python object per group.
+    q <= 8 takes one sort and q = 64 at most four.  Groups come in gram
+    byte order; each reports the text position of its earliest member, and
+    groups whose total weight is zero (grams that exist only as
+    concatenation bridges, or paths cut short at the root) are dropped.
+    The report's entries are one array built from the group totals, with no
+    Python object per group.
     """
     q = wt.gram
     z = wt.text

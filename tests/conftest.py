@@ -6,8 +6,6 @@ from slpgram import (
     build_random,
     build_repair,
     compute_metrics,
-    extract_prefix,
-    extract_suffix,
     parse_slp,
 )
 
@@ -52,14 +50,11 @@ def comb_text(teeth):
     return b"".join(b"b" + b"a" * k for k in range(1, teeth + 1))
 
 
-def reference_window(g, m, q, i):
+def reference_window(g, texts, q, i):
     """Boundary window of pair rule i: the last q-1 characters of its left
     child, then the first q-1 of its right child (fewer when a child is
-    shorter)."""
-    left, right = g.lefts[i], g.rights[i]
-    return extract_suffix(g, m, left, min(q - 1, m.lengths[left])) + extract_prefix(
-        g, m, right, min(q - 1, m.lengths[right])
-    )
+    shorter), cut from ``texts``, the rule texts of ``naive_rule_texts``."""
+    return texts[g.lefts[i]][-(q - 1) :] + texts[g.rights[i]][: q - 1]
 
 
 def doubling_doc(rules):

@@ -7,24 +7,18 @@ implementations under test.
 from collections import Counter
 
 
-def naive_suffix_array(text: bytes) -> list[int]:
-    return sorted(range(1, len(text) + 1), key=lambda p: text[p - 1 :])
-
-
-def naive_lcp_array(text: bytes, sa: list[int]) -> list[int]:
-    def common(a: bytes, b: bytes) -> int:
-        k = 0
-        while k < len(a) and k < len(b) and a[k] == b[k]:
-            k += 1
-        return k
-
-    return [0] + [
-        common(text[sa[k - 1] - 1 :], text[sa[k] - 1 :]) for k in range(1, len(sa))
-    ]
-
-
 def sliding_histogram(text: bytes, q: int) -> dict[bytes, int]:
     return dict(Counter(text[i : i + q] for i in range(len(text) - q + 1)))
+
+
+def naive_rule_texts(g) -> list[bytes]:
+    """val(X_i) of every rule i, bottom-up as ``val[L] + val[R]``; index 0
+    holds b""."""
+    val = [b""] * (g.n + 1)
+    for i in range(1, g.n + 1):
+        left, right = g.lefts[i], g.rights[i]
+        val[i] = bytes([left]) if right < 0 else val[left] + val[right]
+    return val
 
 
 def derivation_occurrences(g) -> list[int]:

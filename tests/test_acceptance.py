@@ -14,18 +14,16 @@ import numpy as np
 import pytest
 
 from conftest import G7_DOC, comb_grammar, comb_text
-from oracles import naive_lcp_array, naive_suffix_array, sliding_histogram
+from oracles import sliding_histogram
 from slpgram import (
     BuilderConfig,
     ConsistencyError,
     WeightedText,
     build_chain,
-    build_lcp_array,
     build_neighbor_graph,
     build_random,
     build_repair,
     build_ssa_text,
-    build_suffix_array,
     compute_dup_stats,
     compute_metrics,
     compute_qmarks,
@@ -316,24 +314,26 @@ def test_criterion_7_problem_size_trend(corpus_grammar, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: suffix machinery against naive oracles
+# criterion 8: the string ranker behind nsa against naive oracles
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8_suffix_and_lcp_oracles():
+def test_criterion_8_gram_counts_match_sliding_window():
     rng = random.Random(0xABCD)
     failures = 0
-    for trial in range(1000):
+    for _ in range(1000):
         sigma = rng.choice((2, 4, 256))
         text = bytes(rng.randrange(sigma) for _ in range(rng.randint(1, 2000)))
-        sa = build_suffix_array(text)
-        if sa != naive_suffix_array(text):
-            failures += 1
-            continue
-        if build_lcp_array(text, sa) != naive_lcp_array(text, sa):
-            failures += 1
-    _report(8, "suffix/LCP arrays match naive oracles on 1000 strings", failures == 0,
-            f"({failures} failures)")
+        for q in (2, 8, 9, 64):
+            entries = weighted_qgram_counts(_unit_weighted(text, q)).entries.tolist()
+            grams = [text[end - q : end] for end, _ in entries]
+            counts = dict(zip(grams, (count for _, count in entries)))
+            # rows strictly ascending: one per gram, in byte order
+            if counts != sliding_histogram(text, q) or grams != sorted(set(grams)):
+                failures += 1
+                break
+    _report(8, "nsa gram counts match a sliding window, in byte order, on 1000 strings",
+            failures == 0, f"({failures} failures)")
 
 
 # ---------------------------------------------------------------------------

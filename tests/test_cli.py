@@ -216,6 +216,13 @@ class TestVerify:
         assert code == 0
         assert "verification passed" in report
 
+    def test_one_byte_text_checks_nothing(self, tmp_path):
+        path = tmp_path / "one.slp"
+        path.write_text("1 T 97\n")
+        report = tmp_path / "r.txt"
+        assert main(["verify", "-i", str(path), "--q-max", "5", "-o", str(report)]) == 0
+        assert report.read_text() == "nothing checked: no q >= 2 fits a text of 1 byte\n"
+
     def test_chain_mississippi(self, tmp_path):
         path = tmp_path / "m.slp"
         from slpgram import build_chain, serialize_slp

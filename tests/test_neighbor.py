@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G7_TEXT, comb_grammar, periodic_grammar, reference_window
-from oracles import deepest_outer_marks, first_seams, sliding_histogram
+from oracles import deepest_outer_marks, first_seams, naive_rule_texts, sliding_histogram
 from slpgram import (
     ConsistencyError,
     SlpGrammar,
@@ -69,9 +69,10 @@ def check_layout(g):
     later one below an in-neighbor that comes earlier, and the text one
     context longer than the trie per vertex that does not follow its
     parent.  The graph's window totals and edges match the oracles: the
-    ssa string, the extracted windows, and one successor from the deepest
-    outer marks per long child of each vertex."""
+    ssa string, the windows cut from the rule texts, and one successor
+    from the deepest outer marks per long child of each vertex."""
     m = compute_metrics(g)
+    texts = naive_rule_texts(g)
     seams = first_seams(g)
     for q in range(2, 10):
         qm, graph, trie = pipeline(g, m, q)
@@ -79,7 +80,7 @@ def check_layout(g):
         assert graph.vertices == order, q
         assert graph.sum_ti == len(build_ssa_text(g, m, q).text), q
         assert graph.dup == sum(
-            (m.occurrences[v] - 1) * (len(reference_window(g, m, q, v)) - (q - 1))
+            (m.occurrences[v] - 1) * (len(reference_window(g, texts, q, v)) - (q - 1))
             for v in order
         ), q
         leftmost, rightmost = deepest_outer_marks(g, m.lengths, q)
@@ -181,6 +182,7 @@ class TestFlatten:
         # opener for the first branch and a context for each later one
         for name, g in sample_grammars:
             m = compute_metrics(g)
+            texts = naive_rule_texts(g)
             for q in (2, 3, 5):
                 if m.text_length < q:
                     continue
@@ -197,11 +199,12 @@ class TestFlatten:
                         got[(v, run)] += 1
                     else:
                         head = trie.runs[index + 1][0]
-                        assert run == reference_window(g, m, q, head)[: q - 1], (name, q, index)
+                        window = reference_window(g, texts, q, head)
+                        assert run == window[: q - 1], (name, q, index)
                     offset += length
                 want = Counter()
                 for i in graph.vertices:
-                    want[(i, reference_window(g, m, q, i)[q - 1 :])] += 1
+                    want[(i, reference_window(g, texts, q, i)[q - 1 :])] += 1
                 assert got == want, (name, q)
 
 

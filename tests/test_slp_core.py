@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G7_DOC, G7_TEXT, comb_grammar, comb_text, doubling_doc
-from oracles import deepest_outer_marks, derivation_occurrences
+from oracles import deepest_outer_marks, derivation_occurrences, naive_rule_texts
 from slpgram import (
     SlpError,
     SlpFormatError,
@@ -20,8 +20,6 @@ from slpgram import (
     compute_metrics,
     compute_qmarks,
     expand,
-    extract_prefix,
-    extract_suffix,
     parse_slp,
     prune_unused,
     serialize_slp,
@@ -250,6 +248,16 @@ class TestExpand:
         assert text == b"a" * 2**24
         assert peak < 1.25 * len(text)
 
+    def test_matches_naive_expansion(self, sample_grammars):
+        # comb-200 and doubling-20 repeat rules, so their walks copy
+        grammars = [
+            *sample_grammars,
+            ("comb-200", comb_grammar(200)),
+            ("doubling-20", parse_slp(doubling_doc(20))),
+        ]
+        for name, g in grammars:
+            assert expand(g) == naive_rule_texts(g)[g.n], name
+
     def test_overflow_rejected(self):
         # 64 doublings: length 2**63 passes the 2**63 - 1 bound.
         with pytest.raises(ValidationError):
@@ -317,48 +325,6 @@ class TestQMarks:
                 assert qm.rightmost == rm, (name, q)
 
 
-class TestExtract:
-    def test_prefix_examples(self, g7, g7_metrics):
-        assert extract_prefix(g7, g7_metrics, 7, 5) == b"aabab"
-        assert extract_prefix(g7, g7_metrics, 4, 3) == b"aab"
-        assert extract_prefix(g7, g7_metrics, 7, 0) == b""
-
-    def test_suffix_examples(self, g7, g7_metrics):
-        assert extract_suffix(g7, g7_metrics, 6, 1) == b"b"
-        assert extract_suffix(g7, g7_metrics, 3, 2) == b"ab"
-        assert extract_suffix(g7, g7_metrics, 5, 0) == b""
-
-    def test_bounds(self, g7, g7_metrics):
-        with pytest.raises(ValueError):
-            extract_prefix(g7, g7_metrics, 7, 14)
-        with pytest.raises(ValueError):
-            extract_suffix(g7, g7_metrics, 3, 3)
-        with pytest.raises(ValueError):
-            extract_prefix(g7, g7_metrics, 0, 0)
-        with pytest.raises(ValueError):
-            extract_prefix(g7, g7_metrics, 8, 1)
-
-    def test_matches_expanded_slices(self, sample_grammars):
-        grammars = [
-            *sample_grammars,
-            ("comb-200", comb_grammar(200)),
-            ("doubling-20", parse_slp(doubling_doc(20))),
-        ]
-        for name, g in grammars:
-            m = compute_metrics(g)
-            # naive bottom-up expansion of every rule as the oracle
-            val: list[bytes] = [b""] * (g.n + 1)
-            for i in range(1, g.n + 1):
-                left, right = g.lefts[i], g.rights[i]
-                val[i] = bytes([left]) if right < 0 else val[left] + val[right]
-            assert val[g.n] == expand(g), name
-            for i in range(1, g.n + 1):
-                size = m.lengths[i]
-                for j in {0, 1, (size + 1) // 2, size}:
-                    assert extract_prefix(g, m, i, j) == val[i][:j], (name, i, j)
-                    assert extract_suffix(g, m, i, j) == val[i][size - j :], (name, i, j)
-
-
 class TestAffixTables:
     def test_g7_q3(self, g7, g7_metrics):
         pre, suf = affix_tables(g7, g7_metrics, 3)
@@ -369,7 +335,7 @@ class TestAffixTables:
         with pytest.raises(ValueError):
             affix_tables(g7, g7_metrics, 1)
 
-    def test_matches_extraction(self, sample_grammars):
+    def test_matches_rule_texts(self, sample_grammars):
         rng = random.Random(0xAFF1)
         grammars = list(sample_grammars)
         for trial in range(12):
@@ -379,12 +345,12 @@ class TestAffixTables:
             grammars.append((f"repair-{trial}", build_repair(text)))
         for name, g in grammars:
             m = compute_metrics(g)
+            texts = naive_rule_texts(g)
             for q in (2, 3, 5, 17, 64):
                 pre, suf = affix_tables(g, m, q)
                 for i in range(1, g.n + 1):
-                    take = min(q - 1, m.lengths[i])
-                    assert pre[i] == extract_prefix(g, m, i, take), (name, q, i)
-                    assert suf[i] == extract_suffix(g, m, i, take), (name, q, i)
+                    assert pre[i] == texts[i][: q - 1], (name, q, i)
+                    assert suf[i] == texts[i][-(q - 1) :], (name, q, i)
                     if m.lengths[i] <= q - 1:
                         assert pre[i] is suf[i], (name, q, i)
 

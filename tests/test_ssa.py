@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import reference_window
-from oracles import sliding_histogram
+from oracles import naive_rule_texts, sliding_histogram
 from slpgram import (
     build_ssa_text,
     compute_metrics,
@@ -12,11 +12,12 @@ from slpgram import (
 
 class TestBoundaryWindow:
     def test_examples(self, g7, g7_metrics):
-        assert reference_window(g7, g7_metrics, 2, 4) == b"aa"
+        texts = naive_rule_texts(g7)
+        assert reference_window(g7, texts, 2, 4) == b"aa"
         assert g7_metrics.occurrences[4] == 3
-        assert reference_window(g7, g7_metrics, 2, 7) == b"ba"
+        assert reference_window(g7, texts, 2, 7) == b"ba"
         assert g7_metrics.occurrences[7] == 1
-        assert reference_window(g7, g7_metrics, 3, 5) == b"abaa"
+        assert reference_window(g7, texts, 3, 5) == b"abaa"
         assert g7_metrics.occurrences[5] == 2
 
     def test_window_length_bounds(self, sample_grammars):
@@ -24,13 +25,14 @@ class TestBoundaryWindow:
         # holds the windows in ascending rule index.
         for name, g in sample_grammars:
             m = compute_metrics(g)
+            texts = naive_rule_texts(g)
             for q in (2, 3, 5, 9):
                 wt = build_ssa_text(g, m, q)
                 offset = 0
                 for i in range(1, g.n + 1):
                     if g.rights[i] < 0 or m.lengths[i] < q:
                         continue
-                    window = reference_window(g, m, q, i)
+                    window = reference_window(g, texts, q, i)
                     size = len(window)
                     weight = m.occurrences[i]
                     assert q <= size <= 2 * (q - 1), (name, q, i)

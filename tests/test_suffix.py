@@ -7,21 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_lcp_array, naive_suffix_array, sliding_histogram
+from oracles import sliding_histogram
 from slpgram import (
     WeightedText,
-    build_lcp_array,
     build_neighbor_graph,
     build_repair,
     build_ssa_text,
-    build_suffix_array,
     compute_metrics,
     compute_qmarks,
     flatten_neighbor_trie,
     parse_slp,
     weighted_qgram_counts,
 )
-from slpgram.suffix import _ancestor_ranks, _fan_in, _gram_ranks, _prefix_ranks
+from slpgram.suffix import _ancestor_ranks, _fan_in, _gram_ranks
 
 
 def unit_weighted(text: bytes, q: int) -> WeightedText:
@@ -29,53 +27,6 @@ def unit_weighted(text: bytes, q: int) -> WeightedText:
     if len(text) >= q:
         weights[q - 1 :] = 1
     return WeightedText(text, weights, q)
-
-
-class TestSuffixArray:
-    def test_banana(self):
-        assert build_suffix_array(b"banana") == [6, 4, 2, 1, 5, 3]
-
-    def test_empty(self):
-        assert build_suffix_array(b"") == []
-
-    def test_aaa(self):
-        assert build_suffix_array(b"aaa") == [3, 2, 1]
-
-    def test_matches_naive(self):
-        rng = random.Random(7)
-        for trial in range(150):
-            sigma = rng.choice((2, 4, 256))
-            n = rng.randint(0, 400)
-            text = bytes(rng.randrange(sigma) for _ in range(n))
-            sa = build_suffix_array(text)
-            assert sa == naive_suffix_array(text), trial
-            assert sorted(sa) == list(range(1, n + 1))
-            for k in range(1, n):
-                assert text[sa[k - 1] - 1 :] <= text[sa[k] - 1 :]
-
-
-class TestLcpArray:
-    def test_banana(self):
-        text = b"banana"
-        assert build_lcp_array(text, build_suffix_array(text)) == [0, 1, 3, 0, 0, 2]
-
-    def test_aaa(self):
-        assert build_lcp_array(b"aaa", [3, 2, 1]) == [0, 1, 2]
-
-    def test_single(self):
-        assert build_lcp_array(b"x", [1]) == [0]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            build_lcp_array(b"ab", [1])
-
-    def test_matches_naive(self):
-        rng = random.Random(8)
-        for trial in range(120):
-            sigma = rng.choice((2, 4, 256))
-            text = bytes(rng.randrange(sigma) for _ in range(rng.randint(1, 300)))
-            sa = build_suffix_array(text)
-            assert build_lcp_array(text, sa) == naive_lcp_array(text, sa), trial
 
 
 class TestWeightedText:
@@ -284,7 +235,7 @@ def gram_texts(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(gram_texts())
-def test_gram_ranks_match_prefix_ranks_and_sliding_window(case):
+def test_gram_ranks_match_sliding_window(case):
     text, q = case
     data = np.frombuffer(text, dtype=np.uint8)
     order, rank = _gram_ranks(data, q)
@@ -296,10 +247,11 @@ def test_gram_ranks_match_prefix_ranks_and_sliding_window(case):
     assert (np.diff(rank[order]) >= 0).all()
     in_order = [grams[p] for p in order.tolist()]
     assert in_order == sorted(grams)
-    # the same grouping as ranking whole q-byte prefixes with cut-short ends
-    _, prefix = _prefix_ranks(data, q)
-    same = np.unique(rank, return_inverse=True)[1]
-    assert (same == np.unique(prefix[:starts], return_inverse=True)[1]).all()
+    # equal ranks exactly where the grams are equal
+    rank_of = {}
+    for p, gram in enumerate(grams):
+        assert rank_of.setdefault(gram, rank[p]) == rank[p]
+    assert len(set(rank_of.values())) == len(rank_of)
     # one rank per distinct gram, held by as many starts as the window counts
     sizes = dict(zip(*np.unique(rank, return_counts=True)))
     assert {grams[p]: sizes[rank[p]] for p in range(starts)} == sliding_histogram(text, q)
@@ -372,12 +324,12 @@ def test_ancestor_ranks_match_upward_grams(forest):
     whole = [grams[v] for v in order.tolist() if len(grams[v]) == depth]
     assert whole == sorted(whole)
     if (parents == np.arange(-1, data.size - 1)).all() and data.size >= depth:
-        # a string: the gram ending at v is the one _prefix_ranks starts at
+        # a string: the gram ending at v is the one _gram_ranks starts at
         # v - depth + 1, and the two rankings group and order them alike
-        _, prefix = _prefix_ranks(data, depth)
+        _, by_start = _gram_ranks(data, depth)
         ends = np.arange(depth - 1, data.size)
         same = np.unique(rank[ends], return_inverse=True)[1]
-        assert (same == np.unique(prefix[ends - depth + 1], return_inverse=True)[1]).all()
+        assert (same == np.unique(by_start, return_inverse=True)[1]).all()
     if (parents[1:] >= 0).all():
         # one root: the layout is a trie's text, and WeightedText accepts it
         WeightedText(text.tobytes(), np.zeros(text.size, dtype=np.int64), depth, nodes, parents)
