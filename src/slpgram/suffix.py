@@ -31,8 +31,8 @@ class WeightedText:
     there; :func:`weighted_qgram_counts` checks that, as it finds those
     nodes while ranking.
 
-    The engine reads each node's first key from the text, so the part of
-    that contract it relies on is checked here: the up to
+    The engine reads each node's first key, at most 7 bytes, from the text,
+    so the part of that contract it relies on is checked here: the up to
     k - 1 = min(gram, 8) - 1 bytes before ``nodes[v]`` are the bytes of v's
     nearest ancestors, as many as it has.  A node whose parent is the node
     before it, and which lies one text position after that node, inherits
@@ -84,13 +84,25 @@ class WeightedText:
         # that no second array of the nodes' size is alive at once.
         lag[1:] += nodes[1:]
         lag[1:] -= nodes[:-1]
-        fresh = lag[1:] != 1
+        heads = np.flatnonzero(lag[1:] != 1) + 1
         del lag
-        # The nodes are distinct positions in the text, so every nonzero
-        # weight lies on one exactly when the two counts agree.
-        if np.count_nonzero(weights) != np.count_nonzero(weights[nodes]):
+        # Every other node lies one position after the node before it, so
+        # the positions outside the nodes are those before node 0, after the
+        # last one, and in the gap before each head.  One reduceat ORs each
+        # gap's weights; an empty gap reads its head's and is masked out.
+        lo = nodes[heads - 1] + 1
+        hi = nodes[heads]
+        bounds = np.empty(2 * heads.size, dtype=np.int64)
+        bounds[::2] = lo
+        bounds[1::2] = hi
+        gaps = np.bitwise_or.reduceat(weights, bounds)[::2]
+        first, last = (nodes[0], nodes[-1]) if nodes.size else (weights.size, weights.size)
+        if (
+            weights[:first].any()
+            or weights[last + 1 :].any()
+            or (gaps.astype(bool) & (lo < hi)).any()
+        ):
             raise ValueError("positions outside the trie's nodes must weigh zero")
-        heads = np.flatnonzero(fresh) + 1
         if not heads.size or self.gram < 2:
             return
         # Row j - 1 holds each head's j-th ancestor, or -1 past the root: an
@@ -136,8 +148,12 @@ class QGramReport:
         return {source[end - self.gram : end]: w for end, w in self.entries.tolist()}
 
 
-# A doubling round's sort key combines at least two ranks, each at most n,
-# which fits in int64 only while n is below about 3 * 10^9.
+# A sort word is one int64: a key above the low bits that hold an index,
+# and below the sign bit.
+_WORD_BITS = 63
+
+# A word holds an index and at least one rank, each below 2^31, so the
+# engine ranks fewer positions than that.
 _MAX_POSITIONS = 2**31
 
 
@@ -149,95 +165,144 @@ def check_rankable(positions: int) -> None:
         raise ValueError(f"cannot rank a string of {positions} positions: the limit is {limit}")
 
 
-def _rank_in_order(order: np.ndarray, key: np.ndarray, rank: np.ndarray, first: int) -> int:
-    """Write into ``rank[order]`` dense ranks from ``first`` on, equal where
-    ``key[order]``, which must be sorted, is; return the last one."""
-    key = key[order]
-    fresh = np.empty(order.size, dtype=np.int64)
-    fresh[0] = first
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    np.cumsum(fresh, out=fresh)
-    rank[order] = fresh
-    return int(fresh[-1])
+def _sort_words(
+    keys: list[np.ndarray], bits: int, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the indices 0..count-1 by the int64 arrays ``keys``, the most
+    significant first and each below 2^(_WORD_BITS - bits), ties by index;
+    ``index`` holds 0, 1, ... to at least count - 1.
+
+    The keys are taken least significant first.  Each becomes one word per
+    index, the key shifted above ``bits`` low bits that hold the index's
+    place in the order so far (at first the index itself), and is sorted in
+    place: the order is read from the low bits and the equal keys from the
+    high ones.  So one key is one sort, of the words themselves, and the
+    sorted keys are never gathered.  Returns ``(order, groups)``:
+    ``groups`` ascends and ``groups[i]`` equals ``groups[i - 1]`` exactly
+    where the keys of ``order[i]`` and ``order[i - 1]`` are equal.  It is
+    the sorted key itself when there is one.  The list is emptied and its
+    arrays overwritten.
+    """
+    mask = (1 << bits) - 1
+    order = groups = None
+    while keys:
+        key = keys.pop()
+        word = key if order is None else key[order]
+        del key
+        word <<= bits
+        word |= index[: word.size]
+        word.sort()
+        place = word & mask
+        word >>= bits
+        if order is None:
+            order, groups = place, word
+        else:
+            # The keys sorted before tell apart what this one ties.
+            before = groups[place]
+            fresh = (word[1:] != word[:-1]) | (before[1:] != before[:-1])
+            word[0] = 0
+            word[1:] = fresh
+            np.cumsum(word, out=word)
+            order, groups = order[place], word
+    return order, groups
 
 
-def _rerank(key: np.ndarray, rank: np.ndarray, first: int) -> tuple[np.ndarray, bool]:
-    """One doubling round: sort the positions by ``key`` and write into
-    ``rank`` their dense ranks from ``first`` on, equal where the key is.
-    Returns the sorted order and whether every rank is distinct."""
-    order = np.argsort(key)
-    return order, _rank_in_order(order, key, rank, first) == first + key.size - 1
+def _scatter_ranks(rank: np.ndarray, order: np.ndarray, groups: np.ndarray) -> int:
+    """Write into ``rank[order]`` dense ranks from 1, equal where
+    ``groups`` of :func:`_sort_words` is, and over ``groups``; return the
+    last one."""
+    # a cumulative sum in place, of the new groups cast to int64 first, is
+    # twice as fast as one that casts them from bool
+    fresh = groups[1:] != groups[:-1]
+    groups[0] = 1
+    groups[1:] = fresh
+    np.cumsum(groups, out=groups)
+    rank[order] = groups
+    return int(groups[-1])
 
 
-def _fan_in(ranks: int) -> int:
-    """How many ranked spans one int64 key can combine when there are
-    ``ranks`` rank values: the largest c >= 2 with ranks^c <= 2^63 - 1, as
-    the key sum(r_j * ranks^(c-1-j)) is at most ranks^c - 1.  Below
-    ``_MAX_POSITIONS`` ranks it is never less than 2; one rank counts as two."""
-    fan = 2
-    while max(ranks, 2) ** (fan + 1) < 2**63:
+def _fan_in(ranks: int, bits: int) -> int:
+    """How many ranked spans one word above ``bits`` index bits can combine
+    when there are ``ranks`` rank values: the largest c >= 1 with
+    ranks^c <= 2^(_WORD_BITS - bits), as the key sum(r_j * ranks^(c-1-j))
+    is at most ranks^c - 1.  Below ``_MAX_POSITIONS`` indices and ranks it
+    is never less than 1; one rank counts as two."""
+    room = 1 << (_WORD_BITS - bits)
+    fan = 1
+    while max(ranks, 2) ** (fan + 1) <= room:
         fan += 1
     return fan
 
 
 def _gram_ranks(data: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, rank)`` over the positions 0..n-q of ``data`` (n >= q),
+    """``(order, groups)`` over the positions 0..n-q of ``data`` (n >= q),
     which start a whole q-gram: ``order`` sorts them by their grams in byte
-    order (equal grams in no fixed order), and ranks are equal exactly where
-    the grams are.
+    order, equal grams by position, and ``groups`` ascends, equal at i and
+    i - 1 exactly where ``order[i]`` and ``order[i - 1]`` start equal grams.
 
-    The first round sorts one uint64 per position: its first min(q, 8)
-    bytes, read big-endian through a strided view of a copy padded with 7
-    zero bytes, and shifted right past the bytes beyond the gram when q < 8.
-    The key is unsigned because a signed one would sort bytes >= 0x80 first.
-    Each later round extends the ranked prefixes from ``span`` bytes to
-    ``reach = min(q, c * span)`` by combining c ranked spans, where c is
-    :func:`_fan_in` of the D ranks so far, but no more than the ceil(q/span)
-    spans that reach q.  The spans start at 0, span, ..., (c - 2) * span,
-    and the last one at ``reach - span``, so that it ends at ``reach``
-    (overlapping the one before when reach < c * span).  A round ranks only
-    the positions whose longer prefix lies in the text, by the key
-    sum(rank[p + start_j] * D^(c-1-j)), so no prefix is ever cut short and
-    nothing stands for the end of the data.  So q <= 8 takes one sort, and
-    q = 64 three while fewer than 2^21 distinct 8- and 24-byte prefixes
-    keep c at 3 (8, 24, 64 bytes), and never more than four.  Ranking stops
-    early once every rank is distinct.  Raises ValueError for data of
-    ``_MAX_POSITIONS`` or more positions.
+    Every round sorts words of :func:`_sort_words`, whose low ``bits`` hold
+    a position below n.  The first round's key is each position's first
+    k = min(q, (63 - bits) // 8) bytes (5 from 2^15 to 2^23 positions),
+    read big-endian through a strided view of a copy padded with 7 zero
+    bytes and shifted right past the bytes beyond k.  Each later round
+    writes the dense ranks of the last one, from 1, and extends the ranked
+    prefixes from ``span`` bytes to ``reach = min(q, c * span)`` by
+    combining c ranked spans, where :func:`_fan_in` fits f of the D rank
+    values (0 included) into one word, and c is f (but 2 when f is 1), yet
+    no more than the ceil(q/span) spans that reach q.  The spans start at
+    0, span, ..., (c - 2) * span, and the last one at ``reach - span``, so
+    that it ends at ``reach`` (overlapping the one before when
+    reach < c * span).  A round ranks only the positions whose longer
+    prefix lies in the text, by the keys sum(rank[p + start_j] *
+    D^(f-1-j)) over each f spans in turn, so no prefix is ever cut short
+    and nothing stands for the end of the data.  When f is 1 (past about
+    2^21 positions with many distinct prefixes), the round sorts two words,
+    one per span.  So q <= k takes one sort, q = 6..8 two where k is 5,
+    and q = 64 four on the corpus and versions texts.  Ranking stops early
+    once every prefix is distinct.  The last round's sort gives the
+    groups, and its ranks are never written.  Raises ValueError for data
+    of ``_MAX_POSITIONS`` or more positions.
     """
     n = data.size
     check_rankable(n)
+    bits = (n - 1).bit_length()
+    span = min(q, (_WORD_BITS - bits) // 8)
+    count = n - span + 1
     padded = np.zeros(n + 7, dtype=np.uint8)
     padded[:n] = data
-    span = min(q, 8)
-    count = n - span + 1
     key = np.ndarray((count,), dtype=">u8", buffer=padded, strides=(1,)).astype(np.uint64)
     del padded
-    if span < 8:
-        key >>= np.uint64(8 * (8 - span))
-    rank = np.empty(count, dtype=np.int64)
-    order, distinct = _rerank(key, rank, 0)
+    key >>= np.uint64(64 - 8 * span)
+    keys = [key.view(np.int64)]
     del key
-    while span < q and not distinct:
-        # Ranks run from 0 to the last one in order.
-        ranks = int(rank[order[-1]]) + 1
-        fan = min(_fan_in(ranks), -(-q // span))
+    index = np.arange(count)
+    order, groups = _sort_words(keys, bits, index)
+    rank = np.empty(count, dtype=np.int64) if span < q else None
+    while span < q:
+        ranks = _scatter_ranks(rank[:count], order, groups) + 1
+        if ranks == count + 1:
+            # Distinct shorter prefixes already order and group the grams.
+            keep = order <= n - q
+            return order[keep], groups[keep]
+        del order
+        per_word = _fan_in(ranks, bits)
+        fan = min(max(per_word, 2), -(-q // span))
         reach = min(q, fan * span)
         count = n - reach + 1
-        key = rank[:count].copy()
-        for start in [*range(span, (fan - 1) * span, span), reach - span]:
-            key *= ranks
-            key += rank[start : start + count]
-        rank = rank[:count]
-        del order
-        order, distinct = _rerank(key, rank, 0)
-        del key
+        starts = [*range(0, (fan - 1) * span, span), reach - span]
+        for first in range(0, fan, per_word):
+            # the first key reuses the spent groups
+            key = groups[:count] if first == 0 else np.empty(count, dtype=np.int64)
+            key[:] = rank[starts[first] : starts[first] + count]
+            for start in starts[first + 1 : first + per_word]:
+                key *= ranks
+                key += rank[start : start + count]
+            keys.append(key)
+            del key
+        del groups
+        order, groups = _sort_words(keys, bits, index)
         span = reach
-    if span < q:
-        # Distinct shorter prefixes already order and group the grams.
-        count = n - q + 1
-        order = order[order < count]
-        rank = rank[:count]
-    return order, rank
+    return order, groups
 
 
 def _shallow_nodes(parents: np.ndarray, hop: np.ndarray, count: int) -> np.ndarray:
@@ -279,44 +344,50 @@ def _lift(hop: np.ndarray, distance: int) -> np.ndarray:
 def _ancestor_ranks(
     text: np.ndarray, nodes: np.ndarray, parents: np.ndarray, depth: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(order, rank, shallow)`` over the nodes of a forest laid out in
+    """``(order, groups, shallow)`` over the nodes of a forest laid out in
     ``text``: node v holds byte ``text[nodes[v]]`` below node ``parents[v]``
     (-1 at a root), and is ranked by the last ``depth`` bytes of its path
-    from the root, cut short at the root.  Ranks are equal exactly where
-    those byte strings are; among uncut strings rank order is byte order.
-    Cut strings sort first: the first ``shallow`` nodes of ``order`` are
+    from the root, cut short at the root.  ``order`` sorts the nodes by
+    those byte strings, equal ones by node, and ``groups`` ascends, equal at
+    i and i - 1 exactly where the strings of ``order[i]`` and
+    ``order[i - 1]`` are; among uncut strings the order is byte order.  Cut
+    strings sort first: the first ``shallow`` nodes of ``order`` are
     exactly those with fewer than ``depth - 1`` ancestors.
 
-    With k = min(depth, 8), the text must hold each node's context: the
-    k - 1 bytes before ``nodes[v]`` are the bytes of v's k - 1 nearest
-    ancestors whenever v has that many (:class:`WeightedText` checks it at
-    the heads).  So the first round sorts one uint64 per node, the k bytes
-    of text ending at ``nodes[v]``, read big-endian through a strided view
-    of a copy padded with 7 zero bytes in front and masked to its low 8k
-    bits.  The nodes with fewer than k - 1 ancestors hold cut strings and
-    may follow any bytes: :func:`_shallow_nodes` finds them, their key is
-    their bytes read up the parent chain and then their length, and they
-    are moved ahead of the sorted order to take ranks 1..cut.  Uncut
-    strings take the ranks after, and rank 0 stands for the empty string
-    above a root, in slot m of ``rank``.
+    Every round sorts words of :func:`_sort_words`, whose low ``bits`` hold
+    a node below m.  With k = min(depth, (62 - bits) // 8) (5 from 2^14 to
+    2^22 nodes), the text must hold each node's context: the k - 1 bytes
+    before ``nodes[v]`` are the bytes of v's k - 1 nearest ancestors
+    whenever v has that many (:class:`WeightedText` checks it at the
+    heads).  So the first round's key is the k bytes of text ending at
+    ``nodes[v]``, read big-endian through a strided view of a copy padded
+    with 7 zero bytes in front and masked to its low 8k bits, below a flag
+    bit that is set for them.  The nodes with fewer than k - 1 ancestors
+    hold cut strings and may follow any bytes: :func:`_shallow_nodes` finds
+    them, and their key is their bytes read up the parent chain and then
+    their length, with the flag clear, so they sort first.  Ranks start at
+    1: rank 0 stands for the empty string above a root, in slot m of
+    ``rank``, and the cut strings take ranks 1..cut.
 
     Later rounds combine ancestor ranks as :func:`_gram_ranks` combines
-    spans: from ``span`` to ``reach = min(depth, c * span)`` bytes, with c
-    from :func:`_fan_in` over the D rank values (0 included), the key of v
-    is sum(rank[anc_j(v)] * D^(c-1-j)) over the nodes ``reach - span``,
-    (c - 2) * span, ..., span and 0 above v (the top span overlaps the one
-    below when reach < c * span).  The table of the node ``span`` above
-    each node comes from the parent table by squaring (:func:`_lift`) and
-    is carried from round to round; the multiples are composed from it, and
-    when ``reach - span`` is no multiple of span (the last round only), the
-    top's table composes the last multiple with one lifted for the rest.
-    Slot m of a table stands for "above the root", and the parent -1
-    indexes it.  So depth <= 8 takes one sort, and depth = 64 three while c
-    stays at 3, and at most four.
+    spans: from ``span`` to ``reach = min(depth, c * span)`` bytes, with f =
+    :func:`_fan_in` over the D rank values (0 included) and c = max(f, 2),
+    the keys of v are sum(rank[anc_j(v)] * D^(f-1-j)) over each f of the
+    nodes ``reach - span``, (c - 2) * span, ..., span and 0 above v in turn
+    (the top span overlaps the one below when reach < c * span).  The
+    table of the node ``span`` above each node comes from the parent table
+    by squaring (:func:`_lift`) and is carried from round to round; the
+    multiples are composed from it, and when ``reach - span`` is no
+    multiple of span (the last round only), the top's table composes the
+    last multiple with one lifted for the rest.  Slot m of a table stands
+    for "above the root", and the parent -1 indexes it.  So depth <= k
+    takes one sort, depth = 6..8 two where k is 5, and depth = 64 four on
+    the corpus and versions tries.  The last round's sort gives the
+    groups, and its ranks are never written.
 
     A string is cut short exactly when its top span is cut short or empty.
-    If the cut strings held ranks 1..cut, those are the keys below
-    ``(cut + 1) * D^(c-1)``: they sort first and take the lowest new ranks,
+    As the cut strings hold ranks 1..cut, those are the first keys below
+    ``(cut + 1) * D^(f-1)``: they sort first and take the lowest new ranks,
     so each round counts them with one comparison.
 
     There is no early stop: ranks that are all distinct already group the
@@ -325,19 +396,19 @@ def _ancestor_ranks(
     """
     m = nodes.size
     check_rankable(m)
-    rank = np.zeros(m + 1, dtype=np.int64)
     if not m:
-        return np.zeros(0, dtype=np.int64), rank[:m], 0
-    span = min(depth, 8)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
+    bits = (m - 1).bit_length()
+    span = min(depth, (_WORD_BITS - 1 - bits) // 8)
     padded = np.zeros(text.size + 7, dtype=np.uint8)
     padded[7:] = text
-    key = np.ndarray((text.size,), dtype=np.uint64, buffer=padded, strides=(1,))[nodes]
+    key = np.ndarray((text.size,), dtype=np.int64, buffer=padded, strides=(1,))[nodes]
     del padded
     if np.little_endian:
         # read big-endian, in place
         key.byteswap(inplace=True)
-    if span < 8:
-        key &= np.uint64((1 << 8 * span) - 1)
+    key &= (1 << 8 * span) - 1
+    key |= 1 << 8 * span
     hop = np.append(parents, -1)
     cut_nodes = _shallow_nodes(parents, hop, span - 1)
     shallow = cut_nodes.size
@@ -349,27 +420,21 @@ def _ancestor_ranks(
         for row in chain[1:]:
             up = np.take(hop, up, out=row)
         live = chain >= 0
-        byte = np.where(live, text[nodes[chain]], 0).astype(np.uint64)
-        byte <<= np.arange(0, 8 * (span - 1), 8, dtype=np.uint64)[:, None]
-        string = np.bitwise_or.reduce(byte, axis=0)
-        key[cut_nodes] = string << np.uint64(3) | np.count_nonzero(live, axis=0).astype(np.uint64)
-    order = np.argsort(key)
-    cut = 0
-    if shallow:
-        below = np.zeros(m, dtype=bool)
-        below[cut_nodes] = True
-        below = below[order]
-        ahead = order[below]
-        cut = _rank_in_order(ahead, key, rank, 1)
-        order = np.concatenate((ahead, order[~below]))
-    if shallow < m:
-        _rank_in_order(order[shallow:], key, rank, cut + 1)
+        byte = np.where(live, text[nodes[chain]], 0).astype(np.int64)
+        byte <<= np.arange(0, 8 * (span - 1), 8)[:, None]
+        key[cut_nodes] = np.bitwise_or.reduce(byte, axis=0) << 3 | np.count_nonzero(live, axis=0)
+    keys = [key]
     del key
+    index = np.arange(m)
+    order, groups = _sort_words(keys, bits, index)
+    rank = np.zeros(m + 1, dtype=np.int64) if span < depth else None
     step = None
     while span < depth:
-        # Ranks run from 0 to the last one in order.
-        ranks = int(rank[order[-1]]) + 1
-        fan = min(_fan_in(ranks), -(-depth // span))
+        ranks = _scatter_ranks(rank[:m], order, groups) + 1
+        cut = int(groups[shallow - 1]) if shallow else 0
+        del order
+        per_word = _fan_in(ranks, bits)
+        fan = min(max(per_word, 2), -(-depth // span))
         reach = min(depth, fan * span)
         if step is None:
             step = _lift(hop, span)
@@ -382,22 +447,25 @@ def _ancestor_ranks(
         rest = reach - (fan - 1) * span
         lift = step if rest == span else _lift(hop, rest)
         top = lift[tables[-1]] if tables else lift
-        key = rank[top[:m]]
-        for table in reversed(tables):
-            key *= ranks
-            key += rank[table[:m]]
-        key *= ranks
-        key += rank[:m]
+        # the spans' tables, most significant first, down to the node itself
+        parts = [top[:m], *(table[:m] for table in reversed(tables)), index]
         if reach < depth:
             step = step[top]
         del tables, lift, top
-        shallow = np.count_nonzero(key < (cut + 1) * ranks ** (fan - 1))
-        del order
-        order, _ = _rerank(key, rank[:m], 1)
-        del key
-        cut = int(rank[order[shallow - 1]]) if shallow else 0
+        for first in range(0, fan, per_word):
+            # the first key reuses the spent groups; -1 wraps to slot m
+            key = groups if first == 0 else np.empty(m, dtype=np.int64)
+            np.take(rank, parts[first], out=key, mode="wrap")
+            for part in parts[first + 1 : first + per_word]:
+                key *= ranks
+                key += rank[part]
+            keys.append(key)
+            del key
+        del parts, groups
+        shallow = np.count_nonzero(keys[0] < (cut + 1) * ranks ** (min(per_word, fan) - 1))
+        order, groups = _sort_words(keys, bits, index)
         span = reach
-    return order, rank[:m], shallow
+    return order, groups, shallow
 
 
 def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
@@ -410,12 +478,16 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     key of a node is read from the bytes that end at it), so the repeated
     contexts are never sorted; a weight on a node with fewer than q - 1
     ancestors, where no whole gram ends, raises ValueError.  Either way
-    q <= 8 takes one sort and q = 64 at most four.  Groups come in gram
-    byte order; each reports the text position of its earliest member, and
-    groups whose total weight is zero (grams that exist only as
-    concatenation bridges, or paths cut short at the root) are dropped.
-    The report's entries are one array built from the group totals, with no
-    Python object per group.
+    every round sorts one int64 word per position or node, the key above
+    the index, in place: q <= 5 takes one sort, q = 6..8 two where the
+    first key holds 5 bytes, and q = 64 four on the corpus and versions
+    inputs; a round whose ranks and index do not fit one word sorts two.
+    The groups are read off the last sort in gram byte order.  Ties sort
+    by index, so each group's first member is its earliest, whose text
+    position it reports; groups whose total weight is zero (grams that
+    exist only as concatenation bridges, or paths cut short at the root)
+    are dropped.  The report's entries are one array built from the group
+    totals, with no Python object per group.
     """
     q = wt.gram
     z = wt.text
@@ -426,20 +498,17 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     # Each array is dropped once used: at n near the 2^31 cap they are
     # gigabytes apiece.
     if wt.nodes is None:
-        ends, rank = _gram_ranks(data, q)
-        ranks = rank[ends]
+        ends, groups = _gram_ranks(data, q)
         ends += q - 1
     else:
-        order, rank, shallow = _ancestor_ranks(data, wt.nodes, wt.parents, q)
-        ranks = rank[order]
+        order, groups, shallow = _ancestor_ranks(data, wt.nodes, wt.parents, q)
         ends = wt.nodes[order]
         del order
         if wt.end_weights[ends[:shallow]].any():
             raise ValueError(f"no q-gram can end at a node with fewer than {q - 1} ancestors")
-    del rank
-    cuts = np.r_[0, np.flatnonzero(ranks[1:] != ranks[:-1]) + 1]
-    del ranks
+    cuts = np.r_[0, np.flatnonzero(groups[1:] != groups[:-1]) + 1]
+    del groups
     totals = np.add.reduceat(wt.end_weights[ends], cuts)
-    first = np.minimum.reduceat(ends, cuts)
+    first = ends[cuts]
     kept = totals > 0
     return QGramReport(np.stack((first[kept] + 1, totals[kept]), axis=1), q)

@@ -19,7 +19,15 @@ from slpgram import (
     parse_slp,
     weighted_qgram_counts,
 )
+from slpgram import suffix
 from slpgram.suffix import _ancestor_ranks, _fan_in, _gram_ranks
+
+
+def dense_ranks(order: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The dense ranks that a ranker's ``(order, groups)`` give, by index."""
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.cumsum(np.r_[True, groups[1:] != groups[:-1]])
+    return rank
 
 
 def unit_weighted(text: bytes, q: int) -> WeightedText:
@@ -50,6 +58,9 @@ class TestWeightedText:
         wt = WeightedText(*self.TRIE)
         assert wt.nodes.dtype == wt.parents.dtype == np.int64
         assert weighted_qgram_counts(wt).entries.tolist() == [[2, 3], [3, 5], [5, 2]]
+        # two branches, and the same weights with none on the second context
+        wt = WeightedText(b"aabbaab", [0, 3, 5, 0, 2, 0, 4], 2, [0, 1, 2, 4, 6], [-1, 0, 1, 2, 1])
+        assert weighted_qgram_counts(wt).materialize(wt.text) == {b"aa": 3, b"ab": 9, b"ba": 2}
         # the same trie at q = 3, with a context of two bytes, where nodes 0
         # and 1 are too shallow to weigh
         wt = WeightedText(b"aababa", [0, 0, 5, 0, 0, 2], 3, [0, 1, 2, 5], [-1, 0, 1, 2])
@@ -78,6 +89,15 @@ class TestWeightedText:
             # the byte before node 3 is not its parent's
             ({"text": b"aabaa"}, "position 3, 1 before node 3, must hold the byte of its"
              " ancestor node 2"),
+            # a weight before node 0
+            ({"text": b"xxaabba", "weights": [0, 7, 0, 3, 5, 0, 2], "nodes": [2, 3, 4, 6]},
+             "outside the trie's nodes"),
+            # a weight after the last node
+            ({"text": b"aabbaa", "weights": [0, 3, 5, 0, 2, 1]}, "outside the trie's nodes"),
+            # a weight in the context of a later branch: node 4 hangs from
+            # node 1, and position 5 repeats node 1's byte before it
+            ({"text": b"aabbaab", "weights": [0, 3, 5, 0, 2, 1, 4], "nodes": [0, 1, 2, 4, 6],
+              "parents": [-1, 0, 1, 2, 1]}, "outside the trie's nodes"),
         ],
     )
     def test_rejects_a_bad_trie(self, change, message):
@@ -238,15 +258,15 @@ def gram_texts(draw):
 def test_gram_ranks_match_sliding_window(case):
     text, q = case
     data = np.frombuffer(text, dtype=np.uint8)
-    order, rank = _gram_ranks(data, q)
+    order, groups = _gram_ranks(data, q)
     starts = len(text) - q + 1
     grams = [text[p : p + q] for p in range(starts)]
-    assert rank.shape == (starts,)
+    assert order.shape == groups.shape == (starts,)
     assert sorted(order.tolist()) == list(range(starts))
-    # order walks the ranks up, and the grams come in byte order
-    assert (np.diff(rank[order]) >= 0).all()
-    in_order = [grams[p] for p in order.tolist()]
-    assert in_order == sorted(grams)
+    rank = dense_ranks(order, groups)
+    # the grams come in byte order, equal ones by position
+    in_order = [(grams[p], p) for p in order.tolist()]
+    assert in_order == sorted(in_order)
     # equal ranks exactly where the grams are equal
     rank_of = {}
     for p, gram in enumerate(grams):
@@ -307,8 +327,9 @@ def upward_gram(data, parents, v, depth):
 @given(forests())
 def test_ancestor_ranks_match_upward_grams(forest):
     data, parents, depth, text, nodes = forest
-    order, rank, shallow = _ancestor_ranks(text, nodes, parents, depth)
+    order, groups, shallow = _ancestor_ranks(text, nodes, parents, depth)
     grams = [upward_gram(data, parents, v, depth) for v in range(data.size)]
+    rank = dense_ranks(order, groups)
     # the nodes first in order are exactly those whose gram is cut at the root
     assert sorted(order[:shallow].tolist()) == [
         v for v, gram in enumerate(grams) if len(gram) < depth
@@ -318,15 +339,17 @@ def test_ancestor_ranks_match_upward_grams(forest):
     for v, gram in enumerate(grams):
         assert rank_of.setdefault(gram, rank[v]) == rank[v]
     assert len(set(rank_of.values())) == len(rank_of)
-    # order walks the ranks up, and whole grams come in byte order
+    # whole grams come in byte order, equal ones by node
     assert sorted(order.tolist()) == list(range(data.size))
-    assert (np.diff(rank[order]) >= 0).all()
-    whole = [grams[v] for v in order.tolist() if len(grams[v]) == depth]
+    whole = [(grams[v], v) for v in order.tolist() if len(grams[v]) == depth]
     assert whole == sorted(whole)
+    # equal strings sort by node
+    assert all(order[i] < order[i + 1] for i in range(data.size - 1)
+               if groups[i] == groups[i + 1])
     if (parents == np.arange(-1, data.size - 1)).all() and data.size >= depth:
         # a string: the gram ending at v is the one _gram_ranks starts at
         # v - depth + 1, and the two rankings group and order them alike
-        _, by_start = _gram_ranks(data, depth)
+        by_start = dense_ranks(*_gram_ranks(data, depth))
         ends = np.arange(depth - 1, data.size)
         same = np.unique(rank[ends], return_inverse=True)[1]
         assert (same == np.unique(by_start, return_inverse=True)[1]).all()
@@ -336,12 +359,18 @@ def test_ancestor_ranks_match_upward_grams(forest):
 
 
 def test_fan_in_at_its_boundary():
-    # 2^21 ranks cubed is 2^63, one past the largest int64
-    assert _fan_in(2_097_151) == 3
-    assert _fan_in(2_097_152) == 2
-    assert _fan_in(2**31 - 1) == 2
-    assert _fan_in(2) == _fan_in(1) == 62
-    assert _fan_in(55_108) == 4 and _fan_in(55_109) == 3
+    # with no index bits, 2^21 ranks cubed is 2^63: the largest key,
+    # 2^63 - 1, is the largest int64
+    assert _fan_in(2**21, 0) == 3
+    assert _fan_in(2**21 + 1, 0) == 2
+    assert _fan_in(2, 0) == _fan_in(1, 0) == 63
+    assert _fan_in(55_108, 0) == 4 and _fan_in(55_109, 0) == 3
+    # 18 index bits (the versions ssa string at q = 64) leave 45 for the key
+    assert _fan_in(2**15, 18) == 3 and _fan_in(2**15 + 1, 18) == 2
+    assert _fan_in(5_931_641, 18) == 2 and _fan_in(5_931_642, 18) == 1
+    # at the largest index, one rank per word still fits
+    assert _fan_in(2**16, 31) == 2 and _fan_in(2**16 + 1, 31) == 1
+    assert _fan_in(2**31, 31) == 1
 
 
 def naive_texts(sigma, q):
@@ -363,32 +392,101 @@ def test_gram_ranks_match_sorted_grams(sigma, q):
     # few byte values keep few ranks and so a large fan-in; 256 values
     # bring it down towards 2
     for text in naive_texts(sigma, q):
-        order, rank = _gram_ranks(np.frombuffer(text, dtype=np.uint8), q)
+        order, groups = _gram_ranks(np.frombuffer(text, dtype=np.uint8), q)
         grams = [text[p : p + q] for p in range(len(text) - q + 1)]
-        assert [grams[p] for p in order.tolist()] == sorted(grams)
-        assert (np.diff(rank[order]) >= 0).all()
+        in_order = [(grams[p], p) for p in order.tolist()]
+        assert in_order == sorted(in_order)
+        rank = dense_ranks(order, groups)
         rank_of = {}
         for p, gram in enumerate(grams):
             assert rank_of.setdefault(gram, rank[p]) == rank[p]
         assert len(set(rank_of.values())) == len(rank_of)
 
 
-def count_sorts(monkeypatch):
-    """A list that records the size of every argsort from here on."""
-    sizes = []
-    argsort = np.argsort
+def edited_copies(seed: int) -> bytes:
+    """Eight copies of a random 300-byte block, each with one byte changed
+    30 to 60 bytes in: grams that start at one offset in two copies tie
+    until their span reaches past both changed bytes."""
+    rng = random.Random(seed)
+    block = bytes(rng.randrange(256) for _ in range(300))
+    text = bytearray()
+    for _ in range(8):
+        copy = bytearray(block)
+        copy[rng.randint(30, 60)] ^= 1 + rng.randrange(255)
+        text += copy
+    return bytes(text)
 
-    def counted(a, *args, **kwargs):
-        sizes.append(np.size(a))
+
+def string_trie(text: bytes, q: int) -> WeightedText:
+    """``text`` as a trie with one branch: node v at position v, below v - 1."""
+    n = len(text)
+    weights = unit_weighted(text, q).end_weights
+    return WeightedText(text, weights, q, np.arange(n), np.arange(-1, n - 1))
+
+
+@pytest.mark.parametrize("q", [64, 200])
+@pytest.mark.parametrize("seed", range(3))
+def test_ties_past_the_second_round(seed, q, monkeypatch):
+    # Six-byte first keys of some 300 distinct values combine six at a
+    # time: 36 bytes after the first combining round, and the copies' grams
+    # still tie there, so it takes a second one (and a third at q = 200).
+    text = edited_copies(seed)
+    expected = sliding_histogram(text, q)
+    for wt in (unit_weighted(text, q), string_trie(text, q)):
+        words, _ = count_sorts(monkeypatch)
+        assert weighted_qgram_counts(wt).materialize(text) == expected
+        monkeypatch.undo()
+        assert len(words) == (3 if q == 64 else 4)
+
+
+@pytest.mark.parametrize("q", [3, 16, 64])
+def test_rounds_of_two_words_match_the_oracle(q, monkeypatch):
+    # A 32-bit word leaves 19 bits above the index of the 6000 positions,
+    # and 20 above that of the trie's 3000-odd nodes: first keys of two
+    # bytes, and more distinct ranks than two can share a word, so each
+    # combining round sorts two words.
+    rng = random.Random(q)
+    block = bytes(rng.randrange(256) for _ in range(3000))
+    text = block + block[:1000] + bytes([block[1000] ^ 1]) + block[1001:]
+    g = build_repair(text)
+    m = compute_metrics(g)
+    trie = flatten_neighbor_trie(
+        g, m, build_neighbor_graph(g, m, compute_qmarks(g, m, q))).to_weighted_text()
+    expected = sliding_histogram(text, q)
+    for wt in (unit_weighted(text, q), trie, string_trie(text, q)):
+        words, _ = count_sorts(monkeypatch)
+        monkeypatch.setattr(suffix, "_WORD_BITS", 32)
+        counts = weighted_qgram_counts(wt).materialize(wt.text)
+        monkeypatch.undo()
+        assert counts == expected
+        assert words[0] == 1 and set(words[1:]) == {2}, words
+
+
+def count_sorts(monkeypatch):
+    """Two lists that record, from here on, the number of words each call
+    of the engine's sort helper sorts, and the size of every argsort."""
+    words, argsorts = [], []
+    sort_words, argsort = suffix._sort_words, np.argsort
+
+    def counted(keys, bits, index):
+        words.append(len(keys))
+        return sort_words(keys, bits, index)
+
+    def counted_argsort(a, *args, **kwargs):
+        argsorts.append(np.size(a))
         return argsort(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "argsort", counted)
-    return sizes
+    monkeypatch.setattr(suffix, "_sort_words", counted)
+    monkeypatch.setattr(np, "argsort", counted_argsort)
+    return words, argsorts
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 8, 64, 65])
+@pytest.mark.parametrize("q", [2, 3, 5, 6, 7, 8, 64, 65])
 def test_sort_counts(q, monkeypatch):
-    # one sort at q <= 8, and at most four at q = 64 or 65
+    # 3000 positions leave 51 bits above the index: six bytes in the first
+    # key, and at most 64 distinct ones over two letters, so the next round
+    # combines enough spans to reach q = 65; the same holds for the trie
+    expected = 1 if q <= 6 else 2
     text = bytes(random.Random(q).choice(b"ab") for _ in range(3000))
     g = build_repair(text)
     m = compute_metrics(g)
@@ -397,12 +495,14 @@ def test_sort_counts(q, monkeypatch):
         ("trie", flatten_neighbor_trie(
             g, m, build_neighbor_graph(g, m, compute_qmarks(g, m, q))).to_weighted_text()),
     ):
-        sizes = count_sorts(monkeypatch)
+        words, argsorts = count_sorts(monkeypatch)
         counts = weighted_qgram_counts(wt).materialize(wt.text)
         monkeypatch.undo()
         if name == "string":
             assert counts == sliding_histogram(text, q)
-        assert len(sizes) == 1 if q <= 8 else 2 <= len(sizes) <= 4, (name, sizes)
+        assert argsorts == []
+        # every call sorts one word per index
+        assert (len(words), sum(words)) == (expected, expected), (name, words)
 
 
 def test_sort_counts_on_the_benchmark_versions_grammar(monkeypatch):
@@ -413,11 +513,12 @@ def test_sort_counts_on_the_benchmark_versions_grammar(monkeypatch):
         sys.path.pop(0)
     g = parse_slp(bench_inputs.make_versions(1).document)
     m = compute_metrics(g)
-    for q, string_sorts, trie_sorts in ((4, 1, 1), (8, 1, 1), (64, 3, 3)):
+    for q, string_sorts, trie_sorts in ((4, 1, 1), (8, 2, 2), (64, 4, 4)):
         graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
         trie = flatten_neighbor_trie(g, m, graph).to_weighted_text()
         for wt, expected in ((build_ssa_text(g, m, q), string_sorts), (trie, trie_sorts)):
-            sizes = count_sorts(monkeypatch)
+            words, argsorts = count_sorts(monkeypatch)
             weighted_qgram_counts(wt)
             monkeypatch.undo()
-            assert len(sizes) == expected, (q, sizes)
+            assert argsorts == []
+            assert (len(words), sum(words)) == (expected, expected), (q, words)
