@@ -135,6 +135,13 @@ class FlattenedTrie:
     of the ``body_total`` nodes, and ``parents``, the node above each: the
     previous node, except at a branch's first one.  The counting engine
     ranks these nodes; the text only anchors the positions a report prints.
+
+    The text opens with the first vertex's whole window, so nodes 0 to q-2
+    are a chain from the root, each below the one before.  A later branch
+    hangs from the last node of a label, and a window holds at least q
+    characters, so every label has one past the window's first q-1 and
+    ends after that chain.  So node v has at least min(v, q-1) ancestors,
+    as :class:`WeightedText` requires of a trie.
     """
 
     q: int

@@ -26,18 +26,20 @@ class WeightedText:
     it, -1 at the root, node 0.  The gram ending at node v is then read
     down the parent chain to v; it must equal the text's gram ending at
     ``nodes[v]``, which is what a report prints.  Positions outside
-    ``nodes`` repeat bytes of the trie and must weigh zero.  So must every
-    node with fewer than ``gram - 1`` ancestors, since no whole gram ends
-    there; :func:`weighted_qgram_counts` checks that, as it finds those
-    nodes while ranking.
+    ``nodes`` repeat bytes of the trie and must weigh zero.  Node v has
+    at least min(v, gram - 1) ancestors: nodes 0 to gram - 2 are the root
+    chain, each below the node before it, and every later node hangs from
+    node gram - 2 or a later one.  So whole grams end at every node but
+    the root chain's, which must weigh zero too.
 
-    The engine reads each node's first key, at most 7 bytes, from the text,
-    so the part of that contract it relies on is checked here: the up to
-    k - 1 = min(gram, 8) - 1 bytes before ``nodes[v]`` are the bytes of v's
-    nearest ancestors, as many as it has.  A node whose parent is the node
+    The engine reads each node's first key, at most 7 bytes ending at it,
+    from the text, so the part of that contract it relies on is checked
+    here: the up to min(gram, 8) - 1 bytes before ``nodes[v]``, which
+    cover the at most 6 the engine reads, are the bytes of v's nearest
+    ancestors, as many as it has.  A node whose parent is the node
     before it, and which lies one text position after that node, inherits
     this from its parent.  So only the other nodes, the heads, are checked,
-    with at most k - 1 gathers over them; a wrong byte raises ValueError.
+    with at most 7 gathers over them; a wrong byte raises ValueError.
     """
 
     text: bytes
@@ -53,7 +55,8 @@ class WeightedText:
         object.__setattr__(self, "end_weights", weights)
         if weights.shape != (len(self.text),):
             raise ValueError("end_weights must hold one entry per text position")
-        if weights[: self.gram - 1].any():
+        # count_nonzero, not any(): on a small array it costs a third as much
+        if np.count_nonzero(weights[: self.gram - 1]):
             raise ValueError(f"no q-gram can end before position {self.gram}")
         if self.nodes is None and self.parents is None:
             return
@@ -67,7 +70,7 @@ class WeightedText:
             raise ValueError("nodes and parents must hold one entry per trie node")
         if nodes.size and (nodes[0] < 0 or nodes[-1] >= len(self.text)):
             raise ValueError("node positions must lie in the text")
-        if (nodes[1:] <= nodes[:-1]).any():
+        if np.count_nonzero(nodes[1:] <= nodes[:-1]):
             raise ValueError("node positions must strictly increase")
         # lag[v] = v - 1 - parents[v]: at least 0 where the parent precedes
         # v, and 0 where it is the node before v.  It wraps only for a parent
@@ -78,6 +81,15 @@ class WeightedText:
             raise ValueError("every parent must precede its node")
         if lag.size and (parents[0] != -1 or (lag.size > 1 and parents[1:].min() < 0)):
             raise ValueError("node 0 must be the one root, with parent -1")
+        # The root chain has lag 0 and every later node a parent past it;
+        # min keeps a gram too long for int64 out of the arithmetic.
+        chain = min(self.gram, nodes.size + 1) - 1
+        if np.count_nonzero(lag[:chain]) or np.count_nonzero(parents[chain:] < chain - 1):
+            v = np.flatnonzero(np.r_[lag[:chain] != 0, parents[chain:] < chain - 1])[0]
+            raise ValueError(
+                f"node {v} has fewer than {min(v, chain)} ancestors: the first q-1 nodes"
+                " must be the root chain, and every later node must hang below it"
+            )
         # A node other than 0 heads a branch unless its parent is the node
         # before it (lag 0) and it lies one text position later (step 1);
         # both are at least that, so their sum tells.  Summed in place, so
@@ -98,11 +110,18 @@ class WeightedText:
         gaps = np.bitwise_or.reduceat(weights, bounds)[::2]
         first, last = (nodes[0], nodes[-1]) if nodes.size else (weights.size, weights.size)
         if (
-            weights[:first].any()
-            or weights[last + 1 :].any()
-            or (gaps.astype(bool) & (lo < hi)).any()
+            np.count_nonzero(weights[:first])
+            or np.count_nonzero(weights[last + 1 :])
+            or np.count_nonzero(gaps.astype(bool) & (lo < hi))
         ):
             raise ValueError("positions outside the trie's nodes must weigh zero")
+        # With the gaps empty, only the root chain's nodes can weigh up to its end.
+        if chain and np.count_nonzero(weights[: nodes[chain - 1] + 1]):
+            v = np.flatnonzero(weights[nodes[:chain]])[0]
+            raise ValueError(
+                f"no q-gram can end at a node with fewer than {self.gram - 1} ancestors,"
+                f" such as node {v}"
+            )
         if not heads.size or self.gram < 2:
             return
         # Row j - 1 holds each head's j-th ancestor, or -1 past the root: an
@@ -305,29 +324,6 @@ def _gram_ranks(data: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return order, groups
 
 
-def _shallow_nodes(parents: np.ndarray, hop: np.ndarray, count: int) -> np.ndarray:
-    """The nodes of a forest with fewer than ``count`` ancestors, ascending.
-
-    A node whose parent is the node before it has one ancestor more than
-    that node, so only the first ``count`` nodes of such a chain can have
-    too few, and only the chains' heads need their ancestors counted: in at
-    most ``count`` steps up ``hop``, the parent table with one more slot
-    that maps -1 to itself.
-    """
-    m = parents.size
-    # node 0 is a root, and so a head
-    heads = np.concatenate(([0], np.flatnonzero(parents != np.arange(-1, m - 1))))
-    ancestors = np.empty((count, heads.size), dtype=np.int64)
-    up = heads
-    for row in ancestors:
-        up = np.take(hop, up, out=row)
-    above = np.count_nonzero(ancestors >= 0, axis=0)
-    # node heads[i] + t of a chain has above[i] + t ancestors
-    room = np.minimum(count - above, np.diff(heads, append=m))
-    firsts = np.cumsum(room) - room
-    return np.repeat(heads - firsts, room) + np.arange(firsts[-1] + room[-1])
-
-
 def _lift(hop: np.ndarray, distance: int) -> np.ndarray:
     """The table of the node ``distance`` above each node, from the parent
     table ``hop`` by repeated squaring; two tables besides it are alive."""
@@ -343,31 +339,27 @@ def _lift(hop: np.ndarray, distance: int) -> np.ndarray:
 
 def _ancestor_ranks(
     text: np.ndarray, nodes: np.ndarray, parents: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(order, groups, shallow)`` over the nodes of a forest laid out in
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, groups)`` over the m >= 1 nodes of a trie laid out in
     ``text``: node v holds byte ``text[nodes[v]]`` below node ``parents[v]``
-    (-1 at a root), and is ranked by the last ``depth`` bytes of its path
-    from the root, cut short at the root.  ``order`` sorts the nodes by
-    those byte strings, equal ones by node, and ``groups`` ascends, equal at
-    i and i - 1 exactly where the strings of ``order[i]`` and
-    ``order[i - 1]`` are; among uncut strings the order is byte order.  Cut
-    strings sort first: the first ``shallow`` nodes of ``order`` are
-    exactly those with fewer than ``depth - 1`` ancestors.
+    (-1 at the root, node 0), and is ranked by the ``depth`` bytes of its
+    path that end at it.  Node v must have at least min(v, depth - 1)
+    ancestors, as :class:`WeightedText` checks, so nodes 0 to depth - 2 are
+    the root chain, and every other node has ``depth`` bytes to be ranked
+    by.  Over those nodes ``order`` sorts them by their byte strings, equal
+    ones by node, and ``groups`` ascends, equal at i and i - 1 exactly where
+    the strings of ``order[i]`` and ``order[i - 1]`` are.  The root chain's
+    nodes are ranked too, by whatever bytes precede them, and may group with
+    any node: the caller drops them.
 
     Every round sorts words of :func:`_sort_words`, whose low ``bits`` hold
-    a node below m.  With k = min(depth, (62 - bits) // 8) (5 from 2^14 to
-    2^22 nodes), the text must hold each node's context: the k - 1 bytes
+    a node below m.  With k = min(depth, (63 - bits) // 8) (5 from 2^15 to
+    2^23 nodes), the text must hold each node's context: the k - 1 bytes
     before ``nodes[v]`` are the bytes of v's k - 1 nearest ancestors
     whenever v has that many (:class:`WeightedText` checks it at the
     heads).  So the first round's key is the k bytes of text ending at
     ``nodes[v]``, read big-endian through a strided view of a copy padded
-    with 7 zero bytes in front and masked to its low 8k bits, below a flag
-    bit that is set for them.  The nodes with fewer than k - 1 ancestors
-    hold cut strings and may follow any bytes: :func:`_shallow_nodes` finds
-    them, and their key is their bytes read up the parent chain and then
-    their length, with the flag clear, so they sort first.  Ranks start at
-    1: rank 0 stands for the empty string above a root, in slot m of
-    ``rank``, and the cut strings take ranks 1..cut.
+    with 7 zero bytes in front and masked to its low 8k bits.
 
     Later rounds combine ancestor ranks as :func:`_gram_ranks` combines
     spans: from ``span`` to ``reach = min(depth, c * span)`` bytes, with f =
@@ -375,20 +367,17 @@ def _ancestor_ranks(
     the keys of v are sum(rank[anc_j(v)] * D^(f-1-j)) over each f of the
     nodes ``reach - span``, (c - 2) * span, ..., span and 0 above v in turn
     (the top span overlaps the one below when reach < c * span).  The
-    table of the node ``span`` above each node comes from the parent table
-    by squaring (:func:`_lift`) and is carried from round to round; the
-    multiples are composed from it, and when ``reach - span`` is no
-    multiple of span (the last round only), the top's table composes the
-    last multiple with one lifted for the rest.  Slot m of a table stands
-    for "above the root", and the parent -1 indexes it.  So depth <= k
-    takes one sort, depth = 6..8 two where k is 5, and depth = 64 four on
-    the corpus and versions tries.  The last round's sort gives the
-    groups, and its ranks are never written.
-
-    A string is cut short exactly when its top span is cut short or empty.
-    As the cut strings hold ranks 1..cut, those are the first keys below
-    ``(cut + 1) * D^(f-1)``: they sort first and take the lowest new ranks,
-    so each round counts them with one comparison.
+    table of the node ``span`` above each node comes from the parent table,
+    which maps the root to itself, by squaring (:func:`_lift`) and is
+    carried from round to round; the multiples are composed from it, and
+    when ``reach - span`` is no multiple of span (the last round only), the
+    top's table composes the last multiple with one lifted for the rest.
+    A node with at least reach - 1 ancestors reads only the ranks of nodes
+    with at least span - 1, which the round before made exact, so its new
+    rank is exact too; a node with fewer reads the root's rank in place of
+    the missing ones.  So depth <= k takes one sort, depth = 6..8 two where
+    k is 5, and depth = 64 four on the corpus and versions tries.  The last
+    round's sort gives the groups, and its ranks are never written.
 
     There is no early stop: ranks that are all distinct already group the
     nodes, but they order the strings by their last ``span`` bytes, and the
@@ -396,10 +385,8 @@ def _ancestor_ranks(
     """
     m = nodes.size
     check_rankable(m)
-    if not m:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
     bits = (m - 1).bit_length()
-    span = min(depth, (_WORD_BITS - 1 - bits) // 8)
+    span = min(depth, (_WORD_BITS - bits) // 8)
     padded = np.zeros(text.size + 7, dtype=np.uint8)
     padded[7:] = text
     key = np.ndarray((text.size,), dtype=np.int64, buffer=padded, strides=(1,))[nodes]
@@ -408,30 +395,15 @@ def _ancestor_ranks(
         # read big-endian, in place
         key.byteswap(inplace=True)
     key &= (1 << 8 * span) - 1
-    key |= 1 << 8 * span
-    hop = np.append(parents, -1)
-    cut_nodes = _shallow_nodes(parents, hop, span - 1)
-    shallow = cut_nodes.size
-    if shallow:
-        # At most span - 1 bytes, from the cut node (row 0) up, the lowest
-        # first; slots past a root hold -1 and read as no byte.
-        chain = np.empty((span - 1, shallow), dtype=np.int64)
-        up = chain[0] = cut_nodes
-        for row in chain[1:]:
-            up = np.take(hop, up, out=row)
-        live = chain >= 0
-        byte = np.where(live, text[nodes[chain]], 0).astype(np.int64)
-        byte <<= np.arange(0, 8 * (span - 1), 8)[:, None]
-        key[cut_nodes] = np.bitwise_or.reduce(byte, axis=0) << 3 | np.count_nonzero(live, axis=0)
     keys = [key]
     del key
     index = np.arange(m)
     order, groups = _sort_words(keys, bits, index)
-    rank = np.zeros(m + 1, dtype=np.int64) if span < depth else None
+    rank = np.empty(m, dtype=np.int64) if span < depth else None
+    hop = np.maximum(parents, 0)
     step = None
     while span < depth:
-        ranks = _scatter_ranks(rank[:m], order, groups) + 1
-        cut = int(groups[shallow - 1]) if shallow else 0
+        ranks = _scatter_ranks(rank, order, groups) + 1
         del order
         per_word = _fan_in(ranks, bits)
         fan = min(max(per_word, 2), -(-depth // span))
@@ -448,24 +420,23 @@ def _ancestor_ranks(
         lift = step if rest == span else _lift(hop, rest)
         top = lift[tables[-1]] if tables else lift
         # the spans' tables, most significant first, down to the node itself
-        parts = [top[:m], *(table[:m] for table in reversed(tables)), index]
+        parts = [top, *reversed(tables), index]
         if reach < depth:
             step = step[top]
         del tables, lift, top
         for first in range(0, fan, per_word):
-            # the first key reuses the spent groups; -1 wraps to slot m
+            # the first key reuses the spent groups
             key = groups if first == 0 else np.empty(m, dtype=np.int64)
-            np.take(rank, parts[first], out=key, mode="wrap")
+            np.take(rank, parts[first], out=key)
             for part in parts[first + 1 : first + per_word]:
                 key *= ranks
                 key += rank[part]
             keys.append(key)
             del key
         del parts, groups
-        shallow = np.count_nonzero(keys[0] < (cut + 1) * ranks ** (min(per_word, fan) - 1))
         order, groups = _sort_words(keys, bits, index)
         span = reach
-    return order, groups, shallow
+    return order, groups
 
 
 def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
@@ -476,23 +447,22 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     nodes only, each by the q bytes down its parent chain
     (:func:`_ancestor_ranks`, which takes the whole text, since the first
     key of a node is read from the bytes that end at it), so the repeated
-    contexts are never sorted; a weight on a node with fewer than q - 1
-    ancestors, where no whole gram ends, raises ValueError.  Either way
-    every round sorts one int64 word per position or node, the key above
-    the index, in place: q <= 5 takes one sort, q = 6..8 two where the
-    first key holds 5 bytes, and q = 64 four on the corpus and versions
-    inputs; a round whose ranks and index do not fit one word sorts two.
+    contexts are never sorted, and the root chain's q - 1 nodes, where no
+    whole gram ends, are dropped from its order.  Either way every round
+    sorts one int64 word per position or node, the key above the index, in
+    place: q <= 5 takes one sort, q = 6..8 two where the first key holds 5
+    bytes, and q = 64 four on the corpus and versions inputs; a round
+    whose ranks and index do not fit one word sorts two.
     The groups are read off the last sort in gram byte order.  Ties sort
     by index, so each group's first member is its earliest, whose text
     position it reports; groups whose total weight is zero (grams that
-    exist only as concatenation bridges, or paths cut short at the root)
-    are dropped.  The report's entries are one array built from the group
-    totals, with no Python object per group.
+    exist only as concatenation bridges) are dropped.  The report's
+    entries are one array built from the group totals, with no Python
+    object per group.
     """
     q = wt.gram
     z = wt.text
-    n = len(z)
-    if n < q or wt.nodes is not None and not wt.nodes.size:
+    if (len(z) if wt.nodes is None else wt.nodes.size) < q:
         return QGramReport(np.empty((0, 2), dtype=np.int64), q)
     data = np.frombuffer(z, dtype=np.uint8)
     # Each array is dropped once used: at n near the 2^31 cap they are
@@ -501,11 +471,12 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
         ends, groups = _gram_ranks(data, q)
         ends += q - 1
     else:
-        order, groups, shallow = _ancestor_ranks(data, wt.nodes, wt.parents, q)
-        ends = wt.nodes[order]
+        order, groups = _ancestor_ranks(data, wt.nodes, wt.parents, q)
+        deep = order >= q - 1
+        ends = wt.nodes[order[deep]]
         del order
-        if wt.end_weights[ends[:shallow]].any():
-            raise ValueError(f"no q-gram can end at a node with fewer than {q - 1} ancestors")
+        groups = groups[deep]
+        del deep
     cuts = np.r_[0, np.flatnonzero(groups[1:] != groups[:-1]) + 1]
     del groups
     totals = np.add.reduceat(wt.end_weights[ends], cuts)

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import sys
 from pathlib import Path
@@ -62,7 +63,7 @@ class TestWeightedText:
         wt = WeightedText(b"aabbaab", [0, 3, 5, 0, 2, 0, 4], 2, [0, 1, 2, 4, 6], [-1, 0, 1, 2, 1])
         assert weighted_qgram_counts(wt).materialize(wt.text) == {b"aa": 3, b"ab": 9, b"ba": 2}
         # the same trie at q = 3, with a context of two bytes, where nodes 0
-        # and 1 are too shallow to weigh
+        # and 1, the root chain, cannot weigh
         wt = WeightedText(b"aababa", [0, 0, 5, 0, 0, 2], 3, [0, 1, 2, 5], [-1, 0, 1, 2])
         assert weighted_qgram_counts(wt).materialize(wt.text) == {b"aab": 5, b"aba": 2}
 
@@ -98,6 +99,16 @@ class TestWeightedText:
             # node 1, and position 5 repeats node 1's byte before it
             ({"text": b"aabbaab", "weights": [0, 3, 5, 0, 2, 1, 4], "nodes": [0, 1, 2, 4, 6],
               "parents": [-1, 0, 1, 2, 1]}, "outside the trie's nodes"),
+            # at q = 4 node 3 hangs from node 1, above the root chain's end,
+            # and node 2 is off the chain, below node 0
+            ({"text": b"aabab", "parents": [-1, 0, 1, 1], "weights": [0, 0, 0, 0, 2],
+              "gram": 4}, "node 3 has fewer than 3 ancestors"),
+            ({"text": b"aaaab", "parents": [-1, 0, 0, 2], "weights": [0, 0, 0, 0, 2],
+              "gram": 4}, "node 2 has fewer than 2 ancestors"),
+            # at q = 3 a weight on node 1, the root chain's end, which lies at
+            # position 3 past a gap
+            ({"text": b"ababbba", "weights": [0, 0, 0, 5, 0, 0, 2], "nodes": [0, 3, 4, 6],
+              "gram": 3}, "fewer than 2 ancestors, such as node 1"),
         ],
     )
     def test_rejects_a_bad_trie(self, change, message):
@@ -110,14 +121,13 @@ class TestWeightedText:
             return WeightedText(fields["text"], fields["weights"], fields["gram"],
                                 fields["nodes"], fields["parents"])
 
-        if "ancestors" in message:
-            # the engine finds the shallow nodes while ranking
-            wt = trie()
-            with pytest.raises(ValueError, match=message):
-                weighted_qgram_counts(wt)
-        else:
-            with pytest.raises(ValueError, match=message):
-                trie()
+        with pytest.raises(ValueError, match=message):
+            trie()
+        # at a gram too long for int64, where nothing may weigh, the trie is
+        # accepted or refused but never overflows
+        fields.update(gram=10**100, weights=[0] * len(fields["text"]))
+        with contextlib.suppress(ValueError):
+            trie()
 
     @pytest.mark.parametrize(
         "parents, message",
@@ -278,29 +288,33 @@ def test_gram_ranks_match_sliding_window(case):
 
 
 @st.composite
-def forests(draw):
-    """``(data, parents, depth, text, nodes)``: a forest whose parents
-    precede their nodes, over one to three letters, and a gram length that
-    is mostly not a power of two, laid out in a text as a flattened trie is.
+def tries(draw):
+    """``(data, parents, depth, text, nodes)``: a trie over one to three
+    letters for a gram length that is mostly not a power of two, laid out
+    in a text as a flattened trie is.
 
-    A string is the forest parent = v - 1; a chain branches off now and
-    then; a star hangs most nodes from the first few; a random forest picks
-    any earlier parent, or none.  In the text each node whose parent is not
-    the node before it (and node 0) starts afresh: up to three junk letters,
+    Its first depth - 1 nodes are the root chain, each below the node
+    before it.  In a string every later node is below the node before it
+    too; a chain branches off now and then; a star hangs most nodes from
+    the first few at or after node depth - 2; a random trie picks any of
+    those or a later one.  In the text each node whose parent is not the
+    node before it (and node 0) starts afresh: up to three junk letters,
     then the bytes of its nearest ancestors, at most 7, then its own byte.
     Every other node's byte follows the one before.
     """
+    depth = draw(st.integers(1, 70))
     size = draw(st.integers(1, 300))
     shape = draw(st.sampled_from(["string", "chain", "star", "random"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
+    low = max(depth - 2, 0)
     parents = []
     for v in range(size):
-        if shape == "string" or shape == "chain" and rng.random() < 0.95:
+        if v <= low or shape == "string" or shape == "chain" and rng.random() < 0.95:
             parents.append(v - 1)
         elif shape == "star":
-            parents.append(rng.randrange(-1, min(v, 3)))
+            parents.append(rng.randrange(low, min(v, low + 3)))
         else:
-            parents.append(rng.randrange(-1, v))
+            parents.append(rng.randrange(low, v))
     letters = draw(st.integers(1, 3))
     data = np.array([rng.randrange(letters) for _ in range(size)], dtype=np.uint8)
     text, nodes = bytearray(), []
@@ -310,7 +324,7 @@ def forests(draw):
             text += upward_gram(data, parents, parent, 7)
         nodes.append(len(text))
         text.append(data[v])
-    return (data, np.array(parents, dtype=np.int64), draw(st.integers(1, 70)),
+    return (data, np.array(parents, dtype=np.int64), depth,
             np.frombuffer(bytes(text), dtype=np.uint8), np.array(nodes, dtype=np.int64))
 
 
@@ -324,28 +338,29 @@ def upward_gram(data, parents, v, depth):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(forests())
-def test_ancestor_ranks_match_upward_grams(forest):
-    data, parents, depth, text, nodes = forest
-    order, groups, shallow = _ancestor_ranks(text, nodes, parents, depth)
-    grams = [upward_gram(data, parents, v, depth) for v in range(data.size)]
-    rank = dense_ranks(order, groups)
-    # the nodes first in order are exactly those whose gram is cut at the root
-    assert sorted(order[:shallow].tolist()) == [
-        v for v, gram in enumerate(grams) if len(gram) < depth
-    ]
-    # equal ranks exactly where the grams, cut at the root, are equal
-    rank_of = {}
-    for v, gram in enumerate(grams):
-        assert rank_of.setdefault(gram, rank[v]) == rank[v]
-    assert len(set(rank_of.values())) == len(rank_of)
-    # whole grams come in byte order, equal ones by node
+@given(tries())
+def test_ancestor_ranks_match_upward_grams(trie):
+    data, parents, depth, text, nodes = trie
+    # the layout is a flattened trie's, which WeightedText accepts
+    WeightedText(text.tobytes(), np.zeros(text.size, dtype=np.int64), depth, nodes, parents)
+    order, groups = _ancestor_ranks(text, nodes, parents, depth)
     assert sorted(order.tolist()) == list(range(data.size))
-    whole = [(grams[v], v) for v in order.tolist() if len(grams[v]) == depth]
-    assert whole == sorted(whole)
     # equal strings sort by node
     assert all(order[i] < order[i + 1] for i in range(data.size - 1)
                if groups[i] == groups[i + 1])
+    # past the root chain every node ends a whole gram: equal ranks exactly
+    # where the grams are equal, and the grams in byte order, equal ones by
+    # node
+    deep = range(depth - 1, data.size)
+    grams = {v: upward_gram(data, parents, v, depth) for v in deep}
+    rank = dense_ranks(order, groups)
+    rank_of = {}
+    for v, gram in grams.items():
+        assert len(gram) == depth
+        assert rank_of.setdefault(gram, rank[v]) == rank[v]
+    assert len(set(rank_of.values())) == len(rank_of)
+    whole = [(grams[v], v) for v in order.tolist() if v in grams]
+    assert whole == sorted(whole)
     if (parents == np.arange(-1, data.size - 1)).all() and data.size >= depth:
         # a string: the gram ending at v is the one _gram_ranks starts at
         # v - depth + 1, and the two rankings group and order them alike
@@ -353,9 +368,6 @@ def test_ancestor_ranks_match_upward_grams(forest):
         ends = np.arange(depth - 1, data.size)
         same = np.unique(rank[ends], return_inverse=True)[1]
         assert (same == np.unique(by_start, return_inverse=True)[1]).all()
-    if (parents[1:] >= 0).all():
-        # one root: the layout is a trie's text, and WeightedText accepts it
-        WeightedText(text.tobytes(), np.zeros(text.size, dtype=np.int64), depth, nodes, parents)
 
 
 def test_fan_in_at_its_boundary():
@@ -485,8 +497,9 @@ def count_sorts(monkeypatch):
 def test_sort_counts(q, monkeypatch):
     # 3000 positions leave 51 bits above the index: six bytes in the first
     # key, and at most 64 distinct ones over two letters, so the next round
-    # combines enough spans to reach q = 65; the same holds for the trie
-    expected = 1 if q <= 6 else 2
+    # combines enough spans to reach q = 65.  The same holds for the trie,
+    # whose first key takes as many bytes as fit above its nodes' index
+    # bits: seven for its 78 to 106 nodes at q = 6..8.
     text = bytes(random.Random(q).choice(b"ab") for _ in range(3000))
     g = build_repair(text)
     m = compute_metrics(g)
@@ -495,6 +508,10 @@ def test_sort_counts(q, monkeypatch):
         ("trie", flatten_neighbor_trie(
             g, m, build_neighbor_graph(g, m, compute_qmarks(g, m, q))).to_weighted_text()),
     ):
+        if name == "string":
+            expected = 1 if q <= 6 else 2
+        else:
+            expected = 1 if q <= (63 - (wt.nodes.size - 1).bit_length()) // 8 else 2
         words, argsorts = count_sorts(monkeypatch)
         counts = weighted_qgram_counts(wt).materialize(wt.text)
         monkeypatch.undo()
