@@ -131,19 +131,14 @@ def _unit_weighted(text: bytes, q: int) -> WeightedText:
     return WeightedText(text, weights, q)
 
 
-def _neighbor_trie(g, m, q: int):
-    """(neighbor graph, flattened trie) for one gram length."""
-    graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
-    return graph, flatten_neighbor_trie(g, m, graph)
-
-
 def _pipeline_text(g, m, q: int, algorithm: str) -> tuple[str, WeightedText]:
     """The weighted string a pipeline counts on, plus its reference name."""
     if algorithm == "nsa":
         return "T", _unit_weighted(expand(g), q)
     if algorithm == "ssa":
         return "z", build_ssa_text(g, m, q)
-    return "z", _neighbor_trie(g, m, q)[1].to_weighted_text()
+    graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+    return "z", flatten_neighbor_trie(g, m, graph).to_weighted_text()
 
 
 def _tsv(keys, counts: list[int]) -> str:
@@ -231,10 +226,16 @@ def _verify_one(g, m, text: bytes | None, q: int) -> list[str]:
                 )
                 break
     try:
-        stats = compute_dup_stats(m, graph, trie)
+        stats = compute_dup_stats(m, graph)
     except ConsistencyError as exc:
         problems.append(f"q={q}: {exc}")
         return problems
+    nodes, length = trie.body_total, len(trie.text)
+    if (nodes, length) != (stats.trie_size, stats.flattened_len):
+        problems.append(
+            f"q={q}: built trie has {nodes} nodes and {length} text bytes,"
+            f" the graph gives {stats.trie_size} and {stats.flattened_len}"
+        )
     if stats.edge_count > 2 * g.n:
         problems.append(f"q={q}: edge count {stats.edge_count} exceeds 2n={2 * g.n}")
     if stats.flattened_len > stats.sum_ti:
@@ -252,7 +253,8 @@ def run_verify(grammar_path: str, q_max: int) -> tuple[int, str]:
     T is expanded once, before the first q, and ssa and stsa are checked
     against nsa.  Past the expansion cap nsa is skipped instead (the report's
     first line says so) and stsa is checked against ssa; the size identities
-    and bounds are checked either way.  Returns (exit code, report); the
+    and bounds, and the built trie's node count and text length against the
+    graph's, are checked either way.  Returns (exit code, report); the
     report stops at the first divergence.  A one-byte text has no q to
     check, and its report says that nothing was checked.
     """
@@ -282,8 +284,9 @@ def run_verify(grammar_path: str, q_max: int) -> tuple[int, str]:
 def run_stats(grammar_path: str, q_list: list[int]) -> str:
     """CSV with one size-accounting row per requested q.
 
-    A trie the counting engine could not rank is refused, as ``count``
-    refuses it, before its tables are built.
+    Every column comes from the neighbor graph's pass, so no affix table or
+    trie is built, and a q whose trie ``count`` would refuse as too large
+    to rank still gets its row.
     """
     g = _load_grammar(grammar_path)
     m = compute_metrics(g)
@@ -291,8 +294,8 @@ def run_stats(grammar_path: str, q_list: list[int]) -> str:
     for q in q_list:
         if q < 2:
             raise SlpError("stats needs q >= 2")
-        graph, trie = _neighbor_trie(g, m, q)
-        rows.append(compute_dup_stats(m, graph, trie).csv_row())
+        graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+        rows.append(compute_dup_stats(m, graph).csv_row())
     return "\n".join(rows) + "\n"
 
 

@@ -40,7 +40,9 @@ class NeighborGraph:
     min(q-1, |R_v|), which is the length of the ssa string; ``dup`` totals
     (occ_v - 1)(window_v - (q-1)), the fresh characters that the occurrences
     of each vertex beyond its first would repeat, so the trie has |T| - dup
-    nodes."""
+    nodes.  The flattened trie's size and text length follow from the
+    window total and the parents (``trie_size``, ``flattened_len``), so the
+    stats row needs no trie."""
 
     q: int
     vertices: list[int]
@@ -48,6 +50,23 @@ class NeighborGraph:
     parents: list[int]
     sum_ti: int
     dup: int
+
+    @property
+    def trie_size(self) -> int:
+        """The flattened trie's node count: every window past its first q-1
+        characters, plus the q-1 that open the text (|T| - dup whenever the
+        text holds a q-gram); 0 with no vertex."""
+        if not self.vertices:
+            return 0
+        return self.sum_ti - (self.q - 1) * (len(self.vertices) - 1)
+
+    @property
+    def flattened_len(self) -> int:
+        """The flattened trie's text length: every window, less q-1 context
+        characters for each vertex that follows its parent directly."""
+        parents, vertices = self.parents, self.vertices
+        chained = sum(parents[v] == previous for previous, v in zip(vertices, vertices[1:]))
+        return self.sum_ti - (self.q - 1) * chained
 
 
 def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGraph:
@@ -202,16 +221,16 @@ def flatten_neighbor_trie(
     records.  The text is written with run-length weights as it is emitted.
 
     A trie the counting engine could not rank is refused with ValueError
-    before any table is built: its size, every window past its first q-1
-    characters plus the text's opener, follows from the graph's totals.  So
-    are tables past :func:`check_affix_tables`' cap.  A
-    caller that holds this q's ``(pre, suf)`` tables already passes them as
-    ``tables``.
+    before any table is built: its size is the graph's ``trie_size``, and
+    the trie built here has ``trie_size`` nodes and ``flattened_len`` text
+    characters.  Tables past :func:`check_affix_tables`' cap are refused
+    too.  A caller that holds this q's ``(pre, suf)`` tables already passes
+    them as ``tables``.
     """
     q = graph.q
     if m.text_length < q:
         return FlattenedTrie(q, [], b"", np.zeros(0, dtype=np.int64), [], [])
-    check_rankable(graph.sum_ti - (q - 1) * (len(graph.vertices) - 1))
+    check_rankable(graph.trie_size)
     lefts, rights = g.lefts, g.rights
     parents = graph.parents
     if tables is None:
@@ -272,21 +291,23 @@ class DupStats:
         )
 
 
-def compute_dup_stats(m: SlpMetrics, graph: NeighborGraph, trie: FlattenedTrie) -> DupStats:
-    """Window totals and the redundancy count from the graph's pass, and the
-    measured trie size.
+def compute_dup_stats(m: SlpMetrics, graph: NeighborGraph) -> DupStats:
+    """The stats row of one gram length, read from the graph alone: its
+    pass's window total and ``dup``, and the trie's size and text length
+    that follow from them.
 
     ``dup`` totals, over every vertex, the fresh characters saved by each
     derivation-tree occurrence beyond the first.  Whenever the text hosts a
-    q-gram at all, the measured body total must equal text length minus
-    ``dup``; disagreement means an implementation bug, not bad input.
+    q-gram at all, the trie size, a sum of window lengths, must equal the
+    text length minus ``dup``, an occurrence-weighted sum; the two share
+    only the metrics, so disagreement means an implementation bug, not bad
+    input.
     """
-    q, dup = graph.q, graph.dup
-    trie_size = trie.body_total
+    q, dup, trie_size = graph.q, graph.dup, graph.trie_size
     if m.text_length >= q and trie_size != m.text_length - dup:
         raise ConsistencyError(
-            f"measured trie size {trie_size} != text length {m.text_length} minus dup {dup}"
+            f"trie size {trie_size} != text length {m.text_length} minus dup {dup}"
         )
     return DupStats(
-        q, graph.sum_ti, trie_size, dup, len(trie.text), len(graph.edges), len(graph.vertices)
+        q, graph.sum_ti, trie_size, dup, graph.flattened_len, len(graph.edges), len(graph.vertices)
     )

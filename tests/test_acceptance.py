@@ -100,11 +100,17 @@ def sweep():
                 violations[1].append(f"instance {index} q={q}: count maps differ")
 
             try:
-                stats = compute_dup_stats(m, graph, trie)
+                stats = compute_dup_stats(m, graph)
             except ConsistencyError as exc:
                 violations[3].append(f"instance {index} q={q}: {exc}")
                 continue
-            if m.text_length >= q:
+            # the stats row's sizes, read from the graph, against the built trie
+            if (stats.trie_size, stats.flattened_len) != (trie.body_total, len(trie.text)):
+                violations[3].append(f"instance {index} q={q}: graph sizes vs built trie")
+            if m.text_length < q:
+                if stats.csv_row() != f"{q},0,0,0,0,0,0":
+                    violations[3].append(f"instance {index} q={q}: row past the text")
+            else:
                 if stats.trie_size != m.text_length - stats.dup:
                     violations[3].append(f"instance {index} q={q}: size identity")
                 # the engine ranks the trie's nodes, not the flattened text
@@ -275,9 +281,13 @@ def test_criterion_6_size_trend_on_corpus(corpus, corpus_grammar):
         qm = compute_qmarks(g, m, q)
         graph = build_neighbor_graph(g, m, qm)
         trie = flatten_neighbor_trie(g, m, graph)
-        stats = compute_dup_stats(m, graph, trie)
+        stats = compute_dup_stats(m, graph)
         if q == 2:
             ratio_q2 = stats.trie_size / stats.sum_ti
+        if stats.trie_size != trie.body_total:
+            ok = False
+            worst = f"q={q}: graph's trie size {stats.trie_size} != built {trie.body_total}"
+            break
         if not stats.trie_size < stats.sum_ti:
             ok = False
             worst = f"q={q}: trie {stats.trie_size} !< windows {stats.sum_ti}"
@@ -356,5 +366,6 @@ def test_comb_grammar_of_linear_height():
         trie = flatten_neighbor_trie(g, m, graph)
         trie_wt = trie.to_weighted_text()
         assert weighted_qgram_counts(trie_wt).materialize(trie_wt.text) == nsa, q
-        stats = compute_dup_stats(m, graph, trie)
-        assert stats.trie_size == m.text_length - stats.dup, q
+        stats = compute_dup_stats(m, graph)
+        assert stats.trie_size == m.text_length - stats.dup == trie.body_total, q
+        assert stats.flattened_len == len(trie.text), q

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -239,16 +240,62 @@ class TestVerify:
         assert "stsa[" in report
         assert "FAIL" in report
 
+    def test_built_trie_off_the_graph_sizes_fails(self, g7_path, monkeypatch, capsys):
+        # one more zero-weight byte changes no count, only the trie's sizes
+        real = flatten_neighbor_trie
+
+        def one_byte_longer(*args):
+            trie = real(*args)
+            weights = np.append(trie.end_weights, 0)
+            return dataclasses.replace(trie, text=trie.text + b"a", end_weights=weights)
+
+        def second_vertex_branched(*args):
+            # G7's second vertex follows its parent, the first; emit it as a
+            # branch hanging from the parent's last node instead: the same
+            # nodes and counts, q-1 = 1 more context byte
+            trie = real(*args)
+            (_, opener), (_, label) = trie.runs[:2]
+            at = opener + label
+            return dataclasses.replace(
+                trie,
+                runs=[*trie.runs[:2], (0, 1), *trie.runs[2:]],
+                text=trie.text[:at] + trie.text[at - 1 : at] + trie.text[at:],
+                end_weights=np.insert(trie.end_weights, at, 0),
+                firsts=[at, *trie.firsts],
+                hangs=[at - 1, *trie.hangs],
+            )
+
+        for fake, sizes in (
+            (one_byte_longer, "7 nodes and 9"),
+            (second_vertex_branched, "6 nodes and 9"),
+        ):
+            monkeypatch.setattr("slpgram.cli.flatten_neighbor_trie", fake)
+            assert main(["verify", "-i", g7_path, "--q-max", "13"]) == 1
+            assert capsys.readouterr().out == (
+                f"q=2: built trie has {sizes} text bytes, the graph gives 6 and 8\n"
+                "q=2: FAIL\n"
+                "verification FAILED\n"
+            )
+
 
 class TestStats:
-    def test_g7_rows(self, g7_path):
-        doc = run_stats(g7_path, [2, 13, 14])
-        assert doc.splitlines() == [
+    def test_g7_rows(self, g7_path, monkeypatch, capsys):
+        # every column comes from the neighbor graph: no table, no trie
+        def not_built(*args):
+            raise AssertionError("stats built an affix table or a trie")
+
+        monkeypatch.setattr("slpgram.neighbor.affix_tables", not_built)
+        monkeypatch.setattr("slpgram.cli.affix_tables", not_built)
+        monkeypatch.setattr("slpgram.cli.flatten_neighbor_trie", not_built)
+        rows = [
             "q,sum_ti,trie_size,dup,flattened_len,edges,vertices",
             "2,10,6,7,8,7,5",
             "13,13,13,0,13,0,1",
             "14,0,0,0,0,0,0",
         ]
+        assert run_stats(g7_path, [2, 13, 14]).splitlines() == rows
+        assert main(["stats", "-i", g7_path, "--q-list", "2,13,14"]) == 0
+        assert capsys.readouterr().out.splitlines() == rows
 
 
 class TestBench:
@@ -531,14 +578,15 @@ class TestMain:
         for argv in (
             ["count", "-q", "40", "--algo", "ssa"],
             ["count", "-q", "40", "--algo", "stsa", "--expand"],
-            ["stats", "--q-list", "40"],
             ["verify", "--q-max", "40"],
         ):
             assert main(argv + ["-i", str(slp)]) == 2, argv
             assert capsys.readouterr().err == refused, argv
-        # nsa builds no tables
+        # nsa and stats build no tables
         assert main(["count", "-q", "40", "--algo", "nsa", "-i", str(slp)]) == 0
         assert capsys.readouterr().out.endswith("\t1\n")
+        assert main(["stats", "--q-list", "40", "-i", str(slp)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "40,40,40,0,40,0,1"
 
     def test_affix_tables_of_a_long_chain_refused(self, tmp_path, monkeypatch, capsys):
         # at the real cap: a chain of 50 000 bytes at q = 50 000 would need
@@ -578,18 +626,19 @@ class TestMain:
         assert main(["stats", "-i", g7_path, "--q-list", "2"]) == 0
         assert capsys.readouterr().out.startswith("q,sum_ti,")
 
-    def test_oversized_trie_refused_by_stats(self, tmp_path, monkeypatch, capsys):
-        # stats never ranks the trie, but building one too large to rank
-        # would exhaust memory first, so it is refused the way count is
-        def no_tables(*args):
-            raise AssertionError("affix tables built for a refused trie")
+    def test_stats_row_of_a_trie_too_large_to_rank(self, tmp_path, monkeypatch, capsys):
+        # count refuses this trie of 13 * 2^28 - 12 nodes, but stats builds
+        # neither tables nor trie, so it prints the row
+        def not_built(*args):
+            raise AssertionError("stats built an affix table or a trie")
 
-        monkeypatch.setattr("slpgram.neighbor.affix_tables", no_tables)
+        monkeypatch.setattr("slpgram.neighbor.affix_tables", not_built)
+        monkeypatch.setattr("slpgram.cli.affix_tables", not_built)
+        monkeypatch.setattr("slpgram.cli.flatten_neighbor_trie", not_built)
         slp = doubling_grammar(tmp_path / "doubling.slp", 41)
-        assert main(["stats", "-i", slp, "--q-list", str(2**28)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot rank a string of {13 * 2**28 - 12} positions:"
-            f" the limit is {2**31 - 1}\n"
+        assert main(["stats", "-i", slp, "--q-list", str(2**28)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"{2**28},6710886376,{13 * 2**28 - 12},1096021966860,6442450921,24,13"
         )
 
 

@@ -99,7 +99,7 @@ def check_layout(g):
         assert graph.parents[order[0]] == 0, q
         breaks = sum(graph.parents[v] != u for u, v in zip(order, order[1:]))
         assert trie.branch_count == breaks, q
-        dup = compute_dup_stats(m, graph, trie).dup
+        dup = compute_dup_stats(m, graph).dup
         assert len(trie.text) == m.text_length - dup + (q - 1) * breaks, q
 
 
@@ -215,22 +215,26 @@ class TestDupStats:
             (13, "13,13,13,0,13,0,1"),
             (14, "14,0,0,0,0,0,0"),
         ]:
-            qm, graph, trie = pipeline(g7, g7_metrics, q)
-            assert compute_dup_stats(g7_metrics, graph, trie).csv_row() == row
+            graph = build_neighbor_graph(g7, g7_metrics, compute_qmarks(g7, g7_metrics, q))
+            assert compute_dup_stats(g7_metrics, graph).csv_row() == row
 
     def test_single_terminal_zero(self):
         g = parse_slp("1 T 97\n")
         m = compute_metrics(g)
-        qm, graph, trie = pipeline(g, m, 2)
-        assert compute_dup_stats(m, graph, trie).csv_row() == "2,0,0,0,0,0,0"
+        graph = build_neighbor_graph(g, m, compute_qmarks(g, m, 2))
+        assert compute_dup_stats(m, graph).csv_row() == "2,0,0,0,0,0,0"
 
     def test_size_identity_and_dominance(self, sample_grammars):
         for name, g in sample_grammars:
             m = compute_metrics(g)
             for q in range(2, 13):
                 qm, graph, trie = pipeline(g, m, q)
-                stats = compute_dup_stats(m, graph, trie)  # asserts internally
-                if m.text_length >= q:
+                stats = compute_dup_stats(m, graph)  # asserts internally
+                assert stats.trie_size == trie.body_total, (name, q)
+                assert stats.flattened_len == len(trie.text), (name, q)
+                if m.text_length < q:
+                    assert stats.csv_row() == f"{q},0,0,0,0,0,0", (name, q)
+                else:
                     assert stats.trie_size == m.text_length - stats.dup, (name, q)
                     total = sum(
                         m.occurrences[i] * (_window_len(g, m, q, i) - (q - 1))
@@ -250,11 +254,12 @@ class TestDupStats:
             ).materialize(z.text)
 
     def test_disagreement_raises(self, g7, g7_metrics):
-        qm, graph, trie = pipeline(g7, g7_metrics, 2)
-        # the trie size is derived from the stored text
-        broken = dataclasses.replace(trie, text=trie.text + b"x")
-        with pytest.raises(ConsistencyError):
-            compute_dup_stats(g7_metrics, graph, broken)
+        graph = build_neighbor_graph(g7, g7_metrics, compute_qmarks(g7, g7_metrics, 2))
+        # the trie size comes from the window total, |T| - dup from the
+        # occurrence-weighted one
+        broken = dataclasses.replace(graph, dup=graph.dup + 1)
+        with pytest.raises(ConsistencyError, match=r"^trie size 6 != text length 13 minus dup 8$"):
+            compute_dup_stats(g7_metrics, broken)
 
 
 class TestLibraryRefusal:
@@ -342,8 +347,12 @@ def test_tall_grammars_agree_with_the_text(g, q):
     qm, graph, trie = pipeline(g, m, q)
     wt = trie.to_weighted_text()
     assert weighted_qgram_counts(wt).materialize(wt.text) == want
-    stats = compute_dup_stats(m, graph, trie)
-    if m.text_length >= q:
+    stats = compute_dup_stats(m, graph)
+    assert stats.trie_size == trie.body_total
+    assert stats.flattened_len == len(trie.text)
+    if m.text_length < q:
+        assert stats.csv_row() == f"{q},0,0,0,0,0,0"
+    else:
         assert wt.nodes.size == stats.trie_size == m.text_length - stats.dup
 
 
