@@ -141,18 +141,16 @@ class FlattenedTrie:
     """The single weighted text of all branches in emission order, each its
     head's window followed by the labels of the vertices chained to it.
 
-    ``runs`` lists (rule, length) over the whole text: a body run carries
-    its rule's occurrence count as the weight of every gram ending in it,
-    and rule 0 marks the zero-weighted first q-1 characters of each head's
-    window, which open the text for the first branch and repeat the end of
-    the parent path for every later one.
+    A label carries its rule's occurrence count as the weight of every gram
+    ending in it.  The first q-1 characters of each head's window weigh
+    zero: they open the text for the first branch and repeat the end of the
+    parent path for every later one.
 
     The trie itself is every text position but the repeated contexts.  For
     each branch after the first, ``firsts`` holds the node index of its
     first node and ``hangs`` the node it hangs from, the last one of its
-    parent's label.  From them follow ``nodes``, the text position of each
-    of the ``body_total`` nodes, and ``parents``, the node above each: the
-    previous node, except at a branch's first one.  The counting engine
+    parent's label; :meth:`to_weighted_text` derives from them the position
+    and parent of each of the ``body_total`` nodes.  The counting engine
     ranks these nodes; the text only anchors the positions a report prints.
 
     The text opens with the first vertex's whole window, so nodes 0 to q-2
@@ -164,7 +162,6 @@ class FlattenedTrie:
     """
 
     q: int
-    runs: list[tuple[int, int]]
     text: bytes
     end_weights: np.ndarray
     firsts: list[int]
@@ -177,31 +174,12 @@ class FlattenedTrie:
 
     @property
     def body_total(self) -> int:
-        """The trie size: every body run plus the text's opener, which is
-        the text less the q-1 context characters of each later branch."""
+        """The trie size: the text less the q-1 context characters of each
+        later branch."""
         return len(self.text) - (self.q - 1) * len(self.hangs)
 
-    @property
-    def nodes(self) -> np.ndarray:
-        # A node's text position is its index plus the q-1 context
-        # characters of every later branch that starts at or before it.
-        size = self.body_total
-        nodes = np.zeros(size, dtype=np.int64)
-        # q may not fit in int64 when there are no branches.
-        if self.hangs:
-            nodes[self.firsts] = self.q - 1
-        np.cumsum(nodes, out=nodes)
-        nodes += np.arange(size)
-        return nodes
-
-    @property
-    def parents(self) -> np.ndarray:
-        parents = np.arange(-1, self.body_total - 1)
-        parents[self.firsts] = self.hangs
-        return parents
-
     def to_weighted_text(self) -> WeightedText:
-        return WeightedText(self.text, self.end_weights, self.q, self.nodes, self.parents)
+        return WeightedText(self.text, self.end_weights, self.q, self.firsts, self.hangs)
 
 
 def flatten_neighbor_trie(
@@ -229,7 +207,7 @@ def flatten_neighbor_trie(
     """
     q = graph.q
     if m.text_length < q:
-        return FlattenedTrie(q, [], b"", np.zeros(0, dtype=np.int64), [], [])
+        return FlattenedTrie(q, b"", np.zeros(0, dtype=np.int64), [], [])
     check_rankable(graph.trie_size)
     lefts, rights = g.lefts, g.rights
     parents = graph.parents
@@ -239,8 +217,10 @@ def flatten_neighbor_trie(
     pre, suf = tables
     # The node of the last character of each vertex's label.
     last = [0] * (g.n + 1)
-    runs: list[tuple[int, int]] = []
+    occurrences = m.occurrences
     text = bytearray()
+    run_weights: list[int] = []
+    run_lengths: list[int] = []
     firsts: list[int] = []
     hangs: list[int] = []
     for previous, v in zip([-1, *graph.vertices], graph.vertices):
@@ -251,7 +231,8 @@ def flatten_neighbor_trie(
             # and then the label starts that much later in pre[R_v].
             label = right[q - 1 - len(left) :]
             text += label
-            runs.append((v, len(label)))
+            run_weights.append(occurrences[v])
+            run_lengths.append(len(label))
         else:
             if parent:
                 # The first node lies just past the branch's context, and a
@@ -261,15 +242,10 @@ def flatten_neighbor_trie(
                 hangs.append(last[parent])
             text += left
             text += right
-            runs += ((0, q - 1), (v, len(left) + len(right) - (q - 1)))
+            run_weights += (0, occurrences[v])
+            run_lengths += (q - 1, len(left) + len(right) - (q - 1))
         last[v] = len(text) - 1 - (q - 1) * len(hangs)
-    # occurrences[0] is 0, so the rule-0 runs weigh nothing.
-    occurrences = m.occurrences
-    weights = np.repeat(
-        np.array([occurrences[rule] for rule, _ in runs], dtype=np.int64),
-        [length for _, length in runs],
-    )
-    return FlattenedTrie(q, runs, bytes(text), weights, firsts, hangs)
+    return FlattenedTrie(q, bytes(text), np.repeat(run_weights, run_lengths), firsts, hangs)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ start a whole gram, a trie on its nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,32 +21,38 @@ class WeightedText:
     ``end_weights[p]`` (0-based) belongs to the gram ``text[p - gram + 1 : p + 1]``;
     the first ``gram - 1`` positions cannot end a gram and must weigh zero.
 
-    The text of a flattened trie also carries the trie itself: ``nodes[v]``
-    is the text position of trie node v and ``parents[v]`` the node above
-    it, -1 at the root, node 0.  The gram ending at node v is then read
-    down the parent chain to v; it must equal the text's gram ending at
-    ``nodes[v]``, which is what a report prints.  Positions outside
-    ``nodes`` repeat bytes of the trie and must weigh zero.  Node v has
-    at least min(v, gram - 1) ancestors: nodes 0 to gram - 2 are the root
-    chain, each below the node before it, and every later node hangs from
-    node gram - 2 or a later one.  So whole grams end at every node but
-    the root chain's, which must weigh zero too.
+    The text of a flattened trie also carries the trie itself, given by its
+    branches after the first (a plain string gives neither ``firsts`` nor
+    ``hangs``).  Nodes 0 to gram - 2 are the root chain, each
+    below the node before it, at the text's first positions.  Every other
+    node lies one text position after the node before it and hangs below
+    it, except the first node of a later branch j: ``firsts[j]``, its node
+    index, lies past gram - 1 context bytes that repeat the end of the path
+    down to ``hangs[j]``, the node it hangs from, and weigh zero.  The
+    firsts increase from gram - 1 on, and each hang lies from node gram - 2
+    (0 at gram 1) to before its branch's first node, so node v has at least
+    min(v, gram - 1) ancestors, and whole grams end at every node but the
+    root chain's.  From the branches follow ``nodes``, the text position of
+    each node, and ``parents``, the node above each, -1 at the root, node 0.
+    The gram ending at node v is read down the parent chain to v; it equals
+    the text's gram ending at ``nodes[v]``, which is what a report prints.
 
     The engine reads each node's first key, at most 7 bytes ending at it,
     from the text, so the part of that contract it relies on is checked
-    here: the up to min(gram, 8) - 1 bytes before ``nodes[v]``, which
-    cover the at most 6 the engine reads, are the bytes of v's nearest
-    ancestors, as many as it has.  A node whose parent is the node
-    before it, and which lies one text position after that node, inherits
-    this from its parent.  So only the other nodes, the heads, are checked,
-    with at most 7 gathers over them; a wrong byte raises ValueError.
+    here: the up to min(gram, 8) - 1 context bytes before each branch's
+    first node, which cover the at most 6 the engine reads, are the bytes of
+    its nearest ancestors, with at most 7 gathers over the branches; a wrong
+    byte raises ValueError.  Every other node inherits this from the node
+    before it.
     """
 
     text: bytes
     end_weights: np.ndarray
     gram: int
-    nodes: np.ndarray | None = None
-    parents: np.ndarray | None = None
+    firsts: np.ndarray | None = None
+    hangs: np.ndarray | None = None
+    nodes: np.ndarray | None = field(default=None, init=False)
+    parents: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.gram < 1:
@@ -58,88 +64,62 @@ class WeightedText:
         # count_nonzero, not any(): on a small array it costs a third as much
         if np.count_nonzero(weights[: self.gram - 1]):
             raise ValueError(f"no q-gram can end before position {self.gram}")
-        if self.nodes is None and self.parents is None:
+        if self.firsts is None and self.hangs is None:
             return
-        if self.nodes is None or self.parents is None:
-            raise ValueError("a trie needs both nodes and parents")
-        nodes = np.asarray(self.nodes, dtype=np.int64)
-        parents = np.asarray(self.parents, dtype=np.int64)
+        q = self.gram
+        if self.firsts is None or self.hangs is None:
+            raise ValueError("a trie needs both firsts and hangs")
+        firsts = np.asarray(self.firsts, dtype=np.int64)
+        hangs = np.asarray(self.hangs, dtype=np.int64)
+        object.__setattr__(self, "firsts", firsts)
+        object.__setattr__(self, "hangs", hangs)
+        if firsts.ndim != 1 or hangs.shape != firsts.shape:
+            raise ValueError("firsts and hangs must hold one entry per branch")
+        branches = firsts.size
+        size = len(self.text) - (q - 1) * branches
+        # Compared as Python ints, so that a gram too long for int64 refuses
+        # every branch: past this check q - 1 is below the text length.
+        if branches and (
+            int(firsts[0]) < q - 1
+            or int(firsts[-1]) >= size
+            or np.count_nonzero(firsts[1:] <= firsts[:-1])
+        ):
+            raise ValueError(f"first nodes must strictly increase within [{q - 1}, {size})")
+        low = max(q - 2, 0)
+        if branches and (np.count_nonzero(hangs < low) or np.count_nonzero(hangs >= firsts)):
+            raise ValueError(f"each branch must hang from a node in [{low}, its first node)")
+        # A node's text position is its index plus the q-1 context bytes of
+        # every branch that starts at or before it.
+        nodes = np.zeros(size, dtype=np.int64)
+        parents = np.arange(-1, size - 1)
+        if branches:
+            nodes[firsts] = q - 1
+            parents[firsts] = hangs
+        np.cumsum(nodes, out=nodes)
+        nodes += np.arange(size)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "parents", parents)
-        if nodes.ndim != 1 or parents.shape != nodes.shape:
-            raise ValueError("nodes and parents must hold one entry per trie node")
-        if nodes.size and (nodes[0] < 0 or nodes[-1] >= len(self.text)):
-            raise ValueError("node positions must lie in the text")
-        if np.count_nonzero(nodes[1:] <= nodes[:-1]):
-            raise ValueError("node positions must strictly increase")
-        # lag[v] = v - 1 - parents[v]: at least 0 where the parent precedes
-        # v, and 0 where it is the node before v.  It wraps only for a parent
-        # near -2**63, so a negative lag is checked again without it.
-        lag = np.arange(-1, nodes.size - 1)
-        lag -= parents
-        if lag.size and lag.min() < 0 and (parents >= np.arange(parents.size)).any():
-            raise ValueError("every parent must precede its node")
-        if lag.size and (parents[0] != -1 or (lag.size > 1 and parents[1:].min() < 0)):
-            raise ValueError("node 0 must be the one root, with parent -1")
-        # The root chain has lag 0 and every later node a parent past it;
-        # min keeps a gram too long for int64 out of the arithmetic.
-        chain = min(self.gram, nodes.size + 1) - 1
-        if np.count_nonzero(lag[:chain]) or np.count_nonzero(parents[chain:] < chain - 1):
-            v = np.flatnonzero(np.r_[lag[:chain] != 0, parents[chain:] < chain - 1])[0]
-            raise ValueError(
-                f"node {v} has fewer than {min(v, chain)} ancestors: the first q-1 nodes"
-                " must be the root chain, and every later node must hang below it"
-            )
-        # A node other than 0 heads a branch unless its parent is the node
-        # before it (lag 0) and it lies one text position later (step 1);
-        # both are at least that, so their sum tells.  Summed in place, so
-        # that no second array of the nodes' size is alive at once.
-        lag[1:] += nodes[1:]
-        lag[1:] -= nodes[:-1]
-        heads = np.flatnonzero(lag[1:] != 1) + 1
-        del lag
-        # Every other node lies one position after the node before it, so
-        # the positions outside the nodes are those before node 0, after the
-        # last one, and in the gap before each head.  One reduceat ORs each
-        # gap's weights; an empty gap reads its head's and is masked out.
-        lo = nodes[heads - 1] + 1
-        hi = nodes[heads]
-        bounds = np.empty(2 * heads.size, dtype=np.int64)
-        bounds[::2] = lo
-        bounds[1::2] = hi
-        gaps = np.bitwise_or.reduceat(weights, bounds)[::2]
-        first, last = (nodes[0], nodes[-1]) if nodes.size else (weights.size, weights.size)
-        if (
-            np.count_nonzero(weights[:first])
-            or np.count_nonzero(weights[last + 1 :])
-            or np.count_nonzero(gaps.astype(bool) & (lo < hi))
-        ):
-            raise ValueError("positions outside the trie's nodes must weigh zero")
-        # With the gaps empty, only the root chain's nodes can weigh up to its end.
-        if chain and np.count_nonzero(weights[: nodes[chain - 1] + 1]):
-            v = np.flatnonzero(weights[nodes[:chain]])[0]
-            raise ValueError(
-                f"no q-gram can end at a node with fewer than {self.gram - 1} ancestors,"
-                f" such as node {v}"
-            )
-        if not heads.size or self.gram < 2:
+        if not branches or q < 2:
             return
-        # Row j - 1 holds each head's j-th ancestor, or -1 past the root: an
-        # ancestor is below its node, and parents[-1] is not below -1.
-        ancestors = np.empty((min(self.gram, 8) - 1, heads.size), dtype=np.int64)
-        up = heads
+        starts = nodes[firsts]
+        # One reduceat ORs the weights of each branch's context, the q-1
+        # positions before its first node.
+        bounds = np.add.outer(starts, (1 - q, 0)).ravel()
+        if np.count_nonzero(np.bitwise_or.reduceat(weights, bounds)[::2]):
+            raise ValueError("the q-1 context bytes before each branch must weigh zero")
+        # Row j - 1 holds each first node's j-th ancestor.  A hang has at
+        # least q - 2 ancestors, so every row's is a node, and a first node
+        # lies past its q - 1 context bytes.
+        ancestors = np.empty((min(q, 8) - 1, branches), dtype=np.int64)
+        up = firsts
         for row in ancestors:
-            up = np.minimum(np.take(parents, up, out=row), up, out=row)
-        # Node positions strictly increase and ancestors are earlier nodes,
-        # so a head lies past as many bytes as it has ancestors: the
-        # positions read for real ancestors are in the text.
+            up = np.take(parents, up, out=row)
         backs = np.arange(1, ancestors.shape[0] + 1)[:, None]
         data = np.frombuffer(self.text, dtype=np.uint8)
-        before = np.take(data, nodes[heads] - backs, mode="clip")
-        wrong = np.argwhere((before != data[nodes[ancestors]]) & (ancestors >= 0))
+        wrong = np.argwhere(data[starts - backs] != data[nodes[ancestors]])
         if wrong.size:
             back, column = wrong[0] + (1, 0)
-            v, u = heads[column], ancestors[back - 1, column]
+            v, u = firsts[column], ancestors[back - 1, column]
             raise ValueError(
                 f"text position {nodes[v] - back}, {back} before node {v}, must hold"
                 f" the byte of its ancestor node {u}"
@@ -344,9 +324,9 @@ def _ancestor_ranks(
     ``text``: node v holds byte ``text[nodes[v]]`` below node ``parents[v]``
     (-1 at the root, node 0), and is ranked by the ``depth`` bytes of its
     path that end at it.  Node v must have at least min(v, depth - 1)
-    ancestors, as :class:`WeightedText` checks, so nodes 0 to depth - 2 are
-    the root chain, and every other node has ``depth`` bytes to be ranked
-    by.  Over those nodes ``order`` sorts them by their byte strings, equal
+    ancestors, as the nodes and parents that :class:`WeightedText` derives
+    from a trie's branches have, so nodes 0 to depth - 2 are the root chain,
+    and every other node has ``depth`` bytes to be ranked by.  Over those nodes ``order`` sorts them by their byte strings, equal
     ones by node, and ``groups`` ascends, equal at i and i - 1 exactly where
     the strings of ``order[i]`` and ``order[i - 1]`` are.  The root chain's
     nodes are ranked too, by whatever bytes precede them, and may group with
@@ -356,8 +336,8 @@ def _ancestor_ranks(
     a node below m.  With k = min(depth, (63 - bits) // 8) (5 from 2^15 to
     2^23 nodes), the text must hold each node's context: the k - 1 bytes
     before ``nodes[v]`` are the bytes of v's k - 1 nearest ancestors
-    whenever v has that many (:class:`WeightedText` checks it at the
-    heads).  So the first round's key is the k bytes of text ending at
+    whenever v has that many (:class:`WeightedText` checks it at each
+    branch's first node).  So the first round's key is the k bytes of text ending at
     ``nodes[v]``, read big-endian through a strided view of a copy padded
     with 7 zero bytes in front and masked to its low 8k bits.
 
@@ -444,11 +424,12 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
 
     A plain string is ranked on its positions that start a whole gram, by
     the gram's bytes (:func:`_gram_ranks`).  A trie's text is ranked on its
-    nodes only, each by the q bytes down its parent chain
-    (:func:`_ancestor_ranks`, which takes the whole text, since the first
-    key of a node is read from the bytes that end at it), so the repeated
-    contexts are never sorted, and the root chain's q - 1 nodes, where no
-    whole gram ends, are dropped from its order.  Either way every round
+    nodes only, each by the q bytes down its parent chain: the ``nodes``
+    and ``parents`` that :class:`WeightedText` derives from the trie's
+    branches (:func:`_ancestor_ranks`, which takes the whole text, since
+    the first key of a node is read from the bytes that end at it).  So the
+    repeated contexts are never sorted, and the root chain's q - 1 nodes,
+    where no whole gram ends, are dropped from its order.  Either way every round
     sorts one int64 word per position or node, the key above the index, in
     place: q <= 5 takes one sort, q = 6..8 two where the first key holds 5
     bytes, and q = 64 four on the corpus and versions inputs; a round

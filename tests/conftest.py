@@ -50,13 +50,6 @@ def comb_text(teeth):
     return b"".join(b"b" + b"a" * k for k in range(1, teeth + 1))
 
 
-def reference_window(g, texts, q, i):
-    """Boundary window of pair rule i: the last q-1 characters of its left
-    child, then the first q-1 of its right child (fewer when a child is
-    shorter), cut from ``texts``, the rule texts of ``naive_rule_texts``."""
-    return texts[g.lefts[i]][-(q - 1) :] + texts[g.rights[i]][: q - 1]
-
-
 def doubling_doc(rules):
     """Rule k derives 2^(k-1) a's, so the text is 2^(rules-1) bytes."""
     return "1 T 97\n" + "".join(f"{k} N {k - 1} {k - 1}\n" for k in range(2, rules + 1))

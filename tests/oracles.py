@@ -34,6 +34,50 @@ def derivation_occurrences(g) -> list[int]:
     return counts
 
 
+def reference_window(g, texts, q, i):
+    """Boundary window of pair rule i: the last q-1 characters of its left
+    child, then the first q-1 of its right child (fewer when a child is
+    shorter), cut from ``texts``, the rule texts of ``naive_rule_texts``."""
+    return texts[g.lefts[i]][-(q - 1) :] + texts[g.rights[i]][: q - 1]
+
+
+def trie_layout(g, graph, texts, occurrences):
+    """The flattened trie of a right-neighbor graph, laid out window by
+    window: ``(z, end_weights, firsts, hangs)``.
+
+    ``texts`` are the rule texts of ``naive_rule_texts`` and
+    ``occurrences`` the counts of ``derivation_occurrences``.  The vertices
+    come in the graph's order.  One whose parent is the vertex just before
+    it adds its label, its window past the first q-1 characters; any other
+    first adds those q-1 characters too.  In the first window they are the
+    root chain's nodes, in a later one a context that holds no node and
+    opens a branch: its first node is the next one, and it hangs from the
+    last node of the parent's label.  Every label character weighs its
+    vertex's occurrence count, every other one nothing.
+    """
+    q = graph.q
+    z, weights, firsts, hangs = bytearray(), [], [], []
+    nodes = 0
+    last = {}
+    for index, v in enumerate(graph.vertices):
+        window = reference_window(g, texts, q, v)
+        head, label = window[: q - 1], window[q - 1 :]
+        parent = graph.parents[v]
+        if index == 0 or parent != graph.vertices[index - 1]:
+            z += head
+            weights += [0] * len(head)
+            if index == 0:
+                nodes += len(head)
+            else:
+                firsts.append(nodes)
+                hangs.append(last[parent])
+        z += label
+        weights += [occurrences[v]] * len(label)
+        nodes += len(label)
+        last[v] = nodes - 1
+    return bytes(z), weights, firsts, hangs
+
+
 def deepest_outer_marks(g, lengths: list[int], q: int):
     """(leftmost, rightmost) marks by literal descent along the outer paths."""
     leftmost: list[int | None] = [None] * (g.n + 1)

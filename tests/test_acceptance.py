@@ -8,13 +8,12 @@ test runs the pipelines on a grammar whose height is linear in its size.
 
 import hashlib
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import G7_DOC, comb_grammar, comb_text
-from oracles import sliding_histogram
+from oracles import derivation_occurrences, naive_rule_texts, sliding_histogram, trie_layout
 from slpgram import (
     BuilderConfig,
     ConsistencyError,
@@ -84,6 +83,8 @@ def sweep():
     for index, g in enumerate(grammars):
         m = compute_metrics(g)
         text = expand(g)
+        texts = naive_rule_texts(g)
+        occurrences = derivation_occurrences(g)
         for q in Q_RANGE:
             checks += 1
             naive = sliding_histogram(text, q)
@@ -125,11 +126,9 @@ def sweep():
 
             if len(graph.edges) > 2 * g.n:
                 violations[4].append(f"instance {index} q={q}: edge bound")
-            emitted = [v for v, _ in trie.runs if v]
-            once = Counter(emitted)
-            if m.text_length >= q and (
-                set(once) != set(graph.vertices) or any(c != 1 for c in once.values())
-            ):
+            # each vertex's label once, every context and every weight
+            layout = (trie.text, trie.end_weights.tolist(), trie.firsts, trie.hangs)
+            if layout != trie_layout(g, graph, texts, occurrences):
                 violations[4].append(f"instance {index} q={q}: vertex coverage")
 
             if stats.flattened_len > stats.sum_ti:

@@ -188,17 +188,12 @@ class TestCount:
             qm = compute_qmarks(g, m, q)
             trie = flatten_neighbor_trie(g, m, build_neighbor_graph(g, m, qm))
             z = trie.text
-            # every rule-0 run after the opener repeats the end of the parent
-            # path: a later branch's context, which holds no trie node
-            context, at = set(), 0
-            for index, (rule, length) in enumerate(trie.runs):
-                if index and not rule:
-                    context.update(range(at, at + length))
-                at += length
+            # the positions of z that hold no trie node repeat the end of a
+            # parent path: a later branch's context
+            nodes = trie.to_weighted_text().nodes.tolist()
             earliest = {}
-            for p in range(q - 1, len(z)):
-                if p not in context:
-                    earliest.setdefault(z[p - q + 1 : p + 1], p + 1)
+            for p in nodes[q - 1 :]:
+                earliest.setdefault(z[p - q + 1 : p + 1], p + 1)
             want = sliding_histogram(text, q)
             header, *lines = run_count(CountRequest(str(path), q, "stsa")).splitlines()
             assert header == "# end positions refer to z"
@@ -207,7 +202,7 @@ class TestCount:
                 end, count = map(int, line.split("\t"))
                 gram = z[end - q : end]
                 assert want[gram] == count, (seed, q, end)
-                assert end - 1 not in context, (seed, q, end)
+                assert end - 1 in nodes, (seed, q, end)
                 assert earliest[gram] == end, (seed, q, end)
 
 
@@ -250,15 +245,14 @@ class TestVerify:
             return dataclasses.replace(trie, text=trie.text + b"a", end_weights=weights)
 
         def second_vertex_branched(*args):
-            # G7's second vertex follows its parent, the first; emit it as a
-            # branch hanging from the parent's last node instead: the same
-            # nodes and counts, q-1 = 1 more context byte
+            # G7's second vertex, 3, follows its parent, the first, 4, whose
+            # window "aa" opens z; emit it as a branch hanging from node 1,
+            # the parent's last, instead: the same nodes and counts, q-1 = 1
+            # more context byte
             trie = real(*args)
-            (_, opener), (_, label) = trie.runs[:2]
-            at = opener + label
+            at = 2
             return dataclasses.replace(
                 trie,
-                runs=[*trie.runs[:2], (0, 1), *trie.runs[2:]],
                 text=trie.text[:at] + trie.text[at - 1 : at] + trie.text[at:],
                 end_weights=np.insert(trie.end_weights, at, 0),
                 firsts=[at, *trie.firsts],

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G7_TEXT, comb_grammar, periodic_grammar, reference_window
-from oracles import deepest_outer_marks, first_seams, naive_rule_texts, sliding_histogram
+from conftest import G7_TEXT, comb_grammar, periodic_grammar
+from oracles import (
+    deepest_outer_marks,
+    derivation_occurrences,
+    first_seams,
+    naive_rule_texts,
+    reference_window,
+    sliding_histogram,
+    trie_layout,
+)
 from slpgram import (
     ConsistencyError,
     SlpGrammar,
@@ -70,9 +78,12 @@ def check_layout(g):
     context longer than the trie per vertex that does not follow its
     parent.  The graph's window totals and edges match the oracles: the
     ssa string, the windows cut from the rule texts, and one successor
-    from the deepest outer marks per long child of each vertex."""
+    from the deepest outer marks per long child of each vertex.  The
+    flattened trie is the oracle's layout of those windows: each vertex's
+    label once, every context, and every weight."""
     m = compute_metrics(g)
     texts = naive_rule_texts(g)
+    occurrences = derivation_occurrences(g)
     seams = first_seams(g)
     for q in range(2, 10):
         qm, graph, trie = pipeline(g, m, q)
@@ -94,8 +105,12 @@ def check_layout(g):
         for v in order[1:]:
             parent = graph.parents[v]
             assert (parent, v) in edges and seams[parent] < seams[v], (q, v, parent)
+        layout = (trie.text, trie.end_weights.tolist(), trie.firsts, trie.hangs)
+        assert layout == trie_layout(g, graph, texts, occurrences), q
         if m.text_length < q:
             continue
+        # the root chain is the text's first q-1 characters
+        assert trie.text[: q - 1] == texts[g.n][: q - 1], q
         assert graph.parents[order[0]] == 0, q
         breaks = sum(graph.parents[v] != u for u, v in zip(order, order[1:]))
         assert trie.branch_count == breaks, q
@@ -113,25 +128,20 @@ class TestLayout:
 
 
 class TestFlatten:
-    def test_g7_q2_runs(self, g7, g7_metrics):
+    def test_g7_q2_layout(self, g7, g7_metrics):
         _, _, trie = pipeline(g7, g7_metrics, 2)
         # opener "a", then the labels of 4, 3 and 6, each below the vertex
         # just before it; 5 and 7 hang below 3, not 6, so each opens a
         # branch of context "b" and body "a"
         assert trie.text == b"aabababa"
-        assert trie.runs == [
-            (0, 1), (4, 1), (3, 1), (6, 1),
-            (0, 1), (5, 1),
-            (0, 1), (7, 1),
-        ]
         assert trie.body_total == 6
         assert trie.branch_count == 2
         # each later branch starts at the next node and hangs from the b
         assert (trie.firsts, trie.hangs) == ([4, 5], [2, 2])
-        # the trie a-a-b with three a's below the b; contexts are no nodes
-        assert list(trie.nodes) == [0, 1, 2, 3, 5, 7]
-        assert list(trie.parents) == [-1, 0, 1, 2, 2, 2]
         wt = trie.to_weighted_text()
+        # the trie a-a-b with three a's below the b; contexts are no nodes
+        assert list(wt.nodes) == [0, 1, 2, 3, 5, 7]
+        assert list(wt.parents) == [-1, 0, 1, 2, 2, 2]
         assert wt.text == b"aabababa"
         assert list(wt.end_weights) == [0, 3, 5, 1, 0, 2, 0, 1]
         assert weighted_qgram_counts(wt).materialize(wt.text) == {
@@ -142,7 +152,6 @@ class TestFlatten:
 
     def test_g7_q13_single_branch(self, g7, g7_metrics):
         _, _, trie = pipeline(g7, g7_metrics, 13)
-        assert trie.runs == [(0, 12), (7, 1)]
         assert (trie.text, trie.branch_count) == (G7_TEXT, 0)
         wt = trie.to_weighted_text()
         assert list(wt.end_weights) == [0] * 12 + [1]
@@ -150,7 +159,7 @@ class TestFlatten:
 
     def test_q_above_text_empty(self, g7, g7_metrics):
         _, _, trie = pipeline(g7, g7_metrics, 14)
-        assert (trie.runs, trie.body_total, trie.branch_count) == ([], 0, 0)
+        assert (trie.text, trie.body_total, trie.branch_count) == (b"", 0, 0)
         wt = trie.to_weighted_text()
         assert wt.text == b""
         assert weighted_qgram_counts(wt).entries.tolist() == []
@@ -164,48 +173,6 @@ class TestFlatten:
                 wt = trie.to_weighted_text()
                 counts = weighted_qgram_counts(wt).materialize(wt.text)
                 assert counts == sliding_histogram(text, q), (name, q)
-
-    def test_each_vertex_emitted_exactly_once(self, sample_grammars):
-        for name, g in sample_grammars:
-            m = compute_metrics(g)
-            for q in range(2, 10):
-                qm, graph, trie = pipeline(g, m, q)
-                emitted = [v for v, _ in trie.runs if v]
-                assert Counter(emitted) == Counter(set(emitted)), (name, q)
-                if m.text_length >= q:
-                    assert set(emitted) == set(graph.vertices), (name, q)
-
-    def test_emitted_runs_are_the_vertex_labels(self, sample_grammars):
-        # every vertex contributes its fresh characters (window minus the
-        # shared q-1 prefix) exactly once; every rule-0 run is the first q-1
-        # characters of the window of the vertex that follows it, the text's
-        # opener for the first branch and a context for each later one
-        for name, g in sample_grammars:
-            m = compute_metrics(g)
-            texts = naive_rule_texts(g)
-            for q in (2, 3, 5):
-                if m.text_length < q:
-                    continue
-                qm, graph, trie = pipeline(g, m, q)
-                assert trie.runs[0] == (0, q - 1), (name, q)
-                assert trie.text[: q - 1] == expand(g)[: q - 1], (name, q)
-                zero = [length for v, length in trie.runs[1:] if not v]
-                assert zero == [q - 1] * trie.branch_count, (name, q)
-                got = Counter()
-                offset = 0
-                for index, (v, length) in enumerate(trie.runs):
-                    run = trie.text[offset : offset + length]
-                    if v:
-                        got[(v, run)] += 1
-                    else:
-                        head = trie.runs[index + 1][0]
-                        window = reference_window(g, texts, q, head)
-                        assert run == window[: q - 1], (name, q, index)
-                    offset += length
-                want = Counter()
-                for i in graph.vertices:
-                    want[(i, reference_window(g, texts, q, i)[q - 1 :])] += 1
-                assert got == want, (name, q)
 
 
 class TestDupStats:

@@ -1,7 +1,6 @@
 import pytest
 
-from conftest import reference_window
-from oracles import naive_rule_texts, sliding_histogram
+from oracles import naive_rule_texts, reference_window, sliding_histogram
 from slpgram import (
     build_ssa_text,
     compute_metrics,

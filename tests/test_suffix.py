@@ -51,75 +51,88 @@ class TestWeightedText:
         wt = WeightedText(b"ab", [0, 3], 2)
         assert wt.end_weights.dtype == np.int64
 
-    # "aab|b|a": the trie a-a-b-a with the context "b" repeated before the
-    # last node, which hangs from node 2
-    TRIE = (b"aabba", [0, 3, 5, 0, 2], 2, [0, 1, 2, 4], [-1, 0, 1, 2])
+    # "aab|b|a": the trie a-a-b-a with the context "b" repeated before node
+    # 3, the first node of the one later branch, which hangs from node 2
+    TRIE = (b"aabba", [0, 3, 5, 0, 2], 2, [3], [2])
+    # the same weights, and a second later branch: node 4, whose context "a"
+    # repeats node 1, which it hangs from
+    TWO = (b"aabbaab", [0, 3, 5, 0, 2, 0, 4], 2, [3, 4], [2, 1])
+    # the first trie at q = 3: nodes 0 and 1 are the root chain, and node 3's
+    # context "ab" repeats nodes 1 and 2
+    DEEP = (b"aababa", [0, 0, 5, 0, 0, 2], 3, [3], [2])
+    # at q = 4 the root chain "aab", and node 3 below its end, node 2
+    LONG = (b"aabaabb", [0, 0, 0, 0, 0, 0, 2], 4, [3], [2])
 
     def test_accepts_a_trie(self):
         wt = WeightedText(*self.TRIE)
+        assert wt.firsts.dtype == wt.hangs.dtype == np.int64
         assert wt.nodes.dtype == wt.parents.dtype == np.int64
+        assert (wt.nodes.tolist(), wt.parents.tolist()) == ([0, 1, 2, 4], [-1, 0, 1, 2])
         assert weighted_qgram_counts(wt).entries.tolist() == [[2, 3], [3, 5], [5, 2]]
-        # two branches, and the same weights with none on the second context
-        wt = WeightedText(b"aabbaab", [0, 3, 5, 0, 2, 0, 4], 2, [0, 1, 2, 4, 6], [-1, 0, 1, 2, 1])
+        wt = WeightedText(*self.TWO)
+        assert (wt.nodes.tolist(), wt.parents.tolist()) == ([0, 1, 2, 4, 6], [-1, 0, 1, 2, 1])
         assert weighted_qgram_counts(wt).materialize(wt.text) == {b"aa": 3, b"ab": 9, b"ba": 2}
-        # the same trie at q = 3, with a context of two bytes, where nodes 0
-        # and 1, the root chain, cannot weigh
-        wt = WeightedText(b"aababa", [0, 0, 5, 0, 0, 2], 3, [0, 1, 2, 5], [-1, 0, 1, 2])
+        wt = WeightedText(*self.DEEP)
+        assert (wt.nodes.tolist(), wt.parents.tolist()) == ([0, 1, 2, 5], [-1, 0, 1, 2])
         assert weighted_qgram_counts(wt).materialize(wt.text) == {b"aab": 5, b"aba": 2}
+        wt = WeightedText(*self.LONG)
+        assert (wt.nodes.tolist(), wt.parents.tolist()) == ([0, 1, 2, 6], [-1, 0, 1, 2])
+        assert weighted_qgram_counts(wt).materialize(wt.text) == {b"aabb": 2}
+        # no later branch: node v at position v, below v - 1, whatever the gram
+        wt = WeightedText(b"aab", [0, 0, 0], 10**100, [], [])
+        assert (wt.nodes.tolist(), wt.parents.tolist()) == ([0, 1, 2], [-1, 0, 1])
 
     @pytest.mark.parametrize(
-        "change, message",
+        "base, change, message",
         [
-            ({"parents": [-1, 0, 1]}, "one entry per trie node"),
-            ({"parents": None}, "both nodes and parents"),
-            ({"nodes": [0, 1, 2, 5]}, "lie in the text"),
-            ({"nodes": [0, 2, 1, 4]}, "strictly increase"),
-            ({"nodes": [0, 1, 1, 4]}, "strictly increase"),
-            ({"parents": [-1, 0, 2, 2]}, "precede its node"),
-            ({"parents": [-1, 0, 3, 2]}, "precede its node"),
-            ({"parents": [-1, -1, 1, 2]}, "node 0 must be the one root"),
-            ({"parents": [-2, 0, 1, 2]}, "node 0 must be the one root"),
-            ({"weights": [0, 3, 5, 1, 2]}, "outside the trie's nodes"),
-            # at q = 3, node 2 (position 2) or node 3 (position 4) hangs
-            # from node 0 and so has one ancestor only; the texts repeat each
-            # head's ancestors in the bytes before it
-            ({"text": b"aaaab", "parents": [-1, 0, 0, 2], "weights": [0, 0, 5, 0, 2],
-              "gram": 3}, "fewer than 2 ancestors"),
-            ({"text": b"aabaa", "parents": [-1, 0, 1, 0], "weights": [0, 0, 5, 0, 2],
-              "gram": 3}, "fewer than 2 ancestors"),
-            # the byte before node 3 is not its parent's
-            ({"text": b"aabaa"}, "position 3, 1 before node 3, must hold the byte of its"
-             " ancestor node 2"),
-            # a weight before node 0
-            ({"text": b"xxaabba", "weights": [0, 7, 0, 3, 5, 0, 2], "nodes": [2, 3, 4, 6]},
-             "outside the trie's nodes"),
-            # a weight after the last node
-            ({"text": b"aabbaa", "weights": [0, 3, 5, 0, 2, 1]}, "outside the trie's nodes"),
-            # a weight in the context of a later branch: node 4 hangs from
-            # node 1, and position 5 repeats node 1's byte before it
-            ({"text": b"aabbaab", "weights": [0, 3, 5, 0, 2, 1, 4], "nodes": [0, 1, 2, 4, 6],
-              "parents": [-1, 0, 1, 2, 1]}, "outside the trie's nodes"),
-            # at q = 4 node 3 hangs from node 1, above the root chain's end,
-            # and node 2 is off the chain, below node 0
-            ({"text": b"aabab", "parents": [-1, 0, 1, 1], "weights": [0, 0, 0, 0, 2],
-              "gram": 4}, "node 3 has fewer than 3 ancestors"),
-            ({"text": b"aaaab", "parents": [-1, 0, 0, 2], "weights": [0, 0, 0, 0, 2],
-              "gram": 4}, "node 2 has fewer than 2 ancestors"),
-            # at q = 3 a weight on node 1, the root chain's end, which lies at
-            # position 3 past a gap
-            ({"text": b"ababbba", "weights": [0, 0, 0, 5, 0, 0, 2], "nodes": [0, 3, 4, 6],
-              "gram": 3}, "fewer than 2 ancestors, such as node 1"),
+            pytest.param(TRIE, {"hangs": [2, 2]}, "one entry per branch", id="lengths differ"),
+            pytest.param(TRIE, {"firsts": [[3]], "hangs": [[2]]}, "one entry per branch",
+                         id="not one row"),
+            pytest.param(TRIE, {"hangs": None}, "both firsts and hangs", id="no hangs"),
+            pytest.param(TRIE, {"firsts": None}, "both firsts and hangs", id="no firsts"),
+            pytest.param(TRIE, {"firsts": [0]}, r"increase within \[1, 4\)",
+                         id="first in the root chain"),
+            pytest.param(DEEP, {"firsts": [1]}, r"increase within \[2, 4\)",
+                         id="first in the root chain at q=3"),
+            pytest.param(LONG, {"firsts": [2], "hangs": [0]}, r"increase within \[3, 4\)",
+                         id="first in the root chain at q=4"),
+            pytest.param(TWO, {"firsts": [4, 3], "hangs": [1, 2]}, "strictly increase",
+                         id="firsts out of order"),
+            pytest.param(TWO, {"firsts": [3, 3]}, "strictly increase", id="firsts equal"),
+            pytest.param(TRIE, {"firsts": [4]}, r"increase within \[1, 4\)",
+                         id="first past the last node"),
+            pytest.param(TRIE, {"hangs": [3]}, r"hang from a node in \[0, its first node\)",
+                         id="hang at its first"),
+            pytest.param(TWO, {"hangs": [2, 5]}, r"in \[0, its first node\)",
+                         id="hang after its first"),
+            pytest.param(DEEP, {"hangs": [0]}, r"in \[1, its first node\)",
+                         id="hang above the root chain's end at q=3"),
+            pytest.param(LONG, {"hangs": [1]}, r"in \[2, its first node\)",
+                         id="hang above the root chain's end at q=4"),
+            pytest.param(TRIE, {"gram": 1, "hangs": [-1]}, r"in \[0, its first node\)",
+                         id="hang -1 at q=1"),
+            pytest.param(TRIE, {"hangs": [-1]}, r"in \[0, its first node\)", id="hang -1 at q=2"),
+            pytest.param(TRIE, {"weights": [0, 3, 5, 1, 2]}, "context bytes .* must weigh zero",
+                         id="weight in the context"),
+            pytest.param(TWO, {"weights": [0, 3, 5, 0, 2, 1, 4]}, "must weigh zero",
+                         id="weight in the second context"),
+            pytest.param(DEEP, {"weights": [0, 0, 5, 1, 0, 2]}, "must weigh zero",
+                         id="weight in a context of two bytes"),
+            pytest.param(DEEP, {"weights": [0, 7, 5, 0, 0, 2]}, "no q-gram can end before position 3",
+                         id="weight on the root chain"),
+            pytest.param(TRIE, {"text": b"aabaa"}, "position 3, 1 before node 3, must hold the byte"
+                         " of its ancestor node 2", id="wrong context byte"),
+            pytest.param(TWO, {"text": b"aabbabb"}, "position 5, 1 before node 4, must hold the"
+                         " byte of its ancestor node 1", id="wrong byte in the second context"),
         ],
     )
-    def test_rejects_a_bad_trie(self, change, message):
-        text, weights, gram, nodes, parents = self.TRIE
-        fields = {"text": text, "weights": weights, "gram": gram, "nodes": nodes,
-                  "parents": parents}
+    def test_rejects_a_bad_trie(self, base, change, message):
+        fields = dict(zip(("text", "weights", "gram", "firsts", "hangs"), base))
         fields.update(change)
 
         def trie():
             return WeightedText(fields["text"], fields["weights"], fields["gram"],
-                                fields["nodes"], fields["parents"])
+                                fields["firsts"], fields["hangs"])
 
         with pytest.raises(ValueError, match=message):
             trie()
@@ -130,41 +143,47 @@ class TestWeightedText:
             trie()
 
     @pytest.mark.parametrize(
-        "parents, message",
+        "base, firsts, hangs, message",
         [
-            ([-1, 0, -(2**63), 2], "node 0 must be the one root"),
-            ([-(2**63), 0, 1, 2], "node 0 must be the one root"),
-            ([-1, 2**63 - 1, 1, 2], "precede its node"),
-            ([-1, 0, 2**63 - 1, -(2**63)], "precede its node"),
+            pytest.param(TRIE, [-(2**63)], [2], "strictly increase", id="first -2**63"),
+            pytest.param(TRIE, [2**63 - 1], [2], "strictly increase", id="first 2**63-1"),
+            pytest.param(TWO, [2**63 - 1, -(2**63)], [2, 1], "strictly increase",
+                         id="firsts 2**63-1 and -2**63"),
+            pytest.param(TWO, [-(2**63), 2**63 - 1], [2, 1], "strictly increase",
+                         id="firsts -2**63 and 2**63-1"),
+            pytest.param(TRIE, [3], [-(2**63)], "hang from a node", id="hang -2**63"),
+            pytest.param(TRIE, [3], [2**63 - 1], "hang from a node", id="hang 2**63-1"),
+            pytest.param(TWO, [3, 4], [2**63 - 1, -(2**63)], "hang from a node",
+                         id="hangs 2**63-1 and -2**63"),
         ],
     )
-    def test_rejects_parents_at_the_ends_of_int64(self, parents, message):
-        # the head search's v - 1 - parents[v] wraps around for these
-        text, weights, gram, nodes, _ = self.TRIE
+    def test_rejects_branches_at_the_ends_of_int64(self, base, firsts, hangs, message):
+        text, weights, gram, _, _ = base
         with pytest.raises(ValueError, match=message):
-            WeightedText(text, weights, gram, nodes, parents)
+            WeightedText(text, weights, gram, firsts, hangs)
 
-    # "abcdefghij" down from the root, then node 10 below node 8: its 7
-    # context bytes repeat nodes 2..8, "cdefghi"
-    CONTEXT = b"abcdefghij" + b"cdefghi" + b"X"
-    CONTEXT_NODES = [*range(10), 17]
-    CONTEXT_PARENTS = [*range(-1, 9), 8]
+    @staticmethod
+    def context_trie(gram, back=0):
+        """"abcdefghij" down from the root, then node 10 below node 8: its
+        gram - 1 context bytes repeat the end of "abcdefghi", with the one
+        ``back`` bytes before node 10 changed."""
+        text = bytearray(b"abcdefghij" + b"abcdefghi"[10 - gram :] + b"X")
+        if back:
+            text[-1 - back] ^= 0x20
+        return WeightedText(bytes(text), [0] * len(text), gram, [10], [8])
 
     @pytest.mark.parametrize("back", range(1, 8))
     def test_rejects_a_wrong_context_byte(self, back):
-        weights = [0] * len(self.CONTEXT)
-        WeightedText(self.CONTEXT, weights, 8, self.CONTEXT_NODES, self.CONTEXT_PARENTS)
-        text = bytearray(self.CONTEXT)
-        text[17 - back] ^= 0x20
-        with pytest.raises(ValueError, match=f"{back} before node 10, must hold the byte of"
-                                             f" its ancestor node {9 - back}"):
-            WeightedText(bytes(text), weights, 8, self.CONTEXT_NODES, self.CONTEXT_PARENTS)
+        for gram in (4, 8, 9, 10):
+            self.context_trie(gram)
+            if back < gram:
+                with pytest.raises(ValueError, match=f"{back} before node 10, must hold the byte"
+                                                     f" of its ancestor node {9 - back}"):
+                    self.context_trie(gram, back)
         # the engine reads min(gram, 8) - 1 context bytes, and only those are checked
-        if back >= 4:
-            WeightedText(bytes(text), weights, 4, self.CONTEXT_NODES, self.CONTEXT_PARENTS)
-        else:
-            with pytest.raises(ValueError, match=f"{back} before node 10"):
-                WeightedText(bytes(text), weights, 4, self.CONTEXT_NODES, self.CONTEXT_PARENTS)
+        self.context_trie(9, 8)
+        self.context_trie(10, 8)
+        self.context_trie(10, 9)
 
 
 class TestWeightedCounts:
@@ -289,18 +308,20 @@ def test_gram_ranks_match_sliding_window(case):
 
 @st.composite
 def tries(draw):
-    """``(data, parents, depth, text, nodes)``: a trie over one to three
-    letters for a gram length that is mostly not a power of two, laid out
-    in a text as a flattened trie is.
+    """``(data, parents, depth, text, firsts, hangs)``: a trie over one to
+    three letters for a gram length that is mostly not a power of two,
+    laid out in a text as a flattened trie is, with its later branches'
+    first nodes and the nodes they hang from.
 
     Its first depth - 1 nodes are the root chain, each below the node
     before it.  In a string every later node is below the node before it
     too; a chain branches off now and then; a star hangs most nodes from
     the first few at or after node depth - 2; a random trie picks any of
-    those or a later one.  In the text each node whose parent is not the
-    node before it (and node 0) starts afresh: up to three junk letters,
-    then the bytes of its nearest ancestors, at most 7, then its own byte.
-    Every other node's byte follows the one before.
+    those or a later one.  In the text each node past the root chain whose
+    parent is not the node before it, and now and then one whose parent
+    is, opens a branch: the depth - 1 bytes of the path down to its
+    parent, then its own byte.  Every other node's byte follows the one
+    before.
     """
     depth = draw(st.integers(1, 70))
     size = draw(st.integers(1, 300))
@@ -317,15 +338,15 @@ def tries(draw):
             parents.append(rng.randrange(low, v))
     letters = draw(st.integers(1, 3))
     data = np.array([rng.randrange(letters) for _ in range(size)], dtype=np.uint8)
-    text, nodes = bytearray(), []
+    text, firsts, hangs = bytearray(), [], []
     for v, parent in enumerate(parents):
-        if v == 0 or parent != v - 1:
-            text += bytes(rng.randrange(letters) for _ in range(rng.randrange(4)))
-            text += upward_gram(data, parents, parent, 7)
-        nodes.append(len(text))
+        if v > low and (parent != v - 1 or rng.random() < 0.05):
+            firsts.append(v)
+            hangs.append(parent)
+            text += upward_gram(data, parents, parent, depth - 1)
         text.append(data[v])
     return (data, np.array(parents, dtype=np.int64), depth,
-            np.frombuffer(bytes(text), dtype=np.uint8), np.array(nodes, dtype=np.int64))
+            np.frombuffer(bytes(text), dtype=np.uint8), firsts, hangs)
 
 
 def upward_gram(data, parents, v, depth):
@@ -340,10 +361,12 @@ def upward_gram(data, parents, v, depth):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(tries())
 def test_ancestor_ranks_match_upward_grams(trie):
-    data, parents, depth, text, nodes = trie
-    # the layout is a flattened trie's, which WeightedText accepts
-    WeightedText(text.tobytes(), np.zeros(text.size, dtype=np.int64), depth, nodes, parents)
-    order, groups = _ancestor_ranks(text, nodes, parents, depth)
+    data, parents, depth, text, firsts, hangs = trie
+    # the layout is a flattened trie's, from whose branches WeightedText
+    # derives the nodes and parents that are ranked
+    wt = WeightedText(text.tobytes(), np.zeros(text.size, dtype=np.int64), depth, firsts, hangs)
+    assert (wt.parents == parents).all() and (text[wt.nodes] == data).all()
+    order, groups = _ancestor_ranks(text, wt.nodes, wt.parents, depth)
     assert sorted(order.tolist()) == list(range(data.size))
     # equal strings sort by node
     assert all(order[i] < order[i + 1] for i in range(data.size - 1)
@@ -431,9 +454,7 @@ def edited_copies(seed: int) -> bytes:
 
 def string_trie(text: bytes, q: int) -> WeightedText:
     """``text`` as a trie with one branch: node v at position v, below v - 1."""
-    n = len(text)
-    weights = unit_weighted(text, q).end_weights
-    return WeightedText(text, weights, q, np.arange(n), np.arange(-1, n - 1))
+    return WeightedText(text, unit_weighted(text, q).end_weights, q, [], [])
 
 
 @pytest.mark.parametrize("q", [64, 200])
