@@ -174,6 +174,85 @@ class TestFlatten:
                 counts = weighted_qgram_counts(wt).materialize(wt.text)
                 assert counts == sliding_histogram(text, q), (name, q)
 
+    @staticmethod
+    def cut_runs(g, m, graph, trie):
+        """The trie's text cut into ``(vertex, length)`` runs, 0 for the
+        q-1 context bytes that open each branch, in the graph's order.  A
+        label is its window past the first q-1 bytes; the window holds up
+        to q-1 bytes of each child.  The cut must cover the text, each
+        label weigh its vertex's occurrence count and each context nothing,
+        and each later branch's first node and hang must be where the cut
+        puts them."""
+        q = graph.q
+        runs, firsts, hangs, last = [], [], [], {}
+        offset = nodes = 0
+        for index, v in enumerate(graph.vertices):
+            parent = graph.parents[v]
+            if index == 0 or parent != graph.vertices[index - 1]:
+                runs.append((0, q - 1))
+                assert trie.end_weights[offset : offset + q - 1].tolist() == [0] * (q - 1)
+                offset += q - 1
+                if index == 0:
+                    nodes += q - 1
+                else:
+                    firsts.append(nodes)
+                    hangs.append(last[parent])
+            left, right = m.lengths[g.lefts[v]], m.lengths[g.rights[v]]
+            label = min(left, q - 1) + min(right, q - 1) - (q - 1)
+            runs.append((v, label))
+            weights = trie.end_weights[offset : offset + label].tolist()
+            assert weights == [m.occurrences[v]] * label, (q, v)
+            offset += label
+            nodes += label
+            last[v] = nodes - 1
+        assert offset == len(trie.text), q
+        assert (firsts, hangs) == (trie.firsts, trie.hangs), q
+        return runs
+
+    def test_each_vertex_emitted_exactly_once(self, sample_grammars):
+        for name, g in sample_grammars:
+            m = compute_metrics(g)
+            for q in range(2, 10):
+                qm, graph, trie = pipeline(g, m, q)
+                runs = self.cut_runs(g, m, graph, trie)
+                emitted = [v for v, _ in runs if v]
+                assert Counter(emitted) == Counter(set(emitted)), (name, q)
+                if m.text_length >= q:
+                    assert set(emitted) == set(graph.vertices), (name, q)
+
+    def test_emitted_runs_are_the_vertex_labels(self, sample_grammars):
+        # every vertex contributes its fresh characters (window minus the
+        # shared q-1 prefix) exactly once; every rule-0 run is the first q-1
+        # characters of the window of the vertex that follows it, the text's
+        # opener for the first branch and a context for each later one
+        for name, g in sample_grammars:
+            m = compute_metrics(g)
+            texts = naive_rule_texts(g)
+            for q in (2, 3, 5):
+                if m.text_length < q:
+                    continue
+                qm, graph, trie = pipeline(g, m, q)
+                runs = self.cut_runs(g, m, graph, trie)
+                assert runs[0] == (0, q - 1), (name, q)
+                assert trie.text[: q - 1] == expand(g)[: q - 1], (name, q)
+                zero = [length for v, length in runs[1:] if not v]
+                assert zero == [q - 1] * trie.branch_count, (name, q)
+                got = Counter()
+                offset = 0
+                for index, (v, length) in enumerate(runs):
+                    run = trie.text[offset : offset + length]
+                    if v:
+                        got[(v, run)] += 1
+                    else:
+                        head = runs[index + 1][0]
+                        window = reference_window(g, texts, q, head)
+                        assert run == window[: q - 1], (name, q, index)
+                    offset += length
+                want = Counter()
+                for i in graph.vertices:
+                    want[(i, reference_window(g, texts, q, i)[q - 1 :])] += 1
+                assert got == want, (name, q)
+
 
 class TestDupStats:
     def test_g7_rows(self, g7, g7_metrics):

@@ -107,6 +107,9 @@ class TestWeightedText:
                          id="hang after its first"),
             pytest.param(DEEP, {"hangs": [0]}, r"in \[1, its first node\)",
                          id="hang above the root chain's end at q=3"),
+            pytest.param(DEEP, {"firsts": [2], "hangs": [0], "weights": [0, 0, 0, 0, 5, 2]},
+                         r"in \[1, its first node\)",
+                         id="node 2 hangs above the root chain's end"),
             pytest.param(LONG, {"hangs": [1]}, r"in \[2, its first node\)",
                          id="hang above the root chain's end at q=4"),
             pytest.param(TRIE, {"gram": 1, "hangs": [-1]}, r"in \[0, its first node\)",
