@@ -60,22 +60,45 @@ class CountRequest:
     expand_output: bool = False
 
 
-# The escape of every byte value, indexed by it: a latin-1 decode turns each
-# byte into the character of the same number, which str.translate looks up.
-_ESCAPES = [
-    "\\\\" if b == 0x5C else chr(b) if 0x20 <= b <= 0x7E else f"\\x{b:02X}"
-    for b in range(256)
-]
-_ESCAPE_WIDTHS = np.array([len(e) for e in _ESCAPES], dtype=np.int64)
+def _escape(b: int) -> bytes:
+    return b"\\\\" if b == 0x5C else bytes([b]) if 0x20 <= b <= 0x7E else b"\\x%02X" % b
+
+
+# Row b holds the escape of byte value b, zero-padded to four bytes (no
+# escape holds a zero byte).  Read as uint32, a row is one gather.
+_ESCAPES = np.array([list(_escape(b).ljust(4, b"\0")) for b in range(256)], dtype=np.uint8)
+_ESCAPE_KEPT = _ESCAPES != 0
+_ESCAPE_WIDTHS = np.count_nonzero(_ESCAPE_KEPT, axis=1).astype(np.uint8)
+# The bytes that are their own escape.
+_LITERALS = bytes(np.flatnonzero(_ESCAPE_WIDTHS == 1).tolist())
+
+# The ASCII digits of 0000 to 9999, each group read as one uint32 (made of
+# two digit pairs, which keeps the table's set-up small), and the powers of
+# 10^4 that cut an int64 into such groups, the highest first.
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+_DIGIT_GROUPS = (
+    np.stack(np.broadcast_arrays(_DIGIT_PAIRS[:, None], _DIGIT_PAIRS), axis=-1)
+    .view(np.uint32)
+    .ravel()
+)
+_GROUP_POWERS = 10 ** np.arange(16, -1, -4, dtype=np.int64)
+# The last d of these are the least number that has a digit in each of d
+# right-aligned digit columns; every number has one in the last.
+_DIGIT_FLOORS = np.append(10 ** np.arange(18, 0, -1, dtype=np.int64), 0)
+
+
+def _escaped(data: np.ndarray) -> np.ndarray:
+    """The escapes of a uint8 array's bytes, one after the other."""
+    rows = _ESCAPES.view(np.uint32)[data].view(np.uint8)
+    return rows[_ESCAPE_KEPT.view(np.uint32)[data].view(bool)]
 
 
 def escape_bytes(data: bytes) -> str:
     """Printable ASCII stays literal, backslash doubles, the rest is \\xNN.
 
-    One table lookup per byte: ``data`` is decoded as latin-1 and translated
-    through a 256-entry table of escapes.
+    One lookup per byte, in the table that ``count`` escapes its grams with.
     """
-    return data.decode("latin-1").translate(_ESCAPES)
+    return str(_escaped(np.frombuffer(data, dtype=np.uint8)), "ascii")
 
 
 def unescape_bytes(escaped: str) -> bytes:
@@ -141,12 +164,51 @@ def _pipeline_text(g, m, q: int, algorithm: str) -> tuple[str, WeightedText]:
     return "z", flatten_neighbor_trie(g, m, graph).to_weighted_text()
 
 
-def _tsv(keys, counts: list[int]) -> str:
-    """Lines "<key>\\t<count>\\n", made by one join over the cells."""
-    cells = [None, "\t", None, "\n"] * len(counts)
-    cells[0::4] = keys
-    cells[2::4] = map(str, counts)
-    return "".join(cells)
+def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal digits of positive int64 values, one row of ASCII bytes
+    each, right-aligned in as many columns as the largest has digits and
+    led by zeros, and the floors of those columns (see ``_DIGIT_FLOORS``).
+
+    The digits come in groups of four from one table, so the calls made do
+    not grow with the number of digits.
+    """
+    width = len(str(int(values.max())))
+    # -width // 4 is minus the number of groups
+    groups = values[:, None] // _GROUP_POWERS[-width // 4 :]
+    groups %= 10_000
+    return _DIGIT_GROUPS[groups].view(np.uint8)[:, -width:], _DIGIT_FLOORS[-width:]
+
+
+def _lines(flat: np.ndarray, starts: np.ndarray, widths: np.ndarray, weights: np.ndarray) -> str:
+    """Lines "<key>\\t<weight>\\n", where key i is the uint8 array ``flat``
+    from ``starts[i]`` on, ``widths[i]`` bytes long.
+
+    Each line is one row of a byte matrix: the key, the bytes that follow it
+    in ``flat`` up to the widest key's width, a tab, the weight's digits
+    right-aligned and a newline.  The rows are gathered at once from a
+    strided view of ``flat``; one boolean compress then drops what follows
+    each key and the digits' leading zeros, and one decode makes the text.
+    """
+    digits, floors = _decimals(weights)
+    low, split = int(widths.min()), int(widths.max())
+    size = split + digits.shape[1] + 2
+    # Row p of the view is flat[p : p + size]; the zeros after flat keep
+    # every row inside the buffer.
+    padded = np.concatenate((flat, np.zeros(size, dtype=np.uint8)))
+    rows = np.ndarray((len(flat) + 1, size), np.uint8, padded, strides=(1, 1))[starts]
+    rows[:, split] = ord("\t")
+    rows[:, split + 1 : -1] = digits
+    rows[:, -1] = ord("\n")
+    # Every key fills its first ``low`` columns, so only the later ones are
+    # tested, transposed: each comparison then runs along all the lines.
+    tail = np.ones((size - low, len(weights)), dtype=bool)
+    np.less(np.arange(low, split)[:, None], widths, out=tail[: split - low])
+    np.greater_equal(weights, floors[:, None], out=tail[split - low + 1 : -1])
+    kept = np.ones(rows.shape, dtype=bool)
+    kept[:, low:] = tail.T
+    report = rows[kept]
+    del rows, kept  # the text is decoded with only the report's bytes alive
+    return str(report, "ascii")
 
 
 def run_count(req: CountRequest) -> str:
@@ -154,13 +216,16 @@ def run_count(req: CountRequest) -> str:
 
     With ``expand_output`` each line is "<escaped gram>\\t<count>"; without
     it, lines are "<end position>\\t<count>" after a header naming the string
-    positions refer to.  The expanded form escapes the counted string once
-    and cuts each gram out of it: ``offsets[p]`` is the escaped width of its
-    first p bytes, so the gram ending at ``end`` is
-    ``escaped[offsets[end - q] : offsets[end]]``.  The report's columns are
-    read as lists and every output is one join over them, with no string
-    formatted per line.  q = 1 always uses the escaped byte form (character
+    positions refer to.  q = 1 always uses the escaped byte form (character
     counts come straight off the grammar and have no reduction string).
+
+    The report is written as one byte array, with no Python string per
+    line (see ``_lines``).  The expanded form escapes the counted string
+    once; ``offsets[p]`` is the escaped width of its first p bytes, so the
+    gram ending at ``end`` is the escaped text from ``offsets[end - q]`` to
+    ``offsets[end]``.  A text with no byte to escape is its own escape, and
+    its offsets are the positions.  Without ``expand_output`` the keys are
+    the end positions' digits, and with q = 1 the byte values' escapes.
     """
     if req.q < 1:
         raise SlpError("q must be at least 1")
@@ -171,23 +236,32 @@ def run_count(req: CountRequest) -> str:
     if req.q == 1:
         freq = char_frequencies(g, m)
         found = sorted(freq)
-        return _tsv([escape_bytes(bytes([b])) for b in found], [freq[b] for b in found])
+        weights = np.array([freq[b] for b in found], dtype=np.int64)
+        return _lines(_ESCAPES.ravel(), np.multiply(found, 4), _ESCAPE_WIDTHS[found], weights)
     reference, wt = _pipeline_text(g, m, req.q, req.algorithm)
     ends, weights = weighted_qgram_counts(wt).entries.T
     # Formatting reads the text only: drop the weights and the trie.
     text = wt.text
     del wt
-    if not req.expand_output:
-        header = f"# end positions refer to {reference}\n"
-        return header + _tsv(map(str, ends.tolist()), weights.tolist())
+    header = "" if req.expand_output else f"# end positions refer to {reference}\n"
     if not ends.size:
         # q may not fit in int64, so ends - q is only taken when a gram exists
-        return ""
-    escaped = escape_bytes(text)
+        return header
+    if not req.expand_output:
+        # The ends written out one after the other are the keys.
+        digits, floors = _decimals(ends)
+        filled = ends[:, None] >= floors
+        widths = np.count_nonzero(filled, axis=1)
+        starts = np.cumsum(widths) - widths
+        return header + _lines(digits[filled], starts, widths, weights)
+    data = np.frombuffer(text, dtype=np.uint8)
+    if not text.translate(None, _LITERALS):
+        # No byte needs an escape: the text is its own.
+        return _lines(data, ends - req.q, np.full(len(ends), req.q), weights)
     offsets = np.zeros(len(text) + 1, dtype=np.int64)
-    np.cumsum(_ESCAPE_WIDTHS[np.frombuffer(text, dtype=np.uint8)], out=offsets[1:])
-    bounds = zip(offsets[ends - req.q].tolist(), offsets[ends].tolist())
-    return _tsv([escaped[start:stop] for start, stop in bounds], weights.tolist())
+    np.cumsum(_ESCAPE_WIDTHS[data], out=offsets[1:])
+    starts = offsets[ends - req.q]
+    return _lines(_escaped(data), starts, offsets[ends] - starts, weights)
 
 
 def _nsa_skipped(text_length: int) -> str:

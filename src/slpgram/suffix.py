@@ -88,15 +88,16 @@ class WeightedText:
         low = max(q - 2, 0)
         if branches and (np.count_nonzero(hangs < low) or np.count_nonzero(hangs >= firsts)):
             raise ValueError(f"each branch must hang from a node in [{low}, its first node)")
-        # A node's text position is its index plus the q-1 context bytes of
-        # every branch that starts at or before it.
-        nodes = np.zeros(size, dtype=np.int64)
+        nodes = np.arange(size)
         parents = np.arange(-1, size - 1)
         if branches:
-            nodes[firsts] = q - 1
             parents[firsts] = hangs
-        np.cumsum(nodes, out=nodes)
-        nodes += np.arange(size)
+            # A node's text position is its index plus the q-1 context bytes
+            # of every branch that starts at or before it: the nodes from
+            # firsts[j - 1] (0 for j = 0) to before firsts[j] (the end for
+            # j = branches) shift by j(q-1).
+            cuts = np.concatenate(([0], firsts, [size]))
+            nodes += np.repeat(np.arange(branches + 1) * (q - 1), cuts[1:] - cuts[:-1])
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "parents", parents)
         if not branches or q < 2:

@@ -159,3 +159,22 @@ def naive_repair(text: bytes, min_pair_frequency: int) -> tuple[list[int], list[
 
     join(0, len(seq))
     return lefts, rights
+
+
+def escape_gram(gram: bytes) -> str:
+    """``count``'s escape, one byte at a time: printable ASCII stands for
+    itself but the backslash, which doubles; any other byte is \\xNN."""
+    return "".join(
+        "\\\\" if b == 0x5C else chr(b) if 0x20 <= b <= 0x7E else f"\\x{b:02X}" for b in gram
+    )
+
+
+def count_report(keys, weights, header: str = "") -> str:
+    """``count``'s report, one f-string per line after ``header``: a bytes
+    key (a gram) is written escaped, an int key (an end position) in
+    decimal."""
+    lines = [header]
+    for key, weight in zip(keys, weights):
+        field = escape_gram(key) if isinstance(key, bytes) else key
+        lines.append(f"{field}\t{weight}\n")
+    return "".join(lines)

@@ -32,7 +32,7 @@ from slpgram import (
     serialize_slp,
     weighted_qgram_counts,
 )
-from slpgram.cli import run_bench
+from slpgram.cli import CountRequest, run_bench, run_count
 
 Q_RANGE = range(2, 13)
 
@@ -266,6 +266,47 @@ def test_corpus_rule_sequence_pinned(corpus_grammar):
     assert corpus_grammar.n == 21866
     digest = hashlib.sha256(serialize_slp(corpus_grammar).encode("ascii")).hexdigest()
     assert digest == CORPUS_GRAMMAR_SHA256
+
+
+# SHA-256 of count's reports on a Re-Pair grammar of a 40 000-byte corpus,
+# as written by the list-join formatter before the reports became one byte
+# array: a later change to the writer must keep them byte-identical.
+# "newlines" is the corpus itself, whose newlines print as \x0A; in "spaces"
+# they are spaces, so no byte needs an escape.  Keys are (text, algorithm
+# or "expand" for the expanded form of all three, q).
+COUNT_REPORT_SHA256 = {
+    ("newlines", "nsa", 4): "14bd57a331db7404e8b8bdd0255680f9c7cd67c48930f8c5cd117eeb37887b07",
+    ("newlines", "nsa", 64): "7602397d325c6fda2435b1297aa301035c4a72bb5713c9319e786e7b012f3895",
+    ("newlines", "ssa", 4): "bf83efeac7ff6ee0c5ccb383f9ba890523c8f51157f1a2b1337147b3d0ec4ae6",
+    ("newlines", "ssa", 64): "ea4f64a8963e2f1744b8dc5479eb2026ca05a5eecb9e626fbb5d2b5f573be8e2",
+    ("newlines", "stsa", 4): "383ae27679cc015beea3d1620d222286d971784350a28b7eb963185d5f87193a",
+    ("newlines", "stsa", 64): "074890c26b6d6769faa9653de94ef466bbce070327a79ff5a4e12bf62e1c2993",
+    ("newlines", "expand", 4): "42f8f61a559f9ea3a8a37eb33ca81d7fddb8e337931cf3332f2b149069c2fb31",
+    ("newlines", "expand", 64): "44647a3c0801a613e7178af737d59c26d728dd4df1e26f4887863b0cb1347d8e",
+    ("spaces", "nsa", 4): "d332c1f9413e1b7148faa6ecb617f1e39ea58afa8be4525d0ff1cfd6b87f0460",
+    ("spaces", "nsa", 64): "5538fcda87baf040990f649967dc1e29c48c6d49324fd8e9575544ae78875033",
+    ("spaces", "ssa", 4): "1ecd6269e535408f0f5b9650239b1219fc07dc7b81ee648db1b5614533f86db3",
+    ("spaces", "ssa", 64): "d558d0bacc0f8795a6c53fc2b2a26a087a89a93217fb98aaff90f6b1a99a377b",
+    ("spaces", "stsa", 4): "b904bbdfd4b80098b3dbea36c43ec9a240e723cc5d1dd064c7a0e4cf8e969fd6",
+    ("spaces", "stsa", 64): "a43a77701d47dc93ffb62be4f4fd93921c0b4df92c4d8d6f97d294493b1ecc95",
+    ("spaces", "expand", 4): "bf271f485fc8c17f0404dc2a48f87a5197256928f9399c91dcf58eda21acc6ba",
+    ("spaces", "expand", 64): "75bed4f28e766a102bdfed7687d492c56e454fef8ee5114564cd5c98b61d0a2d",
+}
+
+
+@pytest.mark.parametrize("name", ["newlines", "spaces"])
+def test_count_reports_pinned(name, tmp_path):
+    text = make_corpus(40_000, seed=23)
+    if name == "spaces":
+        text = text.replace(b"\n", b" ")
+    path = tmp_path / "g.slp"
+    path.write_text(serialize_slp(build_repair(text, BuilderConfig(min_pair_frequency=8))))
+    for q in (4, 64):
+        for algo in ("nsa", "ssa", "stsa"):
+            for expand_output, key in ((False, algo), (True, "expand")):
+                doc = run_count(CountRequest(str(path), q, algo, expand_output))
+                digest = hashlib.sha256(doc.encode("ascii")).hexdigest()
+                assert digest == COUNT_REPORT_SHA256[name, key, q], (algo, q, expand_output)
 
 
 def test_criterion_6_size_trend_on_corpus(corpus, corpus_grammar):

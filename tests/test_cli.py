@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,20 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G7_DOC, doubling_doc, periodic_grammar
-from oracles import sliding_histogram
+from oracles import count_report, sliding_histogram
 from slpgram import (
     FlattenedTrie,
+    QGramReport,
     WeightedText,
     build_chain,
     build_neighbor_graph,
     build_random,
     build_repair,
+    build_ssa_text,
     compute_metrics,
     compute_qmarks,
     expand,
     flatten_neighbor_trie,
     parse_slp,
     serialize_slp,
+    weighted_qgram_counts,
 )
 from slpgram.cli import (
     CountRequest,
@@ -204,6 +209,131 @@ class TestCount:
                 assert want[gram] == count, (seed, q, end)
                 assert end - 1 in nodes, (seed, q, end)
                 assert earliest[gram] == end, (seed, q, end)
+
+
+# Every decimal width from 1 to 19 digits at both of its ends: 1, 9, 10,
+# 99, 100, ..., 10^18 and 2^63 - 1.
+DECIMAL_EDGES = sorted({v for d in range(1, 20) for v in (10 ** (d - 1), min(10**d, 2**63) - 1)})
+
+
+def engine_rows(g, q: int, algo: str) -> tuple[bytes, list[list[int]]]:
+    """The string a pipeline counts on and the engine's (end, weight) rows,
+    assembled from the public API."""
+    m = compute_metrics(g)
+    if algo == "nsa":
+        text = expand(g)
+        weights = np.zeros(len(text), dtype=np.int64)
+        weights[q - 1 :] = 1
+        wt = WeightedText(text, weights, q)
+    elif algo == "ssa":
+        wt = build_ssa_text(g, m, q)
+    else:
+        graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+        wt = flatten_neighbor_trie(g, m, graph).to_weighted_text()
+    return wt.text, weighted_qgram_counts(wt).entries.tolist()
+
+
+def expected_count(g, q: int, algo: str, expand_output: bool) -> str:
+    """``count``'s report from the report oracle."""
+    if q == 1:
+        freq = Counter(expand(g))
+        return count_report([bytes([b]) for b in sorted(freq)], [freq[b] for b in sorted(freq)])
+    text, rows = engine_rows(g, q, algo)
+    weights = [w for _, w in rows]
+    if expand_output:
+        return count_report([text[end - q : end] for end, _ in rows], weights)
+    header = f"# end positions refer to {'T' if algo == 'nsa' else 'z'}\n"
+    return count_report([end for end, _ in rows], weights, header)
+
+
+class TestReport:
+    """``count``'s writer, byte for byte against the report oracle."""
+
+    def check(self, g, qs, tmp_path):
+        path = tmp_path / "g.slp"
+        path.write_text(serialize_slp(g))
+        for q in qs:
+            for algo in ("nsa", "ssa", "stsa"):
+                for expand_output in (False, True):
+                    doc = run_count(CountRequest(str(path), q, algo, expand_output))
+                    assert doc == expected_count(g, q, algo, expand_output), (q, algo, expand_output)
+
+    @pytest.mark.parametrize("expand_output", [False, True])
+    def test_every_decimal_width(self, expand_output, g7_path, monkeypatch):
+        # Positions and weights of 1 to 19 digits, next to wider and
+        # narrower ones; the ends of the expanded form stay inside G7.
+        values = DECIMAL_EDGES
+        ends = [2 + i % 12 for i in range(2 * len(values))] if expand_output else values * 2
+        weights = values + values[::-1]
+        rows = np.array([ends, weights], dtype=np.int64).T
+        monkeypatch.setattr("slpgram.cli.weighted_qgram_counts", lambda wt: QGramReport(rows, 2))
+        doc = run_count(CountRequest(g7_path, 2, "nsa", expand_output))
+        text = expand(parse_slp(G7_DOC))
+        if expand_output:
+            assert doc == count_report([text[end - 2 : end] for end in ends], weights)
+        else:
+            assert doc == count_report(ends, weights, "# end positions refer to T\n")
+        assert len(doc.splitlines()) == len(weights) + (not expand_output)
+
+    def test_weights_near_two_to_the_63(self, tmp_path):
+        # 2^63 - 1 a's, the longest text a grammar may derive: rule k derives
+        # 2^(k-1) a's, and the root joins rules 63, 62, ..., 1
+        doc = doubling_doc(63)
+        root = 63
+        for k in range(62, 0, -1):
+            root += 1
+            doc += f"{root} N {root - 1} {k}\n"
+        path = tmp_path / "g.slp"
+        path.write_text(doc)
+        for algo in ("nsa", "ssa", "stsa"):
+            assert run_count(CountRequest(str(path), 1, algo)) == f"a\t{2**63 - 1}\n"
+        for q in (2, 9, 64):
+            expected = f"{'a' * q}\t{2**63 - q}\n"
+            for algo in ("ssa", "stsa"):
+                assert run_count(CountRequest(str(path), q, algo, True)) == expected
+                assert run_count(CountRequest(str(path), q, algo)).endswith(f"\t{2**63 - q}\n")
+
+    def test_all_byte_values(self, tmp_path):
+        # every escape width (1, 2 and 4) in keys of 1, 2, 3 and 64 bytes
+        self.check(build_repair(ALL_BYTES_TEXT), (1, 2, 3, 64), tmp_path)
+
+    @pytest.mark.parametrize("wide", [b"\x7f", b"\\", b"\n"])
+    def test_one_key_wider_than_the_rest(self, wide, tmp_path):
+        text = b"ab" * 20 + wide + b"ba" * 20
+        self.check(build_chain(text), (1, 2, 5), tmp_path)
+
+    def test_one_line_empty_and_single_byte_reports(self, tmp_path):
+        g = parse_slp(doubling_doc(3))  # aaaa
+        self.check(g, (1, 2, 4, 5), tmp_path)
+        path = tmp_path / "g.slp"
+        assert run_count(CountRequest(str(path), 1, "stsa")) == "a\t4\n"
+        assert run_count(CountRequest(str(path), 4, "ssa", True)) == "aaaa\t1\n"
+        assert run_count(CountRequest(str(path), 4, "nsa")) == "# end positions refer to T\n4\t1\n"
+        assert run_count(CountRequest(str(path), 5, "nsa", True)) == ""
+        assert run_count(CountRequest(str(path), 5, "stsa")) == "# end positions refer to z\n"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.binary(min_size=1, max_size=40), st.integers(1, 6))
+    def test_random_texts(self, text, q):
+        g = build_repair(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.slp"
+            path.write_text(serialize_slp(g))
+            for algo in ("nsa", "ssa", "stsa"):
+                for expand_output in (False, True):
+                    doc = run_count(CountRequest(str(path), q, algo, expand_output))
+                    assert doc == expected_count(g, q, algo, expand_output), (algo, expand_output)
+
+    @pytest.mark.parametrize("argv", [["-q", "1"], ["-q", "3"], ["-q", "3", "--expand"],
+                                      ["-q", "3", "--algo", "nsa", "--expand"]])
+    def test_output_file_holds_the_report(self, argv, tmp_path):
+        path = tmp_path / "bytes.slp"
+        path.write_text(serialize_slp(build_repair(ALL_BYTES_TEXT)))
+        out = tmp_path / "out.tsv"
+        assert main(["count", "-i", str(path), *argv, "-o", str(out)]) == 0
+        args = dict(zip(argv[::2], argv[1::2]))
+        req = CountRequest(str(path), int(args["-q"]), args.get("--algo", "stsa"), "--expand" in argv)
+        assert out.read_bytes() == run_count(req).encode("ascii")
 
 
 class TestVerify:
