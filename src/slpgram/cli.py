@@ -69,8 +69,6 @@ def _escape(b: int) -> bytes:
 _ESCAPES = np.array([list(_escape(b).ljust(4, b"\0")) for b in range(256)], dtype=np.uint8)
 _ESCAPE_KEPT = _ESCAPES != 0
 _ESCAPE_WIDTHS = np.count_nonzero(_ESCAPE_KEPT, axis=1).astype(np.uint8)
-# The bytes that are their own escape.
-_LITERALS = bytes(np.flatnonzero(_ESCAPE_WIDTHS == 1).tolist())
 
 # The ASCII digits of 0000 to 9999, each group read as one uint32 (made of
 # two digit pairs, which keeps the table's set-up small), and the powers of
@@ -179,17 +177,12 @@ def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _DIGIT_GROUPS[groups].view(np.uint8)[:, -width:], _DIGIT_FLOORS[-width:]
 
 
-def _lines(flat: np.ndarray, starts: np.ndarray, widths: np.ndarray, weights: np.ndarray) -> str:
-    """Lines "<key>\\t<weight>\\n", where key i is the uint8 array ``flat``
-    from ``starts[i]`` on, ``widths[i]`` bytes long.
-
-    Each line is one row of a byte matrix: the key, the bytes that follow it
-    in ``flat`` up to the widest key's width, a tab, the weight's digits
-    right-aligned and a newline.  The rows are gathered at once from a
-    strided view of ``flat``; one boolean compress then drops what follows
-    each key and the digits' leading zeros, and one decode makes the text.
+def _row_bytes(flat, starts, widths, digits, weights, floors) -> np.ndarray:
+    """The bytes of lines "<key>\\t<weight>\\n", one line after the other
+    (see ``_lines``), each laid out as one row of a byte matrix: the key,
+    the bytes that follow it in ``flat`` up to the widest key's width, a
+    tab, the weight's digits right-aligned and a newline.
     """
-    digits, floors = _decimals(weights)
     low, split = int(widths.min()), int(widths.max())
     size = split + digits.shape[1] + 2
     # Row p of the view is flat[p : p + size]; the zeros after flat keep
@@ -206,8 +199,52 @@ def _lines(flat: np.ndarray, starts: np.ndarray, widths: np.ndarray, weights: np
     np.greater_equal(weights, floors[:, None], out=tail[split - low + 1 : -1])
     kept = np.ones(rows.shape, dtype=bool)
     kept[:, low:] = tail.T
-    report = rows[kept]
-    del rows, kept  # the text is decoded with only the report's bytes alive
+    return rows[kept]
+
+
+def _narrow_width(widths: np.ndarray) -> int:
+    """The widest key that goes in the first of ``_lines``' two matrices.
+
+    That is every key, unless padding them all to the widest would take
+    more than twice their bytes; then it is the width at which the two
+    matrices, each padded to its own widest key, hold the fewest bytes.
+    """
+    low, widest = int(widths.min()), int(widths.max())
+    if len(widths) * widest <= 2 * int(widths.sum()):
+        return widest
+    narrow = np.cumsum(np.bincount(widths - low))  # lines no wider than low + i
+    cells = narrow * np.arange(low, widest + 1) + (len(widths) - narrow) * widest
+    return low + int(cells.argmin())
+
+
+def _lines(flat: np.ndarray, starts: np.ndarray, widths: np.ndarray, weights: np.ndarray) -> str:
+    """Lines "<key>\\t<weight>\\n", where key i is the uint8 array ``flat``
+    from ``starts[i]`` on, ``widths[i]`` bytes long.
+
+    Each line is one row of a byte matrix, gathered at once from a strided
+    view of ``flat``; one boolean compress drops the padding after each key
+    and the digits' leading zeros (see ``_row_bytes``), and one decode makes
+    the text.  A row is as wide as the widest key in its matrix, so the few
+    keys much wider than the rest (a gram of many escaped bytes) are written
+    in a second matrix and merged back by line (see ``_narrow_width``).
+    """
+    digits, floors = _decimals(weights)
+    narrow = widths <= _narrow_width(widths)
+    if narrow.all():
+        report = _row_bytes(flat, starts, widths, digits, weights, floors)
+    else:
+        parts = [
+            _row_bytes(flat, starts[rows], widths[rows], digits[rows], weights[rows], floors)
+            for rows in (narrow, ~narrow)
+        ]
+        # Each line's bytes: its key, a tab, its weight's digits, a newline.
+        sizes = widths + np.count_nonzero(weights[:, None] >= floors, axis=1) + 2
+        at = np.repeat(narrow, sizes)
+        report = np.empty(len(at), dtype=np.uint8)
+        # Each part is dropped once placed.
+        report[at] = parts.pop(0)
+        report[np.logical_not(at, out=at)] = parts.pop()
+        del at
     return str(report, "ascii")
 
 
@@ -223,9 +260,8 @@ def run_count(req: CountRequest) -> str:
     line (see ``_lines``).  The expanded form escapes the counted string
     once; ``offsets[p]`` is the escaped width of its first p bytes, so the
     gram ending at ``end`` is the escaped text from ``offsets[end - q]`` to
-    ``offsets[end]``.  A text with no byte to escape is its own escape, and
-    its offsets are the positions.  Without ``expand_output`` the keys are
-    the end positions' digits, and with q = 1 the byte values' escapes.
+    ``offsets[end]``.  Without ``expand_output`` the keys are the end
+    positions' digits, and with q = 1 the byte values' escapes.
     """
     if req.q < 1:
         raise SlpError("q must be at least 1")
@@ -255,13 +291,12 @@ def run_count(req: CountRequest) -> str:
         starts = np.cumsum(widths) - widths
         return header + _lines(digits[filled], starts, widths, weights)
     data = np.frombuffer(text, dtype=np.uint8)
-    if not text.translate(None, _LITERALS):
-        # No byte needs an escape: the text is its own.
-        return _lines(data, ends - req.q, np.full(len(ends), req.q), weights)
     offsets = np.zeros(len(text) + 1, dtype=np.int64)
     np.cumsum(_ESCAPE_WIDTHS[data], out=offsets[1:])
     starts = offsets[ends - req.q]
-    return _lines(_escaped(data), starts, offsets[ends] - starts, weights)
+    widths = offsets[ends] - starts
+    del offsets  # 8 bytes a text byte, freed before the report is made
+    return _lines(_escaped(data), starts, widths, weights)
 
 
 def _nsa_skipped(text_length: int) -> str:

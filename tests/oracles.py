@@ -161,12 +161,18 @@ def naive_repair(text: bytes, min_pair_frequency: int) -> tuple[list[int], list[
     return lefts, rights
 
 
+def escape_rule(b: int) -> str:
+    """``count``'s escape of one byte: printable ASCII stands for itself but
+    the backslash, which doubles; any other byte is \\xNN."""
+    if b == 0x5C:
+        return "\\\\"
+    if 0x20 <= b <= 0x7E:
+        return chr(b)
+    return "\\x" + "0123456789ABCDEF"[b >> 4] + "0123456789ABCDEF"[b & 15]
+
+
 def escape_gram(gram: bytes) -> str:
-    """``count``'s escape, one byte at a time: printable ASCII stands for
-    itself but the backslash, which doubles; any other byte is \\xNN."""
-    return "".join(
-        "\\\\" if b == 0x5C else chr(b) if 0x20 <= b <= 0x7E else f"\\x{b:02X}" for b in gram
-    )
+    return "".join(map(escape_rule, gram))
 
 
 def count_report(keys, weights, header: str = "") -> str:

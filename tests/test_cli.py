@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G7_DOC, doubling_doc, periodic_grammar
-from oracles import count_report, sliding_histogram
+from oracles import count_report, escape_rule, sliding_histogram
 from slpgram import (
     FlattenedTrie,
     QGramReport,
@@ -41,6 +42,7 @@ from slpgram.cli import (
     run_verify,
     unescape_bytes,
 )
+import slpgram.cli as cli
 import slpgram.slp as slp_core
 from slpgram.slp import DEFAULT_EXPAND_CAP
 
@@ -53,14 +55,6 @@ ALL_BYTES_TEXT = (
     + bytes(range(255, -1, -1))
     + b"a\\b\x00\xff~ \x7f\x1f" * 8
 )
-
-
-def escape_rule(b: int) -> str:
-    if b == 0x5C:
-        return "\\\\"
-    if 0x20 <= b <= 0x7E:
-        return chr(b)
-    return "\\x" + "0123456789ABCDEF"[b >> 4] + "0123456789ABCDEF"[b & 15]
 
 
 def doubling_grammar(path, rules: int) -> str:
@@ -301,6 +295,31 @@ class TestReport:
     def test_one_key_wider_than_the_rest(self, wide, tmp_path):
         text = b"ab" * 20 + wide + b"ba" * 20
         self.check(build_chain(text), (1, 2, 5), tmp_path)
+
+    @pytest.mark.parametrize("run", [64, 200])
+    def test_a_run_of_escaped_bytes(self, run, tmp_path, monkeypatch):
+        # A run of NUL bytes makes a few grams up to four times wider than
+        # the rest, each NUL written as \x00.  Those lines take a matrix of
+        # their own, merged back by line, so the writer allocates a few times
+        # the report's bytes: padding every line to the widest gram took 11.
+        rng = random.Random(run)
+        text = bytes(rng.choice(b"abcdefghij klmnop") for _ in range(20_000)) + b"\0" * run
+        self.check(build_repair(text), (2, 64), tmp_path)
+        real, peaks = cli._lines, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                doc = real(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] / len(doc))
+            finally:
+                tracemalloc.stop()
+            return doc
+
+        monkeypatch.setattr(cli, "_lines", traced)
+        doc = run_count(CountRequest(str(tmp_path / "g.slp"), 64, "nsa", True))
+        assert "\\x00" * 64 in doc
+        assert peaks[0] < 5
 
     def test_one_line_empty_and_single_byte_reports(self, tmp_path):
         g = parse_slp(doubling_doc(3))  # aaaa
