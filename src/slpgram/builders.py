@@ -199,18 +199,28 @@ def _odd_in_runs(same: np.ndarray) -> np.ndarray:
     return same[(same - run_first) % 2 == 1]
 
 
-def _binarize(symbols: list[int], lefts: list[int], rights: list[int]) -> int:
-    def split(lo: int, hi: int) -> int:
-        if hi - lo == 1:
-            return symbols[lo]
-        mid = (lo + hi) // 2
-        left = split(lo, mid)
-        right = split(mid, hi)
-        lefts.append(left)
-        rights.append(right)
-        return len(lefts) - 1
+def _binarize(
+    symbols: list[int], lefts: list[int], rights: list[int], lo: int = 0, hi: int | None = None
+) -> int:
+    """Join ``symbols[lo:hi]`` (all of them by default) under one rule,
+    splitting at midpoints, and return that rule (the symbol itself when
+    there is one).
 
-    return split(0, len(symbols))
+    The recursion passes its state down as arguments: a nested function
+    that called itself would hold itself through its closure, a reference
+    cycle that would leave ``lefts``, ``rights`` and ``symbols`` to the
+    cyclic garbage collector after every build.
+    """
+    if hi is None:
+        hi = len(symbols)
+    if hi - lo == 1:
+        return symbols[lo]
+    mid = (lo + hi) // 2
+    left = _binarize(symbols, lefts, rights, lo, mid)
+    right = _binarize(symbols, lefts, rights, mid, hi)
+    lefts.append(left)
+    rights.append(right)
+    return len(lefts) - 1
 
 
 def build_chain(text: bytes) -> SlpGrammar:

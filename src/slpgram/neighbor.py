@@ -12,7 +12,8 @@ q-1 characters are zero-weighted context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +34,9 @@ CSV_HEADER = "q,sum_ti,trie_size,dup,flattened_len,edges,vertices"
 class NeighborGraph:
     """Rules long enough to own a q-gram, in first-seam order (the text
     offset between a rule's children in its first occurrence), with the
-    owner-to-next-owner edges and, indexed by rule, the in-neighbor each
-    vertex hangs below: 0 for the first vertex and for every other rule.
+    number of owner-to-next-owner edges and, indexed by rule, the
+    in-neighbor each vertex hangs below: 0 for the first vertex and for
+    every other rule.
 
     ``sum_ti`` totals the vertices' window lengths, min(q-1, |L_v|) +
     min(q-1, |R_v|), which is the length of the ssa string; ``dup`` totals
@@ -42,14 +44,44 @@ class NeighborGraph:
     of each vertex beyond its first would repeat, so the trie has |T| - dup
     nodes.  The flattened trie's size and text length follow from the
     window total and the parents (``trie_size``, ``flattened_len``), so the
-    stats row needs no trie."""
+    stats row needs no trie.
 
-    q: int
+    The graph keeps the grammar and the q-marks it was built from, from
+    which :attr:`edges` lists the edges themselves on request."""
+
+    grammar: SlpGrammar = field(repr=False)
+    qmarks: QMarks = field(repr=False)
     vertices: list[int]
-    edges: list[tuple[int, int]]
+    edge_count: int
     parents: list[int]
     sum_ti: int
     dup: int
+
+    @property
+    def q(self) -> int:
+        return self.qmarks.q
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The ``edge_count`` edges as (owner, next owner) pairs, rebuilt
+        from the grammar and the q-marks in the order of
+        :func:`build_neighbor_graph`'s pass: the vertices in descending rule
+        order, each with the edge to the successor under its long right
+        child, then the edge from the predecessor over its long left child.
+        A vertex is a rule with a left mark."""
+        lefts, rights = self.grammar.lefts, self.grammar.rights
+        leftmost, rightmost = self.qmarks.leftmost, self.qmarks.rightmost
+        edges: list[tuple[int, int]] = []
+        for i in range(self.grammar.n, 0, -1):
+            if leftmost[i] is None:
+                continue
+            successor = leftmost[rights[i]]
+            if successor is not None:
+                edges.append((i, successor))
+            predecessor = rightmost[lefts[i]]
+            if predecessor is not None:
+                edges.append((predecessor, i))
+        return edges
 
     @property
     def trie_size(self) -> int:
@@ -64,8 +96,8 @@ class NeighborGraph:
     def flattened_len(self) -> int:
         """The flattened trie's text length: every window, less q-1 context
         characters for each vertex that follows its parent directly."""
-        parents, vertices = self.parents, self.vertices
-        chained = sum(parents[v] == previous for previous, v in zip(vertices, vertices[1:]))
+        vertices = self.vertices
+        chained = sum(map(operator.eq, map(self.parents.__getitem__, vertices[1:]), vertices))
         return self.sum_ti - (self.q - 1) * chained
 
 
@@ -86,7 +118,9 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
     rule's seam.  A parent's first seam is below its child's, and distinct
     rules have distinct first seams, so sorting by them orders the vertices
     strictly, ``leftmost[n]`` first.  The same pass totals the windows and
-    ``dup``.  Every rule must occur in the text.
+    ``dup``, and counts the edges without listing them (the graph's
+    :attr:`~NeighborGraph.edges` lists them on request).  Every rule must
+    occur in the text.
     """
     q = qm.q
     cap = q - 1
@@ -100,8 +134,7 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
     seams = [0] * (g.n + 1)
     parents = [0] * (g.n + 1)
     vertices: list[int] = []
-    edges: list[tuple[int, int]] = []
-    sum_ti = dup = 0
+    sum_ti = dup = edge_count = 0
     for i in range(g.n, 0, -1):
         r = rights[i]
         # A short rule has no vertex below it.
@@ -122,18 +155,18 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
         vertices.append(i)
         successor = leftmost[r]
         if successor is not None:
-            edges.append((i, successor))
+            edge_count += 1
             parent = parents[successor]
             if not parent or seam < seams[parent]:
                 parents[successor] = i
         predecessor = rightmost[left]
         if predecessor is not None:
-            edges.append((predecessor, i))
+            edge_count += 1
             parents[i] = predecessor
     vertices.sort(key=seams.__getitem__)
     if vertices:
         parents[vertices[0]] = 0
-    return NeighborGraph(q, vertices, edges, parents, sum_ti, dup)
+    return NeighborGraph(g, qm, vertices, edge_count, parents, sum_ti, dup)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,8 +302,8 @@ class DupStats:
 
 def compute_dup_stats(m: SlpMetrics, graph: NeighborGraph) -> DupStats:
     """The stats row of one gram length, read from the graph alone: its
-    pass's window total and ``dup``, and the trie's size and text length
-    that follow from them.
+    pass's window total, ``dup`` and edge count, and the trie's size and
+    text length that follow from them.
 
     ``dup`` totals, over every vertex, the fresh characters saved by each
     derivation-tree occurrence beyond the first.  Whenever the text hosts a
@@ -285,5 +318,5 @@ def compute_dup_stats(m: SlpMetrics, graph: NeighborGraph) -> DupStats:
             f"trie size {trie_size} != text length {m.text_length} minus dup {dup}"
         )
     return DupStats(
-        q, graph.sum_ti, trie_size, dup, graph.flattened_len, len(graph.edges), len(graph.vertices)
+        q, graph.sum_ti, trie_size, dup, graph.flattened_len, graph.edge_count, len(graph.vertices)
     )

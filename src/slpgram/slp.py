@@ -15,6 +15,7 @@ being walked again.
 
 from __future__ import annotations
 
+import array
 import io
 from dataclasses import dataclass
 
@@ -222,9 +223,17 @@ def validate(g: SlpGrammar) -> list[int]:
     """Check hard structural invariants; return unused rule indices.
 
     Mismatched or unpadded child lists, byte ranges and child ordering
-    violations raise ValidationError.  Rules that never occur in the
-    derivation tree are only reported (callers may pass the grammar through
-    :func:`prune_unused` instead).
+    violations raise ValidationError, naming the first rule at fault and,
+    in a pair rule, its first child at fault.  Rules that never occur in
+    the derivation tree are only reported (callers may pass the grammar
+    through :func:`prune_unused` instead).
+
+    Child lists of integers that fit int64 are checked with array
+    operations.  Every child is below its rule, so when each rule below the
+    start rule is some pair rule's child, every rule occurs: one
+    ``bincount`` of the children shows that, and the occurrence counts are
+    walked only when some rule is nobody's child.  Lists with other entries
+    (ints past int64, or not ints at all) are checked one rule at a time.
     """
     lefts, rights = g.lefts, g.rights
     if len(lefts) != len(rights):
@@ -235,6 +244,41 @@ def validate(g: SlpGrammar) -> list[int]:
         raise ValidationError("child lists must start with the padding pair (0, 0)")
     if g.n < 1:
         raise ValidationError("grammar has no rules")
+    left, right = _int64_column(lefts), _int64_column(rights)
+    if left is None or right is None:
+        _check_rules(g)
+    else:
+        left, right = left[1:], right[1:]
+        rules = np.arange(1, g.n + 1)
+        terminal = right == -1
+        bad = np.where(
+            terminal,
+            (left < 0) | (left > 255),
+            (np.minimum(left, right) < 1) | (np.maximum(left, right) >= rules),
+        )
+        if bad.any():
+            _check_rules(g)
+        pair = ~terminal
+        children = np.bincount(np.concatenate((left[pair], right[pair])), minlength=g.n)
+        if children[1 : g.n].all():
+            return []
+    occurrences = _rule_occurrences(g)
+    return [i for i in range(1, g.n + 1) if occurrences[i] == 0]
+
+
+def _int64_column(values: list[int]) -> np.ndarray | None:
+    """``values`` as an int64 array, or None unless every one is an
+    integer (a Python int, a bool or a numpy integer) that fits int64."""
+    try:
+        return np.frombuffer(array.array("q", values), dtype=np.int64)
+    except (TypeError, OverflowError):
+        return None
+
+
+def _check_rules(g: SlpGrammar) -> None:
+    """Raise ValidationError at the first rule whose byte or children are
+    out of range."""
+    lefts, rights = g.lefts, g.rights
     for i in range(1, g.n + 1):
         r = rights[i]
         if r == -1:
@@ -244,8 +288,6 @@ def validate(g: SlpGrammar) -> list[int]:
             for child in (lefts[i], r):
                 if not 1 <= child < i:
                     raise ValidationError(f"rule {i}: child index {child} not in 1..{i - 1}")
-    occurrences = _rule_occurrences(g)
-    return [i for i in range(1, g.n + 1) if occurrences[i] == 0]
 
 
 def prune_unused(g: SlpGrammar) -> SlpGrammar:

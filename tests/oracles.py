@@ -6,9 +6,44 @@ implementations under test.
 
 from collections import Counter
 
+from slpgram import ValidationError
+
 
 def sliding_histogram(text: bytes, q: int) -> dict[bytes, int]:
     return dict(Counter(text[i : i + q] for i in range(len(text) - q + 1)))
+
+
+def validate_rules(g) -> list[int]:
+    """``validate`` as one loop over the rules: the header checks, then
+    each rule's byte or children in index order, then the unused rules
+    from occurrence counts summed top-down over every pair rule."""
+    lefts, rights = g.lefts, g.rights
+    if len(lefts) != len(rights):
+        raise ValidationError(
+            f"child lists differ in length: {len(lefts)} lefts, {len(rights)} rights"
+        )
+    if not lefts or lefts[0] != 0 or rights[0] != 0:
+        raise ValidationError("child lists must start with the padding pair (0, 0)")
+    if g.n < 1:
+        raise ValidationError("grammar has no rules")
+    for i in range(1, g.n + 1):
+        r = rights[i]
+        if r == -1:
+            if not 0 <= lefts[i] <= 255:
+                raise ValidationError(f"rule {i}: byte value {lefts[i]} out of range")
+        else:
+            for child in (lefts[i], r):
+                if not 1 <= child < i:
+                    raise ValidationError(f"rule {i}: child index {child} not in 1..{i - 1}")
+    occurrences = [0] * (g.n + 1)
+    occurrences[g.n] = 1
+    for i in range(g.n, 0, -1):
+        r = rights[i]
+        if r >= 0:
+            count = occurrences[i]
+            occurrences[lefts[i]] += count
+            occurrences[r] += count
+    return [i for i in range(1, g.n + 1) if occurrences[i] == 0]
 
 
 def naive_rule_texts(g) -> list[bytes]:

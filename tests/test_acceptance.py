@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import G7_DOC, comb_grammar, comb_text
-from oracles import derivation_occurrences, naive_rule_texts, sliding_histogram, trie_layout
+from oracles import (
+    count_report,
+    derivation_occurrences,
+    naive_rule_texts,
+    sliding_histogram,
+    trie_layout,
+)
 from slpgram import (
     BuilderConfig,
     ConsistencyError,
@@ -32,7 +38,7 @@ from slpgram import (
     serialize_slp,
     weighted_qgram_counts,
 )
-from slpgram.cli import CountRequest, run_bench, run_count
+from slpgram.cli import CountRequest, run_bench, run_count, run_stats
 
 Q_RANGE = range(2, 13)
 
@@ -409,3 +415,27 @@ def test_comb_grammar_of_linear_height():
         stats = compute_dup_stats(m, graph)
         assert stats.trie_size == m.text_length - stats.dup == trie.body_total, q
         assert stats.flattened_len == len(trie.text), q
+
+
+def test_chain_of_20000_rules(tmp_path):
+    """A left-leaning chain 20 000 rules deep through ``stats`` and every
+    ``count`` pipeline.  Each rule occurs once, so dup is 0 and the trie is
+    the text; each of the V = |T| - q + 1 vertices has a window of q
+    characters, follows its parent, the rule below it, and has one edge
+    from it, but the first."""
+    rng = random.Random(20_000)
+    text = bytes(rng.choice(b"acgt") for _ in range(19_997))
+    g = build_chain(text)
+    assert g.n == 20_000
+    path = tmp_path / "chain.slp"
+    path.write_text(serialize_slp(g))
+    rows = run_stats(str(path), [2, 5]).splitlines()
+    for q, row in zip((2, 5), rows[1:]):
+        v = len(text) - q + 1
+        assert row == f"{q},{q * v},{len(text)},0,{len(text)},{v - 1},{v}", q
+        counts = sliding_histogram(text, q)
+        grams = sorted(counts)
+        expected = count_report(grams, [counts[gram] for gram in grams])
+        for algo in ("nsa", "ssa", "stsa"):
+            report = run_count(CountRequest(str(path), q, algo, expand_output=True))
+            assert report == expected, (q, algo)

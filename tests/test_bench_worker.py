@@ -55,4 +55,13 @@ def test_traced_worker_reads_every_span(tmp_path):
             counts = [attrs for name, _, _, _, attrs in reply["spans"] if name == "suffix.count"]
             lines = Path(argv[-1]).read_bytes().count(b"\n")
             assert counts == [{"q": int(argv[4]), "grams": lines}], (argv, counts)
+        if argv[0] == "stats":
+            # the tracer reads the graph's edges as the stats row counts them
+            traced = [(a["q"], a["edges"]) for name, _, _, _, a in reply["spans"]
+                      if name == "neighbor.graph"]
+            header, *rows = Path(argv[-1]).read_text().splitlines()
+            column = header.split(",").index("edges")
+            printed = [(int(row.split(",")[0]), int(row.split(",")[column])) for row in rows]
+            assert [q for q, _ in printed] == [4, 64]
+            assert traced == printed, (traced, printed)
     assert seen == set(required)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import os
 import random
 import subprocess
@@ -450,6 +451,36 @@ class TestBench:
         assert [r[1] for r in rows] == ["nsa", "ssa", "stsa"]
         assert all(float(r[2]) > 0 for r in rows)
         assert [int(r[3]) for r in rows] == [13, 10, 8]
+
+
+def test_no_command_leaves_reference_cycles(tmp_path):
+    """Every command frees what it made by reference counting alone, so
+    the cyclic collector finds nothing after any of them."""
+    raw = tmp_path / "input.txt"
+    raw.write_bytes(b"the cat sat on the mat; the rat sat on the hat. " * 40)
+    slp, out = str(tmp_path / "g.slp"), str(tmp_path / "out")
+    commands = [
+        ["build", "-i", str(raw), "-o", slp, "--algo-builder", builder]
+        for builder in ("random", "chain", "repair")
+    ]
+    commands.append(["decompress", "-i", slp, "-o", out])
+    for algo in ("nsa", "ssa", "stsa"):
+        for q in ("1", "4", "64"):
+            for form in ([], ["--expand"]):
+                commands.append(["count", "-i", slp, "-q", q, "--algo", algo, *form, "-o", out])
+    commands.append(["stats", "-i", slp, "--q-list", "2,4,64", "-o", out])
+    commands.append(["verify", "-i", slp, "--q-max", "4", "-o", out])
+    commands.append(["bench", "-i", slp, "--q-list", "4,64", "--reps", "1", "-o", out])
+    # the command-line parser is built once per process
+    cli._build_parser()
+    gc.disable()
+    try:
+        gc.collect()
+        for argv in commands:
+            assert main(argv) == 0, argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
 
 
 class TestMain:

@@ -46,6 +46,11 @@ class TestNeighborGraph:
         assert graph.vertices == [4, 3, 6, 5, 7]
         assert set(graph.edges) == {(4, 3), (5, 4), (6, 3), (7, 3), (3, 5), (3, 6), (3, 7)}
         assert len(graph.edges) == 7 <= 2 * g7.n
+        # in the pass's order: each vertex by descending rule, its edge to
+        # the successor under its right child, then from the predecessor
+        # over its left child
+        assert graph.edges == [(7, 3), (3, 7), (6, 3), (3, 6), (5, 4), (3, 5), (4, 3)]
+        assert graph.edge_count == 7
         # 3 hangs below 4, its in-neighbor with the smallest first seam;
         # 5, 6 and 7 below 3, their one in-neighbor; 4 opens the text
         assert graph.parents == [0, 0, 0, 4, 0, 3, 3, 3]
@@ -55,6 +60,7 @@ class TestNeighborGraph:
         graph = build_neighbor_graph(g7, g7_metrics, qm)
         assert graph.vertices == [7]
         assert graph.edges == []
+        assert graph.edge_count == 0
         assert graph.parents == [0] * 8
 
     def test_single_terminal(self):
@@ -78,7 +84,8 @@ def check_layout(g):
     context longer than the trie per vertex that does not follow its
     parent.  The graph's window totals and edges match the oracles: the
     ssa string, the windows cut from the rule texts, and one successor
-    from the deepest outer marks per long child of each vertex.  The
+    from the deepest outer marks per long child of each vertex, listed in
+    the graph pass's order and as many as the graph counts.  The
     flattened trie is the oracle's layout of those windows: each vertex's
     label once, every context, and every weight."""
     m = compute_metrics(g)
@@ -101,7 +108,14 @@ def check_layout(g):
         assert edges == {(v, leftmost[g.rights[v]]) for v in long_rights} | {
             (rightmost[g.lefts[v]], v) for v in long_lefts
         }, q
-        assert len(graph.edges) == len(long_rights) + len(long_lefts), q
+        assert graph.edge_count == len(graph.edges) == len(long_rights) + len(long_lefts), q
+        in_pass_order = []
+        for v in sorted(order, reverse=True):
+            if m.lengths[g.rights[v]] >= q:
+                in_pass_order.append((v, leftmost[g.rights[v]]))
+            if m.lengths[g.lefts[v]] >= q:
+                in_pass_order.append((rightmost[g.lefts[v]], v))
+        assert graph.edges == in_pass_order, q
         for v in order[1:]:
             parent = graph.parents[v]
             assert (parent, v) in edges and seams[parent] < seams[v], (q, v, parent)

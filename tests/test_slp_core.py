@@ -1,12 +1,13 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G7_DOC, G7_TEXT, comb_grammar, comb_text, doubling_doc
-from oracles import deepest_outer_marks, derivation_occurrences, naive_rule_texts
+from oracles import deepest_outer_marks, derivation_occurrences, naive_rule_texts, validate_rules
 from slpgram import (
     SlpError,
     SlpFormatError,
@@ -408,6 +409,44 @@ class TestCharFrequencies:
             assert sum(freq.values()) == m.text_length, name
 
 
+def outcome(check, g):
+    """What ``check(g)`` returns, or the type and message of what it raises."""
+    try:
+        return check(g)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+ODD_ENTRIES = (
+    0, -1, -2, 255, 256, 2**63 - 1, 2**63, 2**70, -(2**70),
+    1.0, 1.5, -1.0, 97.0, "1", None, True, False, np.int64(1),
+)
+
+
+@st.composite
+def rule_tables(draw):
+    """A rule table of up to 9 rules, each a byte or a pair of smaller
+    rules drawn at random (so many rules go unused), with up to three
+    entries, the padding pair's too, replaced by an odd value, and now and
+    then a column one entry short."""
+    n = draw(st.integers(0, 9))
+    lefts, rights = [0], [0]
+    for i in range(1, n + 1):
+        if i == 1 or draw(st.booleans()):
+            lefts.append(draw(st.integers(0, 255)))
+            rights.append(-1)
+        else:
+            lefts.append(draw(st.integers(1, i - 1)))
+            rights.append(draw(st.integers(1, i - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        column = draw(st.sampled_from((lefts, rights)))
+        at = draw(st.integers(0, len(column) - 1))
+        column[at] = draw(st.one_of(st.sampled_from(ODD_ENTRIES), st.integers(-3, n + 2)))
+    if n and draw(st.integers(0, 19)) == 0:
+        draw(st.sampled_from((lefts, rights))).pop()
+    return SlpGrammar(lefts, rights)
+
+
 class TestValidate:
     def test_g7_clean(self, g7):
         assert validate(g7) == []
@@ -433,6 +472,82 @@ class TestValidate:
             validate(SlpGrammar([97, 1], [-1, 1]))
         with pytest.raises(ValidationError, match="padding"):
             validate(SlpGrammar([], []))
+
+    @pytest.mark.parametrize(
+        "lefts, rights, message",
+        [
+            ([0, 97, 0], [0, -1, 1], "rule 2: child index 0 not in 1..1"),
+            ([0, 97, -2], [0, -1, 1], "rule 2: child index -2 not in 1..1"),
+            ([0, 97, 1], [0, -1, 0], "rule 2: child index 0 not in 1..1"),
+            ([0, 97, 1, 2], [0, -1, 1, 3], "rule 3: child index 3 not in 1..2"),
+            ([0, 97, 1, 5], [0, -1, 1, 1], "rule 3: child index 5 not in 1..2"),
+            ([0, -1], [0, -1], "rule 1: byte value -1 out of range"),
+            ([0, 97, 256], [0, -1, -1], "rule 2: byte value 256 out of range"),
+            ([0, 2**70], [0, -1], f"rule 1: byte value {2**70} out of range"),
+            ([0, 97, 1], [0, -1, 2**70], f"rule 2: child index {2**70} not in 1..1"),
+            ([0, 97, 1], [0, -1, 2**63 - 1], f"rule 2: child index {2**63 - 1} not in 1..1"),
+            ([0, 97, 1], [0, -1, -(2**63)], f"rule 2: child index {-(2**63)} not in 1..1"),
+            # the first fault in rule order, whatever comes after it
+            ([0, 97, 1, 0, 1.5], [0, -1, 1, 7, None], "rule 3: child index 0 not in 1..2"),
+            ([0, 97, 1.0, 2**70], [0, -1, 1, -1], f"rule 3: byte value {2**70} out of range"),
+        ],
+    )
+    def test_first_fault_named(self, lefts, rights, message):
+        g = SlpGrammar(lefts, rights)
+        with pytest.raises(ValidationError) as raised:
+            validate_rules(g)
+        assert str(raised.value) == message
+        with pytest.raises(ValidationError) as raised:
+            validate(g)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "lefts, rights",
+        [
+            ([0, 97.0], [0, -1]),  # a float byte passes both checks
+            ([0, 97, 1.0], [0, -1, 1]),  # a float child fails the occurrence count
+            ([0, 97, 1.5], [0, -1, 1]),
+            ([0, 97, 1], [0, -1.0, 1]),  # -1.0 == -1 marks a terminal
+            ([0, 97, "1"], [0, -1, 1]),
+            ([0, None], [0, -1]),
+            ([0, 97, 1], [0, -1, [1]]),
+            ([0, 97, True], [0, -1, True]),
+            ([0, 97, np.int64(1)], [0, -1, np.int32(1)]),
+            ([0.0, 97, 1], [0, -1, 1]),
+            ([0, 97, 1], [0, -1, 2**63]),
+        ],
+    )
+    def test_entries_not_int64(self, lefts, rights):
+        g = SlpGrammar(lefts, rights)
+        assert outcome(validate, g) == outcome(validate_rules, g)
+
+    @pytest.mark.parametrize(
+        "doc, unused",
+        [
+            # 5 -> 4 -> 3 -> 2 is dead: each is the child of the next, and
+            # only the top one is nobody's child
+            ("1 T 97\n2 T 98\n3 N 2 2\n4 N 3 3\n5 N 4 2\n6 N 1 1\n", [2, 3, 4, 5]),
+            # a dead rule whose children live on
+            ("1 T 97\n2 T 98\n3 N 1 2\n4 N 3 3\n5 N 3 1\n", [4]),
+            # two dead chains sharing a dead rule
+            ("1 T 97\n2 T 98\n3 N 2 2\n4 N 3 2\n5 N 3 3\n6 N 1 1\n7 N 6 1\n", [2, 3, 4, 5]),
+            ("1 T 97\n2 N 1 1\n3 N 2 2\n4 N 3 3\n5 N 4 4\n6 N 1 1\n", [2, 3, 4, 5]),
+        ],
+        ids=["chain", "live-children", "shared", "doublings"],
+    )
+    def test_dead_chains_walked(self, doc, unused):
+        g = parse_slp(doc)
+        assert validate(g) == validate_rules(g) == unused
+        assert validate(prune_unused(g)) == []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_rule_loop(self, data):
+        """The result or the error, type and message, of the loop over the
+        rules, on hand-made tables with a few entries out of range, past
+        int64 or not ints, and many dead rules."""
+        g = data.draw(rule_tables())
+        assert outcome(validate, g) == outcome(validate_rules, g)
 
     def test_prune(self):
         g = SlpGrammar([0, 97, 98, 1], [0, -1, -1, 1])
