@@ -1,8 +1,7 @@
 """q-gram frequency mining over grammar-compressed (SLP) strings."""
 
-from .builders import BuilderConfig, build_chain, build_random, build_repair
+from .builders import build_chain, build_random, build_repair
 from .neighbor import (
-    DupStats,
     FlattenedTrie,
     NeighborGraph,
     build_neighbor_graph,
@@ -37,9 +36,7 @@ from .suffix import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BuilderConfig",
     "ConsistencyError",
-    "DupStats",
     "FlattenedTrie",
     "NeighborGraph",
     "QGramReport",

@@ -8,22 +8,12 @@ their arguments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .slp import ConsistencyError, SlpGrammar, prune_unused
 
 RANDOM_LENGTH_CAP = 1 << 20
-
-
-@dataclass(frozen=True)
-class BuilderConfig:
-    min_pair_frequency: int = 2
-
-    def __post_init__(self) -> None:
-        if self.min_pair_frequency < 2:
-            raise ValueError("min_pair_frequency must be at least 2")
 
 
 def _terminal_rules(text: bytes) -> tuple[list[int], list[int], np.ndarray]:
@@ -36,13 +26,14 @@ def _terminal_rules(text: bytes) -> tuple[list[int], list[int], np.ndarray]:
     return [0, *alphabet.tolist()], [0] + [-1] * alphabet.size, symbol[data]
 
 
-def build_repair(text: bytes, cfg: BuilderConfig | None = None) -> SlpGrammar:
+def build_repair(text: bytes, min_pair_frequency: int = 2) -> SlpGrammar:
     """Compress by repeatedly replacing the most frequent adjacent pair.
 
     Pair frequency is the non-overlapping left-to-right count; ties pick the
     smaller (left, right) rule index pair.  Rounds stop once no pair reaches
-    ``cfg.min_pair_frequency``, then the leftover symbols are binarized with
-    balanced midpoint splits to keep the grammar shallow.
+    ``min_pair_frequency``, which must be at least 2 (else ValueError);
+    then the leftover symbols are binarized with balanced midpoint splits
+    to keep the grammar shallow.
 
     No round sorts.  Every pair the count takes carries its pair's id
     (:class:`_PairLabels`), so a round over n symbols that replaces h pairs
@@ -52,14 +43,14 @@ def build_repair(text: bytes, cfg: BuilderConfig | None = None) -> SlpGrammar:
     three or more equal symbols from the left also scans for that symbol's
     self-pairs, whose count parity it flips.
     """
+    if min_pair_frequency < 2:
+        raise ValueError("min_pair_frequency must be at least 2")
     if not text:
         raise ValueError("cannot build a grammar for empty input")
-    if cfg is None:
-        cfg = BuilderConfig()
     lefts, rights, seq = _terminal_rules(text)
     pairs = _PairLabels(seq, len(lefts))
     del seq  # the first round's compaction can then free it
-    while (pair := pairs.step(cfg.min_pair_frequency, len(lefts))) is not None:
+    while (pair := pairs.step(min_pair_frequency, len(lefts))) is not None:
         lefts.append(pair[0])
         rights.append(pair[1])
     root = _binarize(pairs.seq.tolist(), lefts, rights)

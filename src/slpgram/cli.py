@@ -16,12 +16,11 @@ import functools
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .builders import BuilderConfig, build_chain, build_random, build_repair
+from .builders import build_chain, build_random, build_repair
 from .neighbor import (
     CSV_HEADER,
     build_neighbor_graph,
@@ -50,14 +49,6 @@ from .suffix import WeightedText, check_rankable, weighted_qgram_counts
 
 ALGORITHMS = ("nsa", "ssa", "stsa")
 _HEX_ESCAPE = re.compile(r"\\x([0-9A-Fa-f]{2})")
-
-
-@dataclass(frozen=True)
-class CountRequest:
-    grammar_path: str
-    q: int
-    algorithm: str = "stsa"
-    expand_output: bool = False
 
 
 def _escape(b: int) -> bytes:
@@ -248,8 +239,9 @@ def _lines(flat: np.ndarray, starts: np.ndarray, widths: np.ndarray, weights: np
     return str(report, "ascii")
 
 
-def run_count(req: CountRequest) -> str:
-    """TSV of q-gram counts, sorted by gram byte order.
+def run_count(grammar_path: str, q: int, algorithm: str, expand_output: bool) -> str:
+    """TSV of q-gram counts of the grammar file at ``grammar_path``, sorted
+    by gram byte order, counted with ``algorithm`` (one of ``ALGORITHMS``).
 
     With ``expand_output`` each line is "<escaped gram>\\t<count>"; without
     it, lines are "<end position>\\t<count>" after a header naming the string
@@ -263,27 +255,27 @@ def run_count(req: CountRequest) -> str:
     ``offsets[end]``.  Without ``expand_output`` the keys are the end
     positions' digits, and with q = 1 the byte values' escapes.
     """
-    if req.q < 1:
+    if q < 1:
         raise SlpError("q must be at least 1")
-    if req.algorithm not in ALGORITHMS:
+    if algorithm not in ALGORITHMS:
         raise SlpError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
-    g = _load_grammar(req.grammar_path)
+    g = _load_grammar(grammar_path)
     m = compute_metrics(g)
-    if req.q == 1:
+    if q == 1:
         freq = char_frequencies(g, m)
         found = sorted(freq)
         weights = np.array([freq[b] for b in found], dtype=np.int64)
         return _lines(_ESCAPES.ravel(), np.multiply(found, 4), _ESCAPE_WIDTHS[found], weights)
-    reference, wt = _pipeline_text(g, m, req.q, req.algorithm)
+    reference, wt = _pipeline_text(g, m, q, algorithm)
     ends, weights = weighted_qgram_counts(wt).entries.T
     # Formatting reads the text only: drop the weights and the trie.
     text = wt.text
     del wt
-    header = "" if req.expand_output else f"# end positions refer to {reference}\n"
+    header = "" if expand_output else f"# end positions refer to {reference}\n"
     if not ends.size:
         # q may not fit in int64, so ends - q is only taken when a gram exists
         return header
-    if not req.expand_output:
+    if not expand_output:
         # The ends written out one after the other are the keys.
         digits, floors = _decimals(ends)
         filled = ends[:, None] >= floors
@@ -293,7 +285,7 @@ def run_count(req: CountRequest) -> str:
     data = np.frombuffer(text, dtype=np.uint8)
     offsets = np.zeros(len(text) + 1, dtype=np.int64)
     np.cumsum(_ESCAPE_WIDTHS[data], out=offsets[1:])
-    starts = offsets[ends - req.q]
+    starts = offsets[ends - q]
     widths = offsets[ends] - starts
     del offsets  # 8 bytes a text byte, freed before the report is made
     return _lines(_escaped(data), starts, widths, weights)
@@ -335,24 +327,25 @@ def _verify_one(g, m, text: bytes | None, q: int) -> list[str]:
                 )
                 break
     try:
-        stats = compute_dup_stats(m, graph)
+        compute_dup_stats(m, graph)
     except ConsistencyError as exc:
         problems.append(f"q={q}: {exc}")
         return problems
     nodes, length = trie.body_total, len(trie.text)
-    if (nodes, length) != (stats.trie_size, stats.flattened_len):
+    flattened_len = graph.flattened_len
+    if (nodes, length) != (graph.trie_size, flattened_len):
         problems.append(
             f"q={q}: built trie has {nodes} nodes and {length} text bytes,"
-            f" the graph gives {stats.trie_size} and {stats.flattened_len}"
+            f" the graph gives {graph.trie_size} and {flattened_len}"
         )
-    if stats.edge_count > 2 * g.n:
-        problems.append(f"q={q}: edge count {stats.edge_count} exceeds 2n={2 * g.n}")
-    if stats.flattened_len > stats.sum_ti:
+    if graph.edge_count > 2 * g.n:
+        problems.append(f"q={q}: edge count {graph.edge_count} exceeds 2n={2 * g.n}")
+    if flattened_len > graph.sum_ti:
         problems.append(
-            f"q={q}: flattened length {stats.flattened_len} exceeds window total {stats.sum_ti}"
+            f"q={q}: flattened length {flattened_len} exceeds window total {graph.sum_ti}"
         )
-    if stats.sum_ti > 2 * (q - 1) * g.n:
-        problems.append(f"q={q}: window total {stats.sum_ti} exceeds 2(q-1)n")
+    if graph.sum_ti > 2 * (q - 1) * g.n:
+        problems.append(f"q={q}: window total {graph.sum_ti} exceeds 2(q-1)n")
     return problems
 
 
@@ -479,7 +472,7 @@ def _cmd_build(args) -> int:
         if args.builder == "chain":
             g = build_chain(data)
         else:
-            g = build_repair(data, BuilderConfig(min_pair_frequency=args.min_pair_freq))
+            g = build_repair(data, args.min_pair_freq)
     _write_text(args.output, serialize_slp(g))
     return 0
 
@@ -494,8 +487,7 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    req = CountRequest(args.input, args.q, args.algo, args.expand)
-    _write_text(args.output, run_count(req))
+    _write_text(args.output, run_count(args.input, args.q, args.algo, args.expand))
     return 0
 
 

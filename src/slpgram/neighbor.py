@@ -44,7 +44,7 @@ class NeighborGraph:
     of each vertex beyond its first would repeat, so the trie has |T| - dup
     nodes.  The flattened trie's size and text length follow from the
     window total and the parents (``trie_size``, ``flattened_len``), so the
-    stats row needs no trie.
+    stats row, :meth:`csv_row`, needs no trie.
 
     The graph keeps the grammar and the q-marks it was built from, from
     which :attr:`edges` lists the edges themselves on request."""
@@ -68,18 +68,18 @@ class NeighborGraph:
         :func:`build_neighbor_graph`'s pass: the vertices in descending rule
         order, each with the edge to the successor under its long right
         child, then the edge from the predecessor over its long left child.
-        A vertex is a rule with a left mark."""
+        A vertex is a rule with a left mark; a mark of 0 names no rule."""
         lefts, rights = self.grammar.lefts, self.grammar.rights
         leftmost, rightmost = self.qmarks.leftmost, self.qmarks.rightmost
         edges: list[tuple[int, int]] = []
         for i in range(self.grammar.n, 0, -1):
-            if leftmost[i] is None:
+            if not leftmost[i]:
                 continue
             successor = leftmost[rights[i]]
-            if successor is not None:
+            if successor:
                 edges.append((i, successor))
             predecessor = rightmost[lefts[i]]
-            if predecessor is not None:
+            if predecessor:
                 edges.append((predecessor, i))
         return edges
 
@@ -99,6 +99,13 @@ class NeighborGraph:
         vertices = self.vertices
         chained = sum(map(operator.eq, map(self.parents.__getitem__, vertices[1:]), vertices))
         return self.sum_ti - (self.q - 1) * chained
+
+    def csv_row(self) -> str:
+        """The graph's row under :data:`CSV_HEADER`."""
+        return (
+            f"{self.q},{self.sum_ti},{self.trie_size},{self.dup},"
+            f"{self.flattened_len},{self.edge_count},{len(self.vertices)}"
+        )
 
 
 def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGraph:
@@ -154,13 +161,13 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
         seams[i] = seam
         vertices.append(i)
         successor = leftmost[r]
-        if successor is not None:
+        if successor:
             edge_count += 1
             parent = parents[successor]
             if not parent or seam < seams[parent]:
                 parents[successor] = i
         predecessor = rightmost[left]
-        if predecessor is not None:
+        if predecessor:
             edge_count += 1
             parents[i] = predecessor
     vertices.sort(key=seams.__getitem__)
@@ -281,29 +288,9 @@ def flatten_neighbor_trie(
     return FlattenedTrie(q, bytes(text), np.repeat(run_weights, run_lengths), firsts, hangs)
 
 
-@dataclass(frozen=True)
-class DupStats:
-    """Size accounting for one gram length; mirrors the stats CSV columns."""
-
-    q: int
-    sum_ti: int
-    trie_size: int
-    dup: int
-    flattened_len: int
-    edge_count: int
-    vertex_count: int
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.q},{self.sum_ti},{self.trie_size},{self.dup},"
-            f"{self.flattened_len},{self.edge_count},{self.vertex_count}"
-        )
-
-
-def compute_dup_stats(m: SlpMetrics, graph: NeighborGraph) -> DupStats:
-    """The stats row of one gram length, read from the graph alone: its
-    pass's window total, ``dup`` and edge count, and the trie's size and
-    text length that follow from them.
+def compute_dup_stats(m: SlpMetrics, graph: NeighborGraph) -> NeighborGraph:
+    """Check the graph's size identity and return the graph, whose
+    :meth:`~NeighborGraph.csv_row` is the stats row of its gram length.
 
     ``dup`` totals, over every vertex, the fresh characters saved by each
     derivation-tree occurrence beyond the first.  Whenever the text hosts a
@@ -317,6 +304,4 @@ def compute_dup_stats(m: SlpMetrics, graph: NeighborGraph) -> DupStats:
         raise ConsistencyError(
             f"trie size {trie_size} != text length {m.text_length} minus dup {dup}"
         )
-    return DupStats(
-        q, graph.sum_ti, trie_size, dup, graph.flattened_len, graph.edge_count, len(graph.vertices)
-    )
+    return graph

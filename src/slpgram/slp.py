@@ -75,13 +75,13 @@ class QMarks:
     """Deepest long-enough rule along each rule's outer paths.
 
     ``leftmost[i]`` (``rightmost[i]``) is the deepest variable with expansion
-    length at least q on the left-most (right-most) path under rule i, or
-    None when rule i itself is shorter than q.
+    length at least q on the left-most (right-most) path under rule i, or 0,
+    which names no rule, when rule i itself is shorter than q.
     """
 
     q: int
-    leftmost: list[int | None]
-    rightmost: list[int | None]
+    leftmost: list[int]
+    rightmost: list[int]
 
 
 def parse_slp(doc: str) -> SlpGrammar:
@@ -351,14 +351,14 @@ def compute_qmarks(g: SlpGrammar, m: SlpMetrics, q: int) -> QMarks:
 
     A pair rule of length >= q whose left child is shorter than q is its own
     left mark, otherwise it inherits the left child's mark; right marks are
-    symmetric.  Terminals and short rules get None.
+    symmetric.  Terminals and short rules get 0.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     lefts, rights = g.lefts, g.rights
     lengths = m.lengths
-    leftmost: list[int | None] = [None] * (g.n + 1)
-    rightmost: list[int | None] = [None] * (g.n + 1)
+    leftmost = [0] * (g.n + 1)
+    rightmost = [0] * (g.n + 1)
     for i in range(1, g.n + 1):
         r = rights[i]
         if r < 0 or lengths[i] < q:
@@ -484,15 +484,17 @@ def _spell(g: SlpGrammar, lengths: list[int], rule: int) -> bytes:
     return stream.getvalue()
 
 
-def expand(g: SlpGrammar, max_bytes: int = DEFAULT_EXPAND_CAP) -> bytes:
+def expand(g: SlpGrammar) -> bytes:
     """Decompress the whole text iteratively.
 
-    Refuses to materialize more than ``max_bytes``; grammar height may be
-    Theta(n), so nothing here recurses.
+    Refuses to materialize more than ``DEFAULT_EXPAND_CAP`` bytes; grammar
+    height may be Theta(n), so nothing here recurses.
     """
     lengths = _rule_lengths(g)
-    if lengths[-1] > max_bytes:
-        raise SlpError(f"expansion is {lengths[-1]} bytes, above the {max_bytes} byte cap")
+    if lengths[-1] > DEFAULT_EXPAND_CAP:
+        raise SlpError(
+            f"expansion is {lengths[-1]} bytes, above the {DEFAULT_EXPAND_CAP} byte cap"
+        )
     return _spell(g, lengths, g.n)
 
 

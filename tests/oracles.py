@@ -114,9 +114,10 @@ def trie_layout(g, graph, texts, occurrences):
 
 
 def deepest_outer_marks(g, lengths: list[int], q: int):
-    """(leftmost, rightmost) marks by literal descent along the outer paths."""
-    leftmost: list[int | None] = [None] * (g.n + 1)
-    rightmost: list[int | None] = [None] * (g.n + 1)
+    """(leftmost, rightmost) marks by literal descent along the outer paths;
+    0 for a rule shorter than q."""
+    leftmost = [0] * (g.n + 1)
+    rightmost = [0] * (g.n + 1)
     for i in range(1, g.n + 1):
         if lengths[i] < q:
             continue

@@ -21,7 +21,6 @@ from oracles import (
     trie_layout,
 )
 from slpgram import (
-    BuilderConfig,
     ConsistencyError,
     WeightedText,
     build_chain,
@@ -38,7 +37,7 @@ from slpgram import (
     serialize_slp,
     weighted_qgram_counts,
 )
-from slpgram.cli import CountRequest, run_bench, run_count, run_stats
+from slpgram.cli import run_bench, run_count, run_stats
 
 Q_RANGE = range(2, 13)
 
@@ -260,7 +259,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_grammar(corpus):
-    return build_repair(corpus, BuilderConfig(min_pair_frequency=32))
+    return build_repair(corpus, 32)
 
 
 # SHA-256 of the corpus grammar's SLP v1 document; any change to Re-Pair's
@@ -306,11 +305,11 @@ def test_count_reports_pinned(name, tmp_path):
     if name == "spaces":
         text = text.replace(b"\n", b" ")
     path = tmp_path / "g.slp"
-    path.write_text(serialize_slp(build_repair(text, BuilderConfig(min_pair_frequency=8))))
+    path.write_text(serialize_slp(build_repair(text, 8)))
     for q in (4, 64):
         for algo in ("nsa", "ssa", "stsa"):
             for expand_output, key in ((False, algo), (True, "expand")):
-                doc = run_count(CountRequest(str(path), q, algo, expand_output))
+                doc = run_count(str(path), q, algo, expand_output)
                 digest = hashlib.sha256(doc.encode("ascii")).hexdigest()
                 assert digest == COUNT_REPORT_SHA256[name, key, q], (algo, q, expand_output)
 
@@ -437,5 +436,5 @@ def test_chain_of_20000_rules(tmp_path):
         grams = sorted(counts)
         expected = count_report(grams, [counts[gram] for gram in grams])
         for algo in ("nsa", "ssa", "stsa"):
-            report = run_count(CountRequest(str(path), q, algo, expand_output=True))
+            report = run_count(str(path), q, algo, True)
             assert report == expected, (q, algo)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import naive_repair
 from slpgram import (
-    BuilderConfig,
     build_chain,
     build_random,
     build_repair,
@@ -17,6 +16,7 @@ from slpgram import (
     serialize_slp,
     validate,
 )
+from slpgram import builders
 from slpgram.builders import END, VOID, _PairLabels, _terminal_rules
 from slpgram.cli import main
 from test_acceptance import make_corpus
@@ -44,7 +44,7 @@ class TestRepair:
     def test_threshold_respected(self):
         # (a,b) occurs twice; with a threshold of 3 nothing is replaced and
         # the residual of four symbols binarizes into three pair rules.
-        g = build_repair(b"abab", BuilderConfig(min_pair_frequency=3))
+        g = build_repair(b"abab", 3)
         assert serialize_slp(g) == "1 T 97\n2 T 98\n3 N 1 2\n4 N 1 2\n5 N 3 4\n"
         assert expand(g) == b"abab"
 
@@ -65,8 +65,8 @@ class TestRepair:
             assert validate(g) == []
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BuilderConfig(min_pair_frequency=1)
+        with pytest.raises(ValueError, match="^min_pair_frequency must be at least 2$"):
+            build_repair(b"abab", 1)
 
 
 class TestChain:
@@ -114,6 +114,29 @@ class TestRandom:
         with pytest.raises(ValueError):
             build_random(5, 257, 1)
 
+    @pytest.mark.parametrize("cap", [2, 3, 4])
+    def test_fallback_pick_under_a_small_cap(self, cap, monkeypatch):
+        # Under a cap this small most random picks would pass it, so the
+        # builder often falls back to pairing the shortest rule with itself
+        # (the one pick made with ``min(..., key=...)``).
+        monkeypatch.setattr(builders, "RANDOM_LENGTH_CAP", cap)
+        fallbacks = []
+
+        def counted_min(*args, **kwargs):
+            if "key" in kwargs:
+                fallbacks.append(args)
+            return min(*args, **kwargs)
+
+        monkeypatch.setattr(builders, "min", counted_min, raising=False)
+        for alphabet in (1, 2, 3):
+            for seed in range(3):
+                fallbacks.clear()
+                g = build_random(120, alphabet, seed)
+                assert fallbacks, (alphabet, seed)
+                assert build_random(120, alphabet, seed) == g, (alphabet, seed)
+                assert validate(g) == [], (alphabet, seed)
+                assert max(compute_metrics(g).lengths) <= cap, (alphabet, seed)
+
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.binary(min_size=1, max_size=300))
@@ -142,7 +165,7 @@ repair_texts = st.integers(1, 3).flatmap(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(repair_texts, st.integers(2, 4))
 def test_repair_matches_naive_oracle(text, threshold):
-    g = build_repair(text, BuilderConfig(min_pair_frequency=threshold))
+    g = build_repair(text, threshold)
     assert (g.lefts, g.rights) == naive_repair(text, threshold)
 
 
@@ -239,7 +262,7 @@ def test_round_labels_match_a_fresh_labelling(text, threshold):
     ],
 )
 def test_repair_rule_sequence_pinned(name, text, frequency, rules, digest):
-    g = build_repair(text(), BuilderConfig(min_pair_frequency=frequency))
+    g = build_repair(text(), frequency)
     assert g.n == rules
     assert hashlib.sha256(serialize_slp(g).encode("ascii")).hexdigest() == digest
 
@@ -251,7 +274,7 @@ def test_frequency_past_int64_replaces_nothing(tmp_path, capsys):
     raw = tmp_path / "in.txt"
     raw.write_bytes(text)
     for frequency in (2**63 + 1, 10**30):
-        g = build_repair(text, BuilderConfig(min_pair_frequency=frequency))
+        g = build_repair(text, frequency)
         assert (g.lefts, g.rights) == naive_repair(text, frequency)
         assert g.n == 4 + len(text) - 1
         argv = ["build", "-i", str(raw), "--min-pair-freq", str(frequency)]

@@ -34,7 +34,6 @@ from slpgram import (
     weighted_qgram_counts,
 )
 from slpgram.cli import (
-    CountRequest,
     escape_bytes,
     main,
     run_bench,
@@ -114,32 +113,32 @@ class TestEscaping:
 
 class TestCount:
     def test_stsa_q2_expanded(self, g7_path):
-        doc = run_count(CountRequest(g7_path, 2, "stsa", expand_output=True))
+        doc = run_count(g7_path, 2, "stsa", True)
         assert doc == "aa\t3\nab\t5\nba\t4\n"
 
     def test_nsa_q3_expanded(self, g7_path):
-        doc = run_count(CountRequest(g7_path, 3, "nsa", expand_output=True))
+        doc = run_count(g7_path, 3, "nsa", True)
         assert doc == "aab\t3\naba\t4\nbaa\t2\nbab\t2\n"
 
     def test_q14_empty(self, g7_path):
         for algo in ("nsa", "ssa", "stsa"):
-            doc = run_count(CountRequest(g7_path, 14, algo, expand_output=True))
+            doc = run_count(g7_path, 14, algo, True)
             assert doc == ""
 
     def test_positions_with_header(self, g7_path):
-        doc = run_count(CountRequest(g7_path, 2, "ssa"))
+        doc = run_count(g7_path, 2, "ssa", False)
         assert doc == "# end positions refer to z\n4\t3\n2\t5\n3\t4\n"
-        doc = run_count(CountRequest(g7_path, 2, "nsa"))
+        doc = run_count(g7_path, 2, "nsa", False)
         # ends of the first aa/ab/ba occurrences in the text itself
         assert doc == "# end positions refer to T\n2\t3\n3\t5\n4\t4\n"
         # z = aabababa begins like the text, and its first nodes are the
         # text's first positions
-        doc = run_count(CountRequest(g7_path, 2, "stsa"))
+        doc = run_count(g7_path, 2, "stsa", False)
         assert doc == "# end positions refer to z\n2\t3\n3\t5\n4\t4\n"
 
     def test_q1_char_mode_for_every_algorithm(self, g7_path):
         for algo in ("nsa", "ssa", "stsa"):
-            assert run_count(CountRequest(g7_path, 1, algo)) == "a\t8\nb\t5\n"
+            assert run_count(g7_path, 1, algo, False) == "a\t8\nb\t5\n"
 
     def test_expanded_matches_histogram_for_all_algorithms(self, g7_path):
         text = expand(parse_slp(G7_DOC))
@@ -149,7 +148,7 @@ class TestCount:
                 for k, v in sorted(sliding_histogram(text, q).items())
             )
             for algo in ("nsa", "ssa", "stsa"):
-                doc = run_count(CountRequest(g7_path, q, algo, expand_output=True))
+                doc = run_count(g7_path, q, algo, True)
                 assert doc == expected, (algo, q)
 
     @pytest.mark.parametrize("builder", [build_repair, build_chain])
@@ -168,8 +167,7 @@ class TestCount:
                 assert out.read_text() == expected, (algo, q)
 
     def test_deterministic(self, g7_path):
-        req = CountRequest(g7_path, 3, "stsa", expand_output=True)
-        assert run_count(req) == run_count(req)
+        assert run_count(g7_path, 3, "stsa", True) == run_count(g7_path, 3, "stsa", True)
 
     @pytest.mark.parametrize("seed", [None, *range(12)])
     def test_stsa_ends_are_the_earliest_trie_nodes(self, seed, tmp_path):
@@ -195,7 +193,7 @@ class TestCount:
             for p in nodes[q - 1 :]:
                 earliest.setdefault(z[p - q + 1 : p + 1], p + 1)
             want = sliding_histogram(text, q)
-            header, *lines = run_count(CountRequest(str(path), q, "stsa")).splitlines()
+            header, *lines = run_count(str(path), q, "stsa", False).splitlines()
             assert header == "# end positions refer to z"
             assert len(lines) == len(want), (seed, q)
             for line in lines:
@@ -250,7 +248,7 @@ class TestReport:
         for q in qs:
             for algo in ("nsa", "ssa", "stsa"):
                 for expand_output in (False, True):
-                    doc = run_count(CountRequest(str(path), q, algo, expand_output))
+                    doc = run_count(str(path), q, algo, expand_output)
                     assert doc == expected_count(g, q, algo, expand_output), (q, algo, expand_output)
 
     @pytest.mark.parametrize("expand_output", [False, True])
@@ -262,7 +260,7 @@ class TestReport:
         weights = values + values[::-1]
         rows = np.array([ends, weights], dtype=np.int64).T
         monkeypatch.setattr("slpgram.cli.weighted_qgram_counts", lambda wt: QGramReport(rows, 2))
-        doc = run_count(CountRequest(g7_path, 2, "nsa", expand_output))
+        doc = run_count(g7_path, 2, "nsa", expand_output)
         text = expand(parse_slp(G7_DOC))
         if expand_output:
             assert doc == count_report([text[end - 2 : end] for end in ends], weights)
@@ -281,12 +279,12 @@ class TestReport:
         path = tmp_path / "g.slp"
         path.write_text(doc)
         for algo in ("nsa", "ssa", "stsa"):
-            assert run_count(CountRequest(str(path), 1, algo)) == f"a\t{2**63 - 1}\n"
+            assert run_count(str(path), 1, algo, False) == f"a\t{2**63 - 1}\n"
         for q in (2, 9, 64):
             expected = f"{'a' * q}\t{2**63 - q}\n"
             for algo in ("ssa", "stsa"):
-                assert run_count(CountRequest(str(path), q, algo, True)) == expected
-                assert run_count(CountRequest(str(path), q, algo)).endswith(f"\t{2**63 - q}\n")
+                assert run_count(str(path), q, algo, True) == expected
+                assert run_count(str(path), q, algo, False).endswith(f"\t{2**63 - q}\n")
 
     def test_all_byte_values(self, tmp_path):
         # every escape width (1, 2 and 4) in keys of 1, 2, 3 and 64 bytes
@@ -318,7 +316,7 @@ class TestReport:
             return doc
 
         monkeypatch.setattr(cli, "_lines", traced)
-        doc = run_count(CountRequest(str(tmp_path / "g.slp"), 64, "nsa", True))
+        doc = run_count(str(tmp_path / "g.slp"), 64, "nsa", True)
         assert "\\x00" * 64 in doc
         assert peaks[0] < 5
 
@@ -326,11 +324,11 @@ class TestReport:
         g = parse_slp(doubling_doc(3))  # aaaa
         self.check(g, (1, 2, 4, 5), tmp_path)
         path = tmp_path / "g.slp"
-        assert run_count(CountRequest(str(path), 1, "stsa")) == "a\t4\n"
-        assert run_count(CountRequest(str(path), 4, "ssa", True)) == "aaaa\t1\n"
-        assert run_count(CountRequest(str(path), 4, "nsa")) == "# end positions refer to T\n4\t1\n"
-        assert run_count(CountRequest(str(path), 5, "nsa", True)) == ""
-        assert run_count(CountRequest(str(path), 5, "stsa")) == "# end positions refer to z\n"
+        assert run_count(str(path), 1, "stsa", False) == "a\t4\n"
+        assert run_count(str(path), 4, "ssa", True) == "aaaa\t1\n"
+        assert run_count(str(path), 4, "nsa", False) == "# end positions refer to T\n4\t1\n"
+        assert run_count(str(path), 5, "nsa", True) == ""
+        assert run_count(str(path), 5, "stsa", False) == "# end positions refer to z\n"
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.binary(min_size=1, max_size=40), st.integers(1, 6))
@@ -341,7 +339,7 @@ class TestReport:
             path.write_text(serialize_slp(g))
             for algo in ("nsa", "ssa", "stsa"):
                 for expand_output in (False, True):
-                    doc = run_count(CountRequest(str(path), q, algo, expand_output))
+                    doc = run_count(str(path), q, algo, expand_output)
                     assert doc == expected_count(g, q, algo, expand_output), (algo, expand_output)
 
     @pytest.mark.parametrize("argv", [["-q", "1"], ["-q", "3"], ["-q", "3", "--expand"],
@@ -352,8 +350,8 @@ class TestReport:
         out = tmp_path / "out.tsv"
         assert main(["count", "-i", str(path), *argv, "-o", str(out)]) == 0
         args = dict(zip(argv[::2], argv[1::2]))
-        req = CountRequest(str(path), int(args["-q"]), args.get("--algo", "stsa"), "--expand" in argv)
-        assert out.read_bytes() == run_count(req).encode("ascii")
+        doc = run_count(str(path), int(args["-q"]), args.get("--algo", "stsa"), "--expand" in argv)
+        assert out.read_bytes() == doc.encode("ascii")
 
 
 class TestVerify:
@@ -420,6 +418,37 @@ class TestVerify:
                 "q=2: FAIL\n"
                 "verification FAILED\n"
             )
+
+    @pytest.mark.parametrize(
+        "broken, problems",
+        [
+            # the trie size, from the window total, no longer equals |T| - dup
+            (lambda g: {"dup": g.dup + 1}, ["trie size 6 != text length 13 minus dup 8"]),
+            (lambda g: {"edge_count": 2 * 7 + 1}, ["edge count 15 exceeds 2n=14"]),
+            # 5 more window bytes and 5 less dup keep the identity; the graph's
+            # sizes then grow by 5 as well
+            (
+                lambda g: {"sum_ti": g.sum_ti + 5, "dup": g.dup - 5},
+                [
+                    "built trie has 6 nodes and 8 text bytes, the graph gives 11 and 13",
+                    "window total 15 exceeds 2(q-1)n",
+                ],
+            ),
+        ],
+        ids=["dup", "edges", "window-total"],
+    )
+    def test_broken_graph_quantity_fails(self, broken, problems, g7_path, monkeypatch, capsys):
+        real = build_neighbor_graph
+
+        def broken_graph(*args):
+            graph = real(*args)
+            return dataclasses.replace(graph, **broken(graph))
+
+        monkeypatch.setattr("slpgram.cli.build_neighbor_graph", broken_graph)
+        assert main(["verify", "-i", g7_path, "--q-max", "13"]) == 1
+        assert capsys.readouterr().out == "".join(
+            f"q=2: {line}\n" for line in [*problems, "FAIL"]
+        ) + "verification FAILED\n"
 
 
 class TestStats:
@@ -580,6 +609,25 @@ class TestMain:
             with pytest.raises(SystemExit) as exc:
                 main(["build", "-i", g7_path, "--algo-builder", builder, option, bad, "-o", out])
             assert exc.value.code == 2, (option, bad)
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["verify", "--q-max", "1"], "q_max must be at least 2"),
+            (["stats", "--q-list", "1"], "stats needs q >= 2"),
+            (["stats", "--q-list", "3,1"], "stats needs q >= 2"),
+            (["bench", "--q-list", "2", "--reps", "0"], "repetitions must be at least 1"),
+            (["bench", "--q-list", "1"], "bench needs q >= 2"),
+            (["stats", "--q-list", ","], "empty q list"),
+            (["bench", "--q-list", ","], "empty q list"),
+        ],
+        ids=["verify-q-max", "stats-q", "stats-later-q", "bench-reps", "bench-q", "stats-empty",
+             "bench-empty"],
+    )
+    def test_argument_refusals_exit_2(self, argv, refusal, g7_path, capsys):
+        command, *options = argv
+        assert main([command, "-i", g7_path, *options]) == 2
+        assert capsys.readouterr() == ("", f"error: {refusal}\n")
 
     def test_verify_past_the_expansion_cap(self, tmp_path, monkeypatch):
         # 2^62 bytes, far past the cap, so only ssa and stsa can be compared

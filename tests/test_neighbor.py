@@ -268,7 +268,7 @@ class TestFlatten:
                 assert got == want, (name, q)
 
 
-class TestDupStats:
+class TestStatsRow:
     def test_g7_rows(self, g7, g7_metrics):
         for q, row in [
             (2, "2,10,6,7,8,7,5"),

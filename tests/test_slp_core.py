@@ -223,9 +223,11 @@ class TestExpand:
     def test_chain_abc(self):
         assert expand(build_chain(b"abc")) == b"abc"
 
-    def test_cap(self, g7):
-        with pytest.raises(SlpError):
-            expand(g7, max_bytes=5)
+    def test_cap(self):
+        # 2^31 a's, past the 2^30 byte cap: refused before any byte is spelled.
+        refusal = r"^expansion is 2147483648 bytes, above the 1073741824 byte cap$"
+        with pytest.raises(SlpError, match=refusal):
+            expand(parse_slp(doubling_doc(32)))
 
     def test_deep_grammar_is_fine(self):
         g = build_chain(b"a" * 5000)
@@ -299,18 +301,18 @@ class TestMetrics:
 class TestQMarks:
     def test_g7_q2(self, g7, g7_metrics):
         qm = compute_qmarks(g7, g7_metrics, 2)
-        assert qm.leftmost[1:] == [None, None, 3, 4, 3, 4, 4]
-        assert qm.rightmost[1:] == [None, None, 3, 3, 3, 3, 3]
+        assert qm.leftmost[1:] == [0, 0, 3, 4, 3, 4, 4]
+        assert qm.rightmost[1:] == [0, 0, 3, 3, 3, 3, 3]
 
     def test_g7_q13(self, g7, g7_metrics):
         qm = compute_qmarks(g7, g7_metrics, 13)
-        assert qm.leftmost[1:] == [None] * 6 + [7]
-        assert qm.rightmost[1:] == [None] * 6 + [7]
+        assert qm.leftmost[1:] == [0] * 6 + [7]
+        assert qm.rightmost[1:] == [0] * 6 + [7]
 
     def test_g7_q14_all_none(self, g7, g7_metrics):
         qm = compute_qmarks(g7, g7_metrics, 14)
-        assert qm.leftmost[1:] == [None] * 7
-        assert qm.rightmost[1:] == [None] * 7
+        assert qm.leftmost[1:] == [0] * 7
+        assert qm.rightmost[1:] == [0] * 7
 
     def test_q_below_two_rejected(self, g7, g7_metrics):
         with pytest.raises(ValueError):
