@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .slp import (
     affix_tables,
     check_affix_tables,
 )
+from .ssa import gather_windows, window_weights
 from .suffix import WeightedText, check_rankable
 
 CSV_HEADER = "q,sum_ti,trie_size,dup,flattened_len,edges,vertices"
@@ -189,9 +191,10 @@ class FlattenedTrie:
     The trie itself is every text position but the repeated contexts.  For
     each branch after the first, ``firsts`` holds the node index of its
     first node and ``hangs`` the node it hangs from, the last one of its
-    parent's label; :meth:`to_weighted_text` derives from them the position
-    and parent of each of the ``body_total`` nodes.  The counting engine
-    ranks these nodes; the text only anchors the positions a report prints.
+    parent's label, both as int64 arrays; :meth:`to_weighted_text` derives
+    from them the position and parent of each of the ``body_total`` nodes.
+    The counting engine ranks these nodes; the text only anchors the
+    positions a report prints.
 
     The text opens with the first vertex's whole window, so nodes 0 to q-2
     are a chain from the root, each below the one before.  A later branch
@@ -204,8 +207,8 @@ class FlattenedTrie:
     q: int
     text: bytes
     end_weights: np.ndarray
-    firsts: list[int]
-    hangs: list[int]
+    firsts: np.ndarray
+    hangs: np.ndarray
 
     @property
     def branch_count(self) -> int:
@@ -228,64 +231,68 @@ def flatten_neighbor_trie(
     graph: NeighborGraph,
     tables: tuple[list[bytes], list[bytes]] | None = None,
 ) -> FlattenedTrie:
-    """One pass over the vertices in first-seam order.
+    """The vertices' windows joined in first-seam order, less the contexts
+    of the chained ones.
 
-    A vertex right after its parent emits its label, its window
-    ``suf[L] + pre[R]`` from :func:`affix_tables` past the first q-1
-    characters, which end the parent's label.  Any other vertex heads a
-    branch with its whole window, whose first q-1 characters are context:
-    the text's opener for the first vertex, the end of the parent's label
-    for a later head, whose first node and the node it hangs from the pass
-    records.  The text is written with run-length weights as it is emitted.
+    A vertex is chained when its parent is the vertex just before it; it
+    adds only its label, its window ``suf[L] + pre[R]`` from
+    :func:`affix_tables` past the first q-1 characters, which end the
+    parent's label.  Any other vertex heads a branch with its whole window,
+    whose first q-1 characters are context: the text's opener for the first
+    vertex, the end of the parent's label for a later head.
+
+    No statement runs per vertex.  The windows are joined whole
+    (:func:`~slpgram.ssa.gather_windows`), sum_ti bytes like the ssa string,
+    and one boolean mask, repeated over the per-window runs, drops the first
+    q-1 bytes of every chained one; the weights are one repeat of the kept
+    runs.  The last node of label j is q-2 plus the label sizes up to j, so
+    a later head's first node is the one after its predecessor's last, and
+    it hangs from its parent's last node.
 
     A trie the counting engine could not rank is refused with ValueError
     before any table is built: its size is the graph's ``trie_size``, and
     the trie built here has ``trie_size`` nodes and ``flattened_len`` text
     characters.  Tables past :func:`check_affix_tables`' cap are refused
     too.  A caller that holds this q's ``(pre, suf)`` tables already passes
-    them as ``tables``.
+    them as ``tables``; tables that give a window shorter than q raise
+    ConsistencyError.
     """
     q = graph.q
     if m.text_length < q:
-        return FlattenedTrie(q, b"", np.zeros(0, dtype=np.int64), [], [])
+        none = np.zeros(0, dtype=np.int64)
+        return FlattenedTrie(q, b"", none, none, none)
     check_rankable(graph.trie_size)
-    lefts, rights = g.lefts, g.rights
-    parents = graph.parents
     if tables is None:
         check_affix_tables(g, m, q)
         tables = affix_tables(g, m, q)
-    pre, suf = tables
+    vertices = graph.vertices
+    count = len(vertices)
+    windows, runs, occurrences = gather_windows(g, m, tables, vertices, q)
+    ends = np.fromiter(
+        chain(map(graph.parents.__getitem__, vertices), vertices), np.int64, 2 * count
+    )
+    parents, rules = ends[:count], ends[count:]
+    # opens[j]: vertex j + 1 is not chained to vertex j, so it opens a branch
+    # with its whole window, as the first vertex does.  The mask keeps the
+    # first q-1 bytes of those windows and every label.
+    opens = np.not_equal(parents[1:], rules[:-1])
+    keep = np.ones((count, 2), dtype=bool)
+    keep[1:, 0] = opens
+    text = np.frombuffer(windows, dtype=np.uint8)[keep.ravel().repeat(runs.ravel())].tobytes()
+    del windows  # sum_ti bytes, freed before the weights are made
+    runs[1:, 0] *= opens
+    weights = window_weights(occurrences, runs)
     # The node of the last character of each vertex's label.
-    last = [0] * (g.n + 1)
-    occurrences = m.occurrences
-    text = bytearray()
-    run_weights: list[int] = []
-    run_lengths: list[int] = []
-    firsts: list[int] = []
-    hangs: list[int] = []
-    for previous, v in zip([-1, *graph.vertices], graph.vertices):
-        parent = parents[v]
-        left, right = suf[lefts[v]], pre[rights[v]]
-        if parent == previous:
-            # suf[L_v] falls short of q-1 characters only when L_v does,
-            # and then the label starts that much later in pre[R_v].
-            label = right[q - 1 - len(left) :]
-            text += label
-            run_weights.append(occurrences[v])
-            run_lengths.append(len(label))
-        else:
-            if parent:
-                # The first node lies just past the branch's context, and a
-                # node's index is its text position less the q-1 context
-                # characters of each later branch up to and including its own.
-                firsts.append(len(text) - (q - 1) * len(hangs))
-                hangs.append(last[parent])
-            text += left
-            text += right
-            run_weights += (0, occurrences[v])
-            run_lengths += (q - 1, len(left) + len(right) - (q - 1))
-        last[v] = len(text) - 1 - (q - 1) * len(hangs)
-    return FlattenedTrie(q, bytes(text), np.repeat(run_weights, run_lengths), firsts, hangs)
+    last = runs[:, 1].cumsum()
+    last += q - 2
+    last_of = np.empty(g.n + 1, dtype=np.int64)
+    last_of[rules] = last
+    # A later branch's first node follows the last one of the vertex before
+    # it, and it hangs from the last node of its parent.
+    later = opens.nonzero()[0]
+    firsts = last[later] + 1
+    hangs = last_of[parents[1:][later]]
+    return FlattenedTrie(q, text, weights, firsts, hangs)
 
 
 def compute_dup_stats(m: SlpMetrics, graph: NeighborGraph) -> NeighborGraph:

@@ -132,7 +132,7 @@ def sweep():
             if len(graph.edges) > 2 * g.n:
                 violations[4].append(f"instance {index} q={q}: edge bound")
             # each vertex's label once, every context and every weight
-            layout = (trie.text, trie.end_weights.tolist(), trie.firsts, trie.hangs)
+            layout = (trie.text, trie.end_weights.tolist(), trie.firsts.tolist(), trie.hangs.tolist())
             if layout != trie_layout(g, graph, texts, occurrences):
                 violations[4].append(f"instance {index} q={q}: vertex coverage")
 

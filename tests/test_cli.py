@@ -744,6 +744,27 @@ class TestMain:
                 f"error: cannot rank a string of {size} positions: the limit is {2**31 - 1}\n"
             )
 
+    def test_window_total_past_int64_refused_exactly(self, tmp_path, monkeypatch, capsys):
+        # a doubled 61 times, then six rules Y_k = Y_{k-1} b, at q = 2^61 - 5:
+        # the 2^61-byte rule's window holds 2^61 bytes and each Y_k's
+        # q = 2^61 - 5, so the ssa string would be 7 * 2^61 - 30 positions,
+        # a total past int64 that must be stated exactly
+        def no_tables(*args):
+            raise AssertionError("affix tables built for a refused count")
+
+        monkeypatch.setattr("slpgram.ssa.affix_tables", no_tables)
+        rules = ["1 T 97"] + [f"{i} N {i - 1} {i - 1}" for i in range(2, 63)] + ["63 T 98"]
+        rules += ["64 N 62 63"] + [f"{i} N {i - 1} 63" for i in range(65, 70)]
+        slp = tmp_path / "wide.slp"
+        slp.write_text("\n".join(rules) + "\n")
+        q = 2**61 - 5
+        assert main(["count", "-i", str(slp), "-q", str(q), "--algo", "ssa"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot rank a string of 16140901064495857634 positions:"
+            " the limit is 2147483647\n"
+        )
+        assert 7 * 2**61 - 30 == 16140901064495857634
+
     def test_no_tables_when_no_rule_owns_a_window(self, tmp_path, monkeypatch, capsys):
         # 2^48 a's at q = 10^20: no rule is long enough to own a window, so
         # no affix table is built (every rule's whole text would be ~2^49 bytes)

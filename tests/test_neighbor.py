@@ -18,6 +18,7 @@ from oracles import (
 from slpgram import (
     ConsistencyError,
     SlpGrammar,
+    affix_tables,
     build_neighbor_graph,
     build_ssa_text,
     compute_dup_stats,
@@ -119,7 +120,7 @@ def check_layout(g):
         for v in order[1:]:
             parent = graph.parents[v]
             assert (parent, v) in edges and seams[parent] < seams[v], (q, v, parent)
-        layout = (trie.text, trie.end_weights.tolist(), trie.firsts, trie.hangs)
+        layout = (trie.text, trie.end_weights.tolist(), trie.firsts.tolist(), trie.hangs.tolist())
         assert layout == trie_layout(g, graph, texts, occurrences), q
         if m.text_length < q:
             continue
@@ -151,7 +152,7 @@ class TestFlatten:
         assert trie.body_total == 6
         assert trie.branch_count == 2
         # each later branch starts at the next node and hangs from the b
-        assert (trie.firsts, trie.hangs) == ([4, 5], [2, 2])
+        assert (trie.firsts.tolist(), trie.hangs.tolist()) == ([4, 5], [2, 2])
         wt = trie.to_weighted_text()
         # the trie a-a-b with three a's below the b; contexts are no nodes
         assert list(wt.nodes) == [0, 1, 2, 3, 5, 7]
@@ -220,7 +221,7 @@ class TestFlatten:
             nodes += label
             last[v] = nodes - 1
         assert offset == len(trie.text), q
-        assert (firsts, hangs) == (trie.firsts, trie.hangs), q
+        assert (firsts, hangs) == (trie.firsts.tolist(), trie.hangs.tolist()), q
         return runs
 
     def test_each_vertex_emitted_exactly_once(self, sample_grammars):
@@ -344,6 +345,41 @@ class TestLibraryRefusal:
         assert len(build_ssa_text(g7, g7_metrics, 2).text) == 10
         monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 7)
         assert flatten_neighbor_trie(g7, g7_metrics, graph).body_total == 6
+
+    def test_ssa_refused_on_the_exact_total_not_its_bound(self, g7, g7_metrics, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("affix tables built for a refused reduction")
+
+        # G7 at q = 3: rules 4, 5, 6 and 7 own windows of 3, 4, 4 and 4
+        # bytes, 15 positions against the bound 2(q-1) * 4 = 16
+        monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 16)
+        assert len(build_ssa_text(g7, g7_metrics, 3).text) == 15
+        monkeypatch.setattr("slpgram.ssa.affix_tables", no_tables)
+        monkeypatch.setattr("slpgram.suffix._MAX_POSITIONS", 15)
+        with pytest.raises(ValueError, match=r"^cannot rank a string of 15 positions: "):
+            build_ssa_text(g7, g7_metrics, 3)
+
+    def test_q_past_int64_gives_the_empty_trie_without_tables(self, g7, g7_metrics, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("affix tables built where no window needs them")
+
+        monkeypatch.setattr("slpgram.neighbor.affix_tables", no_tables)
+        q = 10**20
+        graph = build_neighbor_graph(g7, g7_metrics, compute_qmarks(g7, g7_metrics, q))
+        trie = flatten_neighbor_trie(g7, g7_metrics, graph)
+        assert (trie.text, trie.end_weights.tolist()) == (b"", [])
+        assert (trie.firsts.tolist(), trie.hangs.tolist(), trie.body_total) == ([], [], 0)
+
+    def test_window_cut_short_by_the_tables_names_the_first_vertex(self, g7, g7_metrics):
+        # at q = 2 the vertices in seam order are 4, 3, 6, 5 and 7; with
+        # suf[1] emptied, the windows of 4 and 3 (both of left child 1) hold
+        # one byte
+        graph = build_neighbor_graph(g7, g7_metrics, compute_qmarks(g7, g7_metrics, 2))
+        assert graph.vertices == [4, 3, 6, 5, 7]
+        pre, suf = affix_tables(g7, g7_metrics, 2)
+        suf[1] = b""
+        with pytest.raises(ConsistencyError, match=r"^window of rule 4 is shorter than q$"):
+            flatten_neighbor_trie(g7, g7_metrics, graph, (pre, suf))
 
 
 def _window_len(g, m, q, i):

@@ -2,6 +2,8 @@ import pytest
 
 from oracles import naive_rule_texts, reference_window, sliding_histogram
 from slpgram import (
+    ConsistencyError,
+    affix_tables,
     build_ssa_text,
     compute_metrics,
     expand,
@@ -89,3 +91,20 @@ class TestBuildSsaText:
                     continue
                 wt = build_ssa_text(g, m, q)
                 assert int(wt.end_weights.sum()) == m.text_length - q + 1, (name, q)
+
+    def test_q_past_int64_gives_the_empty_text_without_tables(self, g7, g7_metrics, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("affix tables built where no window needs them")
+
+        monkeypatch.setattr("slpgram.ssa.affix_tables", no_tables)
+        wt = build_ssa_text(g7, g7_metrics, 10**20)
+        assert (wt.text, wt.end_weights.tolist()) == (b"", [])
+
+    def test_window_cut_short_by_the_tables_names_the_first_rule(self, g7, g7_metrics):
+        # at q = 2 every affix is one byte; with suf[1] emptied, the windows
+        # of rules 3 and 4 (both of left child 1) hold one byte, and the
+        # windows come in ascending rule order
+        pre, suf = affix_tables(g7, g7_metrics, 2)
+        suf[1] = b""
+        with pytest.raises(ConsistencyError, match=r"^window of rule 3 is shorter than q$"):
+            build_ssa_text(g7, g7_metrics, 2, (pre, suf))
