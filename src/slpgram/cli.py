@@ -56,10 +56,10 @@ def _escape(b: int) -> bytes:
 
 
 # Row b holds the escape of byte value b, zero-padded to four bytes (no
-# escape holds a zero byte).  Read as uint32, a row is one gather.
+# escape holds a zero byte); read as uint32, a row is one value.
 _ESCAPES = np.array([list(_escape(b).ljust(4, b"\0")) for b in range(256)], dtype=np.uint8)
-_ESCAPE_KEPT = _ESCAPES != 0
-_ESCAPE_WIDTHS = np.count_nonzero(_ESCAPE_KEPT, axis=1).astype(np.uint8)
+_ESCAPE_CELLS = _ESCAPES.view(np.uint32).ravel()
+_ESCAPE_WIDTHS = np.count_nonzero(_ESCAPES, axis=1).astype(np.uint8)
 
 # The ASCII digits of 0000 to 9999, each group read as one uint32 (made of
 # two digit pairs, which keeps the table's set-up small), and the powers of
@@ -76,18 +76,37 @@ _GROUP_POWERS = 10 ** np.arange(16, -1, -4, dtype=np.int64)
 _DIGIT_FLOORS = np.append(10 ** np.arange(18, 0, -1, dtype=np.int64), 0)
 
 
-def _escaped(data: np.ndarray) -> np.ndarray:
-    """The escapes of a uint8 array's bytes, one after the other."""
-    rows = _ESCAPES.view(np.uint32)[data].view(np.uint8)
-    return rows[_ESCAPE_KEPT.view(np.uint32)[data].view(bool)]
+def _escaped(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The escapes of a uint8 array's bytes, one after the other, and their
+    offsets: ``offsets[p]`` is the escaped width of the first p bytes.
+
+    Each byte is repeated as often as its escape is wide.  That already
+    spells a printable byte and a backslash, whose escape is two of them;
+    only the bytes of width 4 are written over, their whole escape as one
+    uint32 at their offset, through an unaligned view of the output.
+    """
+    widths = np.take(_ESCAPE_WIDTHS, data)
+    # The repeat casts the widths to intp, 8 bytes a byte; that copy is
+    # freed before the offsets take as much.
+    escaped = np.repeat(data, widths)
+    offsets = np.zeros(data.size + 1, dtype=np.int64)
+    np.cumsum(widths, out=offsets[1:])
+    wide = np.flatnonzero(widths == 4)
+    if wide.size:
+        # Cell p is escaped[p : p + 4]; a byte of width 4 starts at most 4
+        # bytes before the end.
+        cells = np.ndarray((escaped.size - 3,), np.uint32, escaped, strides=(1,))
+        cells[np.take(offsets, wide)] = np.take(_ESCAPE_CELLS, np.take(data, wide))
+    return escaped, offsets
 
 
 def escape_bytes(data: bytes) -> str:
     """Printable ASCII stays literal, backslash doubles, the rest is \\xNN.
 
-    One lookup per byte, in the table that ``count`` escapes its grams with.
+    The escape ``count`` writes its grams with: each byte repeated to its
+    escape's width, and only the \\xNN ones written over (see ``_escaped``).
     """
-    return str(_escaped(np.frombuffer(data, dtype=np.uint8)), "ascii")
+    return str(_escaped(np.frombuffer(data, dtype=np.uint8))[0], "ascii")
 
 
 def unescape_bytes(escaped: str) -> bytes:
@@ -136,17 +155,11 @@ def _load_grammar(path: str) -> SlpGrammar:
     return g
 
 
-def _unit_weighted(text: bytes, q: int) -> WeightedText:
-    weights = np.zeros(len(text), dtype=np.int64)
-    if len(text) >= q:
-        weights[q - 1 :] = 1
-    return WeightedText(text, weights, q)
-
-
 def _pipeline_text(g, m, q: int, algorithm: str) -> tuple[str, WeightedText]:
-    """The weighted string a pipeline counts on, plus its reference name."""
+    """The weighted string a pipeline counts on, plus its reference name;
+    nsa's is the text with implicit unit weights."""
     if algorithm == "nsa":
-        return "T", _unit_weighted(expand(g), q)
+        return "T", WeightedText(expand(g, m.lengths), None, q)
     if algorithm == "ssa":
         return "z", build_ssa_text(g, m, q)
     graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
@@ -250,10 +263,12 @@ def run_count(grammar_path: str, q: int, algorithm: str, expand_output: bool) ->
 
     The report is written as one byte array, with no Python string per
     line (see ``_lines``).  The expanded form escapes the counted string
-    once; ``offsets[p]`` is the escaped width of its first p bytes, so the
-    gram ending at ``end`` is the escaped text from ``offsets[end - q]`` to
-    ``offsets[end]``.  Without ``expand_output`` the keys are the end
-    positions' digits, and with q = 1 the byte values' escapes.
+    once, by repeating each byte to its escape's width and writing over
+    only the \\xNN ones (``_escaped``).  ``offsets[p]`` is the escaped width
+    of its first p bytes, so the gram ending at ``end`` is the escaped text
+    from ``offsets[end - q]`` to ``offsets[end]``.  Without
+    ``expand_output`` the keys are the end positions' digits, and with
+    q = 1 the byte values' escapes.
     """
     if q < 1:
         raise SlpError("q must be at least 1")
@@ -282,13 +297,11 @@ def run_count(grammar_path: str, q: int, algorithm: str, expand_output: bool) ->
         widths = np.count_nonzero(filled, axis=1)
         starts = np.cumsum(widths) - widths
         return header + _lines(digits[filled], starts, widths, weights)
-    data = np.frombuffer(text, dtype=np.uint8)
-    offsets = np.zeros(len(text) + 1, dtype=np.int64)
-    np.cumsum(_ESCAPE_WIDTHS[data], out=offsets[1:])
+    escaped, offsets = _escaped(np.frombuffer(text, dtype=np.uint8))
     starts = offsets[ends - q]
     widths = offsets[ends] - starts
     del offsets  # 8 bytes a text byte, freed before the report is made
-    return _lines(_escaped(data), starts, widths, weights)
+    return _lines(escaped, starts, widths, weights)
 
 
 def _nsa_skipped(text_length: int) -> str:
@@ -311,7 +324,7 @@ def _verify_one(g, m, text: bytes | None, q: int) -> list[str]:
     ssa = build_ssa_text(g, m, q, tables)
     trie = flatten_neighbor_trie(g, m, graph, tables)
     del tables  # counting needs the texts only
-    texts = {} if text is None else {"nsa": _unit_weighted(text, q)}
+    texts = {} if text is None else {"nsa": WeightedText(text, None, q)}
     texts.update(ssa=ssa, stsa=trie.to_weighted_text())
     counts = {name: weighted_qgram_counts(wt).materialize(wt.text) for name, wt in texts.items()}
     reference, *others = counts
@@ -368,7 +381,7 @@ def run_verify(grammar_path: str, q_max: int) -> tuple[int, str]:
     if top < 2:
         return 0, f"nothing checked: no q >= 2 fits a text of {m.text_length} byte\n"
     lines = []
-    text = expand(g) if m.text_length <= DEFAULT_EXPAND_CAP else None
+    text = expand(g, m.lengths) if m.text_length <= DEFAULT_EXPAND_CAP else None
     if text is None:
         lines.append(f"{_nsa_skipped(m.text_length)}; stsa checked against ssa")
     for q in range(2, top + 1):

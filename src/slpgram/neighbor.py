@@ -26,7 +26,7 @@ from .slp import (
     affix_tables,
     check_affix_tables,
 )
-from .ssa import gather_windows, window_weights
+from .ssa import gather, gather_windows, window_weights
 from .suffix import WeightedText, check_rankable
 
 CSV_HEADER = "q,sum_ti,trie_size,dup,flattened_len,edges,vertices"
@@ -241,12 +241,15 @@ def flatten_neighbor_trie(
     whose first q-1 characters are context: the text's opener for the first
     vertex, the end of the parent's label for a later head.
 
-    No statement runs per vertex.  The windows are joined whole
-    (:func:`~slpgram.ssa.gather_windows`), sum_ti bytes like the ssa string,
-    and one boolean mask, repeated over the per-window runs, drops the first
-    q-1 bytes of every chained one; the weights are one repeat of the kept
-    runs.  The last node of label j is q-2 plus the label sizes up to j, so
-    a later head's first node is the one after its predecessor's last, and
+    No statement runs per vertex.  The heads' windows and the chained
+    vertices' labels come from one join (:func:`~slpgram.ssa.gather_windows`):
+    a chained vertex leaves its head, the left child's suffix and all
+    context, out of the join, and where that head is shorter than q-1 one
+    mask cuts the rest of the context from the front of its tail.  So on a
+    left-leaning chain the join holds the trie's text, not the sum_ti
+    bytes of the ssa string.  The weights are one repeat of the kept runs.
+    The last node of label j is q-2 plus the label sizes up to j, so a
+    later head's first node is the one after its predecessor's last, and
     it hangs from its parent's last node.
 
     A trie the counting engine could not rank is refused with ValueError
@@ -267,20 +270,17 @@ def flatten_neighbor_trie(
         tables = affix_tables(g, m, q)
     vertices = graph.vertices
     count = len(vertices)
-    windows, runs, occurrences = gather_windows(g, m, tables, vertices, q)
+    # The parents, the vertices, and before each vertex the one before it
+    # in order (-1, no rule, before the first).
     ends = np.fromiter(
-        chain(map(graph.parents.__getitem__, vertices), vertices), np.int64, 2 * count
+        chain(gather(graph.parents, vertices), (-1,), vertices), np.int64, 2 * count + 1
     )
-    parents, rules = ends[:count], ends[count:]
-    # opens[j]: vertex j + 1 is not chained to vertex j, so it opens a branch
-    # with its whole window, as the first vertex does.  The mask keeps the
-    # first q-1 bytes of those windows and every label.
-    opens = np.not_equal(parents[1:], rules[:-1])
-    keep = np.ones((count, 2), dtype=bool)
-    keep[1:, 0] = opens
-    text = np.frombuffer(windows, dtype=np.uint8)[keep.ravel().repeat(runs.ravel())].tobytes()
-    del windows  # sum_ti bytes, freed before the weights are made
-    runs[1:, 0] *= opens
+    parents, rules = ends[:count], ends[count + 1 :]
+    # opens[j]: vertex j is not chained to the vertex before it, so it opens
+    # a branch with its whole window, as the first vertex does; the others
+    # give only their labels.
+    opens = parents != ends[count:-1]
+    text, runs, occurrences = gather_windows(g, m, tables, vertices, q, opens)
     weights = window_weights(occurrences, runs)
     # The node of the last character of each vertex's label.
     last = runs[:, 1].cumsum()
@@ -289,7 +289,7 @@ def flatten_neighbor_trie(
     last_of[rules] = last
     # A later branch's first node follows the last one of the vertex before
     # it, and it hangs from the last node of its parent.
-    later = opens.nonzero()[0]
+    later = opens[1:].nonzero()[0]
     firsts = last[later] + 1
     hangs = last_of[parents[1:][later]]
     return FlattenedTrie(q, text, weights, firsts, hangs)

@@ -484,13 +484,16 @@ def _spell(g: SlpGrammar, lengths: list[int], rule: int) -> bytes:
     return stream.getvalue()
 
 
-def expand(g: SlpGrammar) -> bytes:
+def expand(g: SlpGrammar, lengths: list[int] | None = None) -> bytes:
     """Decompress the whole text iteratively.
 
-    Refuses to materialize more than ``DEFAULT_EXPAND_CAP`` bytes; grammar
-    height may be Theta(n), so nothing here recurses.
+    A caller that holds the grammar's metrics passes their ``lengths``,
+    which are otherwise computed here.  Refuses to materialize more than
+    ``DEFAULT_EXPAND_CAP`` bytes; grammar height may be Theta(n), so
+    nothing here recurses.
     """
-    lengths = _rule_lengths(g)
+    if lengths is None:
+        lengths = _rule_lengths(g)
     if lengths[-1] > DEFAULT_EXPAND_CAP:
         raise SlpError(
             f"expansion is {lengths[-1]} bytes, above the {DEFAULT_EXPAND_CAP} byte cap"

@@ -13,7 +13,8 @@ for this string and for the flattened trie of :mod:`slpgram.neighbor`.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+import operator
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -28,43 +29,73 @@ from .slp import (
 from .suffix import WeightedText, check_rankable
 
 
+def gather(table: list, indices) -> tuple:
+    """``table[i]`` for each i in ``indices``, by one ``itemgetter`` call,
+    which takes less time than a ``map`` of ``table.__getitem__``."""
+    if len(indices) < 2:
+        return tuple(map(table.__getitem__, indices))
+    return operator.itemgetter(*indices)(table)
+
+
 def gather_windows(
     g: SlpGrammar,
     m: SlpMetrics,
     tables: tuple[list[bytes], list[bytes]],
     rules: list[int],
     q: int,
+    opens: np.ndarray | None = None,
 ) -> tuple[bytes, np.ndarray, np.ndarray]:
     """The windows ``suf[L] + pre[R]`` of the pair rules in ``rules``, joined
     in their order, their runs and the rules' occurrence counts.
 
     Row j of the runs is ``(q-1, size - (q-1))`` for the window of rule j.
-    The heads and tails are gathered by ``map``, interleaved into one list
-    by slice assignment and joined once, and their sizes and the counts are
-    read by one ``np.fromiter``.  A window shorter than q, which consistent
-    tables never give, raises ConsistencyError naming the first such rule.
+    The heads and tails are gathered by :func:`gather`, interleaved
+    into one list by slice assignment and joined once, and their sizes and
+    the counts are read by one ``np.fromiter``.  A window shorter than q,
+    which consistent tables never give, raises ConsistencyError naming the
+    first such rule.
+
+    With ``opens``, one bool per rule, a rule where it is False gives only
+    its label, the window past its first q-1 bytes, and its row of the runs
+    is ``(0, size - (q-1))``.  Its head is left out of the join, and when
+    the head is shorter than q-1, one boolean mask, repeated over the runs,
+    cuts the rest of the context from the front of its tail.  So the join
+    holds the labels and the windows that open, not every window.
     """
     pre, suf = tables
     count = len(rules)
-    heads = list(map(suf.__getitem__, map(g.lefts.__getitem__, rules)))
-    tails = list(map(pre.__getitem__, map(g.rights.__getitem__, rules)))
+    heads = gather(suf, gather(g.lefts, rules))
+    tails = gather(pre, gather(g.rights, rules))
     values = np.fromiter(
-        chain(map(len, heads), map(len, tails), map(m.occurrences.__getitem__, rules)),
+        chain(map(len, heads), map(len, tails), gather(m.occurrences, rules)),
         np.int64,
         3 * count,
     )
-    labels = values[:count] + values[count : 2 * count]
+    runs = np.empty((count, 2), dtype=np.int64)
+    labels = np.add(values[:count], values[count : 2 * count], out=runs[:, 1])
     labels -= q - 1
     if labels.min() < 1:
         short = rules[int((labels < 1).nonzero()[0][0])]
         raise ConsistencyError(f"window of rule {short} is shorter than q")
-    runs = np.empty((count, 2), dtype=np.int64)
-    runs[:, 0] = q - 1
-    runs[:, 1] = labels
     parts = [b""] * (2 * count)
     parts[0::2] = heads
     parts[1::2] = tails
-    return b"".join(parts), runs, values[2 * count :]
+    occurrences = values[2 * count :]
+    if opens is None:
+        runs[:, 0] = q - 1
+        return b"".join(parts), runs, occurrences
+    # Row j of keep: whether the head of rule j is joined, then its tail,
+    # always.  A chained rule's first q-1 bytes are context: its head and
+    # the first q-1 - |head| bytes of its tail.  So its runs become
+    # (q-1 - |head|, label), and keep, repeated over the runs, drops them.
+    keep = np.ones((count, 2), dtype=bool)
+    keep[:, 0] = opens
+    np.subtract(q - 1, values[:count], out=runs[:, 0])
+    np.copyto(runs[:, 0], q - 1, where=opens)
+    joined = b"".join(compress(parts, keep.ravel().tolist()))
+    text = np.frombuffer(joined, dtype=np.uint8)[keep.ravel().repeat(runs.ravel())].tobytes()
+    np.multiply(opens, q - 1, out=runs[:, 0])
+    return text, runs, occurrences
 
 
 def window_weights(occurrences: np.ndarray, runs: np.ndarray) -> np.ndarray:
@@ -113,7 +144,7 @@ def build_ssa_text(
     try:
         check_rankable(2 * (q - 1) * len(owners))
     except ValueError:
-        children = chain(map(g.lefts.__getitem__, owners), map(g.rights.__getitem__, owners))
+        children = chain(gather(g.lefts, owners), gather(g.rights, owners))
         check_rankable(sum(map(min, map(m.lengths.__getitem__, children), repeat(q - 1))))
     if tables is None:
         check_affix_tables(g, m, q)

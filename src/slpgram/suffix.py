@@ -20,6 +20,10 @@ class WeightedText:
 
     ``end_weights[p]`` (0-based) belongs to the gram ``text[p - gram + 1 : p + 1]``;
     the first ``gram - 1`` positions cannot end a gram and must weigh zero.
+    ``end_weights`` of None stands for unit weights from position gram - 1
+    on, with no array: the plain text counted as it is, as nsa does.  Only
+    a plain string may leave its weights implicit; a trie given None raises
+    ValueError.
 
     The text of a flattened trie also carries the trie itself, given by its
     branches after the first (a plain string gives neither ``firsts`` nor
@@ -47,7 +51,7 @@ class WeightedText:
     """
 
     text: bytes
-    end_weights: np.ndarray
+    end_weights: np.ndarray | None
     gram: int
     firsts: np.ndarray | None = None
     hangs: np.ndarray | None = None
@@ -57,6 +61,10 @@ class WeightedText:
     def __post_init__(self) -> None:
         if self.gram < 1:
             raise ValueError("gram length must be at least 1")
+        if self.end_weights is None:
+            if self.firsts is not None or self.hangs is not None:
+                raise ValueError("a trie needs explicit end weights")
+            return
         weights = np.asarray(self.end_weights, dtype=np.int64)
         object.__setattr__(self, "end_weights", weights)
         if weights.shape != (len(self.text),):
@@ -438,7 +446,9 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
     The groups are read off the last sort in gram byte order.  Ties sort
     by index, so each group's first member is its earliest, whose text
     position it reports; groups whose total weight is zero (grams that
-    exist only as concatenation bridges) are dropped.  The report's
+    exist only as concatenation bridges) are dropped.  Implicit unit
+    weights (``end_weights`` of None) total each group by its size, with
+    no weight gathered and none dropped.  The report's
     entries are one array built from the group totals, with no Python
     object per group.
     """
@@ -461,7 +471,13 @@ def weighted_qgram_counts(wt: WeightedText) -> QGramReport:
         del deep
     cuts = np.r_[0, np.flatnonzero(groups[1:] != groups[:-1]) + 1]
     del groups
-    totals = np.add.reduceat(wt.end_weights[ends], cuts)
     first = ends[cuts]
-    kept = totals > 0
-    return QGramReport(np.stack((first[kept] + 1, totals[kept]), axis=1), q)
+    if wt.end_weights is None:
+        # Every ranked position ends a gram of weight 1, so a group totals
+        # its size.
+        totals = np.diff(cuts, append=ends.size)
+    else:
+        totals = np.add.reduceat(wt.end_weights[ends], cuts)
+        kept = totals > 0
+        first, totals = first[kept], totals[kept]
+    return QGramReport(np.stack((first + 1, totals), axis=1), q)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G7_DOC, doubling_doc, periodic_grammar
-from oracles import count_report, escape_rule, sliding_histogram
+from oracles import count_report, escape_gram, escape_rule, sliding_histogram
 from slpgram import (
     FlattenedTrie,
     QGramReport,
@@ -56,6 +56,18 @@ ALL_BYTES_TEXT = (
     + b"a\\b\x00\xff~ \x7f\x1f" * 8
 )
 
+# Texts whose escaping takes each path of the writer: no byte written over,
+# only backslashes (two copies of the byte spell the escape), only \xNN
+# escapes, one at each end, and grams made of escapes alone.
+ESCAPE_EDGES = {
+    "empty": b"",
+    "printable": bytes(b for b in range(0x20, 0x7F) if b != 0x5C),
+    "backslashes": b"\\" * 9,
+    "wide only": bytes([*range(0x20), *range(0x7F, 0x100)]),
+    "wide first and last": b"\x00ab\\c d~\xff",
+    "escapes only": b"\x00\\\x01\xff\\\\\x7f\x00\x1f\\",
+}
+
 
 def doubling_grammar(path, rules: int) -> str:
     path.write_text(doubling_doc(rules))
@@ -94,6 +106,25 @@ class TestEscaping:
         for b in range(256):
             assert escape_bytes(bytes([b])) == escape_rule(b), b
         assert escape_bytes(ALL_BYTES_TEXT) == "".join(map(escape_rule, ALL_BYTES_TEXT))
+
+    @pytest.mark.parametrize("name", ESCAPE_EDGES)
+    def test_edge_texts_match_the_rule(self, name):
+        text = ESCAPE_EDGES[name]
+        assert escape_bytes(text) == escape_gram(text)
+
+    @pytest.mark.parametrize("name", [name for name, text in ESCAPE_EDGES.items() if text])
+    def test_count_expand_on_edge_texts(self, name, tmp_path):
+        text = ESCAPE_EDGES[name]
+        path = tmp_path / "g.slp"
+        for builder in (build_repair, build_chain):
+            path.write_text(serialize_slp(builder(text)))
+            for q in (1, 2, 3, 5, len(text)):
+                counts = sliding_histogram(text, q)
+                grams = sorted(counts)
+                expected = count_report(grams, [counts[gram] for gram in grams])
+                for algo in ("nsa", "ssa", "stsa"):
+                    doc = run_count(str(path), q, algo, True)
+                    assert doc == expected, (builder.__name__, q, algo)
 
     def test_round_trip_all_bytes(self):
         data = bytes(range(256))

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -19,6 +21,7 @@ from slpgram import (
     ConsistencyError,
     SlpGrammar,
     affix_tables,
+    build_chain,
     build_neighbor_graph,
     build_ssa_text,
     compute_dup_stats,
@@ -188,6 +191,27 @@ class TestFlatten:
                 wt = trie.to_weighted_text()
                 counts = weighted_qgram_counts(wt).materialize(wt.text)
                 assert counts == sliding_histogram(text, q), (name, q)
+
+    def test_chained_heads_stay_out_of_the_join(self):
+        # On a left-leaning chain every vertex but the first follows its
+        # parent and has a left child of at least q-1 bytes, so its head is
+        # all context: the flattening holds about the trie's text, not the
+        # sum_ti bytes of the whole windows.
+        text = bytes(random.Random(3).choice(b"acgt") for _ in range(3000))
+        g = build_chain(text)
+        m = compute_metrics(g)
+        q = 1000
+        graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+        tables = affix_tables(g, m, q)
+        tracemalloc.start()
+        try:
+            trie = flatten_neighbor_trie(g, m, graph, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (trie.text, trie.branch_count) == (text, 0)
+        assert graph.sum_ti == 2001 * 1000
+        assert peak < graph.sum_ti / 4
 
     @staticmethod
     def cut_runs(g, m, graph, trie):

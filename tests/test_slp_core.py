@@ -266,6 +266,16 @@ class TestExpand:
         with pytest.raises(ValidationError):
             expand(parse_slp(doubling_doc(64)))
 
+    def test_with_the_metrics_lengths(self, sample_grammars):
+        # A caller holding the metrics passes their lengths; the walk and
+        # the cap's refusal are the same.
+        for name, g in [*sample_grammars, ("comb-200", comb_grammar(200))]:
+            assert expand(g, compute_metrics(g).lengths) == naive_rule_texts(g)[g.n], name
+        g = parse_slp(doubling_doc(32))
+        refusal = r"^expansion is 2147483648 bytes, above the 1073741824 byte cap$"
+        with pytest.raises(SlpError, match=refusal):
+            expand(g, compute_metrics(g).lengths)
+
 
 class TestMetrics:
     def test_g7(self, g7, g7_metrics):

@@ -47,6 +47,16 @@ class TestWeightedText:
         with pytest.raises(ValueError):
             WeightedText(b"ab", [0, 1], 0)
 
+    def test_implicit_weights_only_for_a_plain_string(self):
+        wt = WeightedText(b"aab", None, 2)
+        assert wt.end_weights is None and wt.nodes is None
+        with pytest.raises(ValueError, match="gram length must be at least 1"):
+            WeightedText(b"ab", None, 0)
+        # a trie's weights must be given: its contexts weigh nothing
+        for firsts, hangs in (([3], [2]), ([3], None), (None, [2])):
+            with pytest.raises(ValueError, match="^a trie needs explicit end weights$"):
+                WeightedText(b"aabba", None, 2, firsts, hangs)
+
     def test_accepts_lists(self):
         wt = WeightedText(b"ab", [0, 3], 2)
         assert wt.end_weights.dtype == np.int64
@@ -227,6 +237,24 @@ class TestWeightedCounts:
             q = rng.choice((3, 5, 13, 63, 64, 65, 100, rng.randint(1, 100)))
             counts = weighted_qgram_counts(unit_weighted(text, q)).materialize(text)
             assert counts == sliding_histogram(text, q), trial
+
+    def test_implicit_unit_weights_match_explicit_ones(self):
+        # None stands for unit weights from position q - 1 on: the report,
+        # array for array, is that of the explicit weights, at q below,
+        # equal to and above the text's length.
+        rng = random.Random(27)
+        for trial in range(120):
+            n = rng.randint(0, 300)
+            if trial % 3 == 0:
+                period = bytes(rng.choice(b"a\x00\xff") for _ in range(rng.randint(1, 4)))
+                text = (period * n)[:n]
+            else:
+                text = bytes(rng.choice(b"ab\x00\xff"[: rng.randint(2, 4)]) for _ in range(n))
+            for q in {1, 2, 5, 9, 64, max(n - 1, 1), max(n, 1), n + 1}:
+                implicit = weighted_qgram_counts(WeightedText(text, None, q)).entries
+                explicit = weighted_qgram_counts(unit_weighted(text, q)).entries
+                assert implicit.dtype == explicit.dtype == np.int64, (trial, q)
+                assert np.array_equal(implicit, explicit), (trial, q)
 
     def test_weight_totals_preserved(self):
         rng = random.Random(10)
