@@ -59,7 +59,7 @@ def _escape(b: int) -> bytes:
 # escape holds a zero byte); read as uint32, a row is one value.
 _ESCAPES = np.array([list(_escape(b).ljust(4, b"\0")) for b in range(256)], dtype=np.uint8)
 _ESCAPE_CELLS = _ESCAPES.view(np.uint32).ravel()
-_ESCAPE_WIDTHS = np.count_nonzero(_ESCAPES, axis=1).astype(np.uint8)
+_ESCAPE_WIDTHS = np.count_nonzero(_ESCAPES, axis=1).astype(np.int64)
 
 # The ASCII digits of 0000 to 9999, each group read as one uint32 (made of
 # two digit pairs, which keeps the table's set-up small), and the powers of
@@ -83,15 +83,15 @@ def _escaped(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each byte is repeated as often as its escape is wide.  That already
     spells a printable byte and a backslash, whose escape is two of them;
     only the bytes of width 4 are written over, their whole escape as one
-    uint32 at their offset, through an unaligned view of the output.
+    uint32 at their offset, through an unaligned view of the output.  The
+    widths are taken into the offsets' array and summed there in place, so
+    the stage holds no array but the offsets and the output.
     """
-    widths = np.take(_ESCAPE_WIDTHS, data)
-    # The repeat casts the widths to intp, 8 bytes a byte; that copy is
-    # freed before the offsets take as much.
-    escaped = np.repeat(data, widths)
     offsets = np.zeros(data.size + 1, dtype=np.int64)
-    np.cumsum(widths, out=offsets[1:])
+    widths = np.take(_ESCAPE_WIDTHS, data, out=offsets[1:])
+    escaped = np.repeat(data, widths)
     wide = np.flatnonzero(widths == 4)
+    np.cumsum(widths, out=widths)
     if wide.size:
         # Cell p is escaped[p : p + 4]; a byte of width 4 starts at most 4
         # bytes before the end.
