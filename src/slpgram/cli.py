@@ -193,6 +193,7 @@ def _row_bytes(flat, starts, widths, digits, weights, floors) -> np.ndarray:
     # every row inside the buffer.
     padded = np.concatenate((flat, np.zeros(size, dtype=np.uint8)))
     rows = np.ndarray((len(flat) + 1, size), np.uint8, padded, strides=(1, 1))[starts]
+    del padded  # the rows are a copy
     rows[:, split] = ord("\t")
     rows[:, split + 1 : -1] = digits
     rows[:, -1] = ord("\n")
@@ -203,6 +204,7 @@ def _row_bytes(flat, starts, widths, digits, weights, floors) -> np.ndarray:
     np.greater_equal(weights, floors[:, None], out=tail[split - low + 1 : -1])
     kept = np.ones(rows.shape, dtype=bool)
     kept[:, low:] = tail.T
+    del tail  # freed before the report is made
     return rows[kept]
 
 
@@ -283,8 +285,9 @@ def run_count(grammar_path: str, q: int, algorithm: str, expand_output: bool) ->
         return _lines(_ESCAPES.ravel(), np.multiply(found, 4), _ESCAPE_WIDTHS[found], weights)
     reference, wt = _pipeline_text(g, m, q, algorithm)
     ends, weights = weighted_qgram_counts(wt).entries.T
-    # Formatting reads the text only: drop the weights and the trie.
-    text = wt.text
+    # Only the expanded form reads the text, and only to escape it: drop
+    # the weights and the trie now, and the text once it is escaped.
+    data = np.frombuffer(wt.text, dtype=np.uint8) if expand_output else None
     del wt
     header = "" if expand_output else f"# end positions refer to {reference}\n"
     if not ends.size:
@@ -297,7 +300,8 @@ def run_count(grammar_path: str, q: int, algorithm: str, expand_output: bool) ->
         widths = np.count_nonzero(filled, axis=1)
         starts = np.cumsum(widths) - widths
         return header + _lines(digits[filled], starts, widths, weights)
-    escaped, offsets = _escaped(np.frombuffer(text, dtype=np.uint8))
+    escaped, offsets = _escaped(data)
+    del data
     starts = offsets[ends - q]
     widths = offsets[ends] - starts
     del offsets  # 8 bytes a text byte, freed before the report is made
