@@ -85,7 +85,7 @@ def _escaped(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     only the bytes of width 4 are written over, their whole escape as one
     uint32 at their offset, through an unaligned view of the output.  The
     widths are taken into the offsets' array and summed there in place, so
-    the stage holds no array but the offsets and the output.
+    the offsets are the stage's only array of 8 bytes a byte.
     """
     offsets = np.zeros(data.size + 1, dtype=np.int64)
     widths = np.take(_ESCAPE_WIDTHS, data, out=offsets[1:])
