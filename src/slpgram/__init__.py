@@ -24,7 +24,6 @@ from .slp import (
     parse_slp,
     prune_unused,
     serialize_slp,
-    validate,
 )
 from .ssa import build_ssa_text
 from .suffix import (
@@ -62,6 +61,5 @@ __all__ = [
     "parse_slp",
     "prune_unused",
     "serialize_slp",
-    "validate",
     "weighted_qgram_counts",
 ]

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from .slp import ConsistencyError, SlpGrammar, prune_unused
+from .slp import ConsistencyError, SlpGrammar, compute_metrics, prune_unused
 
 RANDOM_LENGTH_CAP = 1 << 20
 
@@ -255,4 +255,5 @@ def build_random(rule_count: int, alphabet_size: int, seed: int) -> SlpGrammar:
         lefts.append(left)
         rights.append(right)
         lengths.append(lengths[left] + lengths[right])
-    return prune_unused(SlpGrammar(lefts, rights))
+    g = SlpGrammar(lefts, rights)
+    return prune_unused(g, compute_metrics(g))

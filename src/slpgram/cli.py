@@ -33,6 +33,7 @@ from .slp import (
     SlpError,
     SlpFormatError,
     SlpGrammar,
+    SlpMetrics,
     affix_tables,
     char_frequencies,
     check_affix_tables,
@@ -42,7 +43,6 @@ from .slp import (
     parse_slp,
     prune_unused,
     serialize_slp,
-    validate,
 )
 from .ssa import build_ssa_text
 from .suffix import WeightedText, check_rankable, weighted_qgram_counts
@@ -143,16 +143,26 @@ def _read_document(path: str) -> str:
         ) from None
 
 
-def _load_grammar(path: str) -> SlpGrammar:
+def _load_grammar(path: str) -> tuple[SlpGrammar, SlpMetrics]:
+    """The grammar in the file at ``path`` and its metrics, in one pass:
+    parse, metrics, then prune.
+
+    The parsers already guarantee bytes in range and children below their
+    rule, so ``validate`` is not called; the metrics check every rule's
+    length, used or not, before any occurrence is counted, and name a rule
+    by its index in the file.  Counting assumes every rule occurs in the
+    derivation tree; dead rules change nothing about the text, so they are
+    dropped with a warning, and only then are the metrics computed again.
+    """
     g = parse_slp(_read_document(path))
-    unused = validate(g)
-    if unused:
-        # Counting assumes every rule occurs in the derivation tree; dead
-        # rules change nothing about the text, so drop them up front.
+    m = compute_metrics(g)
+    pruned = prune_unused(g, m)
+    if pruned is not g:
+        unused = [i for i in range(1, g.n + 1) if not m.occurrences[i]]
         shown = ", ".join(map(str, unused[:8]))
         print(f"warning: pruning {len(unused)} unused rule(s) (e.g. {shown})", file=sys.stderr)
-        g = prune_unused(g)
-    return g
+        g, m = pruned, compute_metrics(pruned)
+    return g, m
 
 
 def _pipeline_text(g, m, q: int, algorithm: str) -> tuple[str, WeightedText]:
@@ -276,8 +286,7 @@ def run_count(grammar_path: str, q: int, algorithm: str, expand_output: bool) ->
         raise SlpError("q must be at least 1")
     if algorithm not in ALGORITHMS:
         raise SlpError(f"algorithm must be one of {', '.join(ALGORITHMS)}")
-    g = _load_grammar(grammar_path)
-    m = compute_metrics(g)
+    g, m = _load_grammar(grammar_path)
     if q == 1:
         freq = char_frequencies(g, m)
         found = sorted(freq)
@@ -379,8 +388,7 @@ def run_verify(grammar_path: str, q_max: int) -> tuple[int, str]:
     """
     if q_max < 2:
         raise SlpError("q_max must be at least 2")
-    g = _load_grammar(grammar_path)
-    m = compute_metrics(g)
+    g, m = _load_grammar(grammar_path)
     top = min(q_max, m.text_length)
     if top < 2:
         return 0, f"nothing checked: no q >= 2 fits a text of {m.text_length} byte\n"
@@ -407,8 +415,7 @@ def run_stats(grammar_path: str, q_list: list[int]) -> str:
     trie is built, and a q whose trie ``count`` would refuse as too large
     to rank still gets its row.
     """
-    g = _load_grammar(grammar_path)
-    m = compute_metrics(g)
+    g, m = _load_grammar(grammar_path)
     rows = [CSV_HEADER]
     for q in q_list:
         if q < 2:
@@ -430,9 +437,9 @@ def run_bench(grammar_path: str, q_list: list[int], repetitions: int) -> str:
     """
     if repetitions < 1:
         raise SlpError("repetitions must be at least 1")
-    g = _load_grammar(grammar_path)
+    g, m = _load_grammar(grammar_path)
     algorithms = ALGORITHMS
-    text_length = compute_metrics(g).text_length
+    text_length = m.text_length
     if text_length > DEFAULT_EXPAND_CAP:
         print(_nsa_skipped(text_length), file=sys.stderr)
         algorithms = ("ssa", "stsa")
@@ -495,7 +502,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    data = expand(_load_grammar(args.input))
+    g, m = _load_grammar(args.input)
+    data = expand(g, m.lengths)
     if args.output:
         Path(args.output).write_bytes(data)
     else:

@@ -15,7 +15,6 @@ being walked again.
 
 from __future__ import annotations
 
-import array
 import io
 from dataclasses import dataclass
 
@@ -220,20 +219,15 @@ def serialize_slp(g: SlpGrammar) -> str:
 
 
 def validate(g: SlpGrammar) -> list[int]:
-    """Check hard structural invariants; return unused rule indices.
+    """Check a rule table built by hand; return unused rule indices.
 
     Mismatched or unpadded child lists, byte ranges and child ordering
     violations raise ValidationError, naming the first rule at fault and,
     in a pair rule, its first child at fault.  Rules that never occur in
     the derivation tree are only reported (callers may pass the grammar
-    through :func:`prune_unused` instead).
-
-    Child lists of integers that fit int64 are checked with array
-    operations.  Every child is below its rule, so when each rule below the
-    start rule is some pair rule's child, every rule occurs: one
-    ``bincount`` of the children shows that, and the occurrence counts are
-    walked only when some rule is nobody's child.  Lists with other entries
-    (ints past int64, or not ints at all) are checked one rule at a time.
+    through :func:`prune_unused` instead).  One loop checks the rules in
+    index order.  Loading a file never calls this: the parsers already
+    guarantee every check it makes.
     """
     lefts, rights = g.lefts, g.rights
     if len(lefts) != len(rights):
@@ -244,41 +238,6 @@ def validate(g: SlpGrammar) -> list[int]:
         raise ValidationError("child lists must start with the padding pair (0, 0)")
     if g.n < 1:
         raise ValidationError("grammar has no rules")
-    left, right = _int64_column(lefts), _int64_column(rights)
-    if left is None or right is None:
-        _check_rules(g)
-    else:
-        left, right = left[1:], right[1:]
-        rules = np.arange(1, g.n + 1)
-        terminal = right == -1
-        bad = np.where(
-            terminal,
-            (left < 0) | (left > 255),
-            (np.minimum(left, right) < 1) | (np.maximum(left, right) >= rules),
-        )
-        if bad.any():
-            _check_rules(g)
-        pair = ~terminal
-        children = np.bincount(np.concatenate((left[pair], right[pair])), minlength=g.n)
-        if children[1 : g.n].all():
-            return []
-    occurrences = _rule_occurrences(g)
-    return [i for i in range(1, g.n + 1) if occurrences[i] == 0]
-
-
-def _int64_column(values: list[int]) -> np.ndarray | None:
-    """``values`` as an int64 array, or None unless every one is an
-    integer (a Python int, a bool or a numpy integer) that fits int64."""
-    try:
-        return np.frombuffer(array.array("q", values), dtype=np.int64)
-    except (TypeError, OverflowError):
-        return None
-
-
-def _check_rules(g: SlpGrammar) -> None:
-    """Raise ValidationError at the first rule whose byte or children are
-    out of range."""
-    lefts, rights = g.lefts, g.rights
     for i in range(1, g.n + 1):
         r = rights[i]
         if r == -1:
@@ -288,11 +247,15 @@ def _check_rules(g: SlpGrammar) -> None:
             for child in (lefts[i], r):
                 if not 1 <= child < i:
                     raise ValidationError(f"rule {i}: child index {child} not in 1..{i - 1}")
-
-
-def prune_unused(g: SlpGrammar) -> SlpGrammar:
-    """Drop rules that never occur in the derivation tree, renumbering the rest."""
     occurrences = _rule_occurrences(g)
+    return [i for i in range(1, g.n + 1) if occurrences[i] == 0]
+
+
+def prune_unused(g: SlpGrammar, m: SlpMetrics) -> SlpGrammar:
+    """Drop the rules that never occur in the derivation tree, read off
+    ``m.occurrences``, renumbering the rest; ``g`` itself when every rule
+    occurs.  The new grammar needs metrics of its own."""
+    occurrences = m.occurrences
     if all(occurrences[1:]):
         return g
     old_lefts, old_rights = g.lefts, g.rights
@@ -342,7 +305,14 @@ def _rule_occurrences(g: SlpGrammar) -> list[int]:
 
 
 def compute_metrics(g: SlpGrammar) -> SlpMetrics:
-    """Lengths bottom-up, occurrence counts top-down, both in O(n)."""
+    """Lengths bottom-up, then occurrence counts top-down, both in O(n).
+
+    Every rule's length, used or not, is checked against 2**63 - 1 before
+    any occurrence is counted.  A rule that occurs c times spells c copies
+    of its text inside T, and a rule that never occurs passes no count on,
+    so checked lengths keep every count below 2**63.  Counted first, the
+    counts of a doubling chain too long to spell would grow to n bits each.
+    """
     return SlpMetrics(_rule_lengths(g), _rule_occurrences(g))
 
 

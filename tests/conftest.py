@@ -21,6 +21,21 @@ G7_DOC = """\
 """
 G7_TEXT = b"aababaababaab"
 
+# Documents with dead rules, and the rules that never occur.
+DEAD_RULE_DOCS = {
+    # 5 -> 4 -> 3 -> 2 is dead: each is the child of the next, and only the
+    # top one is nobody's child
+    "chain": ("1 T 97\n2 T 98\n3 N 2 2\n4 N 3 3\n5 N 4 2\n6 N 1 1\n", [2, 3, 4, 5]),
+    # a dead rule whose children live on
+    "live-children": ("1 T 97\n2 T 98\n3 N 1 2\n4 N 3 3\n5 N 3 1\n", [4]),
+    # two dead chains sharing a dead rule
+    "shared": (
+        "1 T 97\n2 T 98\n3 N 2 2\n4 N 3 2\n5 N 3 3\n6 N 1 1\n7 N 6 1\n",
+        [2, 3, 4, 5],
+    ),
+    "doublings": ("1 T 97\n2 N 1 1\n3 N 2 2\n4 N 3 3\n5 N 4 4\n6 N 1 1\n", [2, 3, 4, 5]),
+}
+
 
 def comb_grammar(teeth):
     """b a^1 b a^2 ... b a^teeth as a comb of height about ``teeth``.

@@ -34,7 +34,12 @@ def test_traced_worker_reads_every_span(tmp_path):
     assert ready == {"ready": True}
     assert isinstance(last["maxrss_kb"], int)
     assert len(replies) == len(requests)
+    # every load parses, prunes and takes the metrics, each in its own span
+    loaded = {"slp.parse", "slp.validate", "slp.metrics"}
     required = {
+        "slp.parse": {"rules"},
+        "slp.validate": set(),
+        "slp.metrics": {"text_bytes"},
         "neighbor.graph": {"q", "edges"},
         "neighbor.flatten": {"q", "trie_bytes", "branches"},
         "neighbor.weighted_text": {"q", "bytes"},
@@ -50,6 +55,8 @@ def test_traced_worker_reads_every_span(tmp_path):
                 seen.add(name)
                 ints = {key for key, value in attrs.items() if isinstance(value, int)}
                 assert required[name] <= ints, (argv, name, attrs)
+        if argv[0] != "build":
+            assert loaded <= {span[0] for span in reply["spans"]}, (argv, reply["spans"])
         if argv[0] == "count":
             # one count per call, and its gram count is the TSV's line count
             counts = [attrs for name, _, _, _, attrs in reply["spans"] if name == "suffix.count"]

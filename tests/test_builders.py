@@ -14,11 +14,11 @@ from slpgram import (
     compute_metrics,
     expand,
     serialize_slp,
-    validate,
 )
 from slpgram import builders
 from slpgram.builders import END, VOID, _PairLabels, _terminal_rules
 from slpgram.cli import main
+from slpgram.slp import validate
 from test_acceptance import make_corpus
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G7_DOC, doubling_doc, periodic_grammar
+from conftest import DEAD_RULE_DOCS, G7_DOC, doubling_doc, periodic_grammar
 from oracles import count_report, escape_gram, escape_rule, sliding_histogram
 from slpgram import (
     FlattenedTrie,
@@ -30,6 +30,7 @@ from slpgram import (
     expand,
     flatten_neighbor_trie,
     parse_slp,
+    prune_unused,
     serialize_slp,
     weighted_qgram_counts,
 )
@@ -72,6 +73,13 @@ ESCAPE_EDGES = {
 def doubling_grammar(path, rules: int) -> str:
     path.write_text(doubling_doc(rules))
     return str(path)
+
+
+def dead_rule_doubling_doc(rules: int) -> str:
+    """Rule 2 is a dead byte, and rule k >= 3 derives 2^(k-2) a's."""
+    return "1 T 97\n2 T 98\n3 N 1 1\n" + "".join(
+        f"{k} N {k - 1} {k - 1}\n" for k in range(4, rules + 1)
+    )
 
 
 def corrupt_stsa(monkeypatch):
@@ -598,6 +606,75 @@ class TestMain:
         assert "pruning" in capsys.readouterr().err
         assert main(["verify", "-i", str(slp), "--q-max", "4",
                      "-o", str(tmp_path / "r.txt")]) == 0
+
+    @pytest.mark.parametrize("name", DEAD_RULE_DOCS)
+    def test_every_command_prunes_on_load(self, name, tmp_path, capsys):
+        """Every command gives on a file with dead rules what it gives on
+        the pruned grammar's file, after one warning line on stderr."""
+        doc, unused = DEAD_RULE_DOCS[name]
+        g = parse_slp(doc)
+        dead, clean = tmp_path / "dead.slp", tmp_path / "clean.slp"
+        dead.write_text(doc)
+        clean.write_text(serialize_slp(prune_unused(g, compute_metrics(g))))
+        shown = ", ".join(map(str, unused))
+        warning = f"warning: pruning {len(unused)} unused rule(s) (e.g. {shown})\n"
+        commands = [
+            ["count", "-q", str(q), "--algo", algo, *form]
+            for q in (1, 2, 4)
+            for algo in ("nsa", "ssa", "stsa")
+            for form in ([], ["--expand"])
+        ]
+        commands += [
+            ["stats", "--q-list", "2,3,4"],
+            ["verify", "--q-max", "4"],
+            ["bench", "--q-list", "2,4", "--reps", "1"],
+            ["decompress"],
+        ]
+        out = tmp_path / "out"
+        for argv in commands:
+            results = []
+            for path in (dead, clean):
+                out.unlink(missing_ok=True)
+                code = main([*argv, "-i", str(path), "-o", str(out)])
+                lines = out.read_bytes().split(b"\n")
+                if argv[0] == "bench":  # all but the timings
+                    lines = [line.split(b",")[:2] + line.split(b",")[3:] for line in lines]
+                results.append((code, lines, capsys.readouterr().err))
+            assert results[0][:2] == results[1][:2], argv
+            assert results[0][0] == 0, argv
+            assert [err for _, _, err in results] == [warning, ""], argv
+
+    def test_overflow_names_the_rule_in_the_file(self, tmp_path, capsys):
+        # rule 2 is dead; rule k >= 3 derives 2^(k-2) a's, so rule 65 is
+        # the first past 2^63 - 1, and no pruning comes before the refusal
+        slp = tmp_path / "dead.slp"
+        slp.write_text(dead_rule_doubling_doc(70))
+        assert main(["count", "-i", str(slp), "-q", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: rule 65 expands past 2**63 - 1 characters\n")
+
+    def test_overflow_refused_before_any_occurrence_is_counted(self, tmp_path, capsys):
+        # Counted before any length is checked, the live chain's occurrence
+        # counts of rule k take 20 000 - k bits each: about 25 MB in all, a
+        # 30 MB peak. Lengths first, the refused load peaks near 6 MB.
+        slp = tmp_path / "dead.slp"
+        slp.write_text(dead_rule_doubling_doc(20_000))
+        tracemalloc.start()
+        try:
+            code = main(["stats", "-i", str(slp), "--q-list", "4"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 15_000_000
+        assert capsys.readouterr().err == "error: rule 65 expands past 2**63 - 1 characters\n"
+
+    def test_dead_rule_past_two_to_the_63_refused(self, tmp_path, capsys):
+        # rules 2..65 are a dead doubling chain, rule 64 the first past
+        # 2^63 - 1; the start rule 66 derives "aa"
+        slp = tmp_path / "dead.slp"
+        slp.write_text(doubling_doc(65) + "66 N 1 1\n")
+        assert main(["count", "-i", str(slp), "-q", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: rule 64 expands past 2**63 - 1 characters\n")
 
     def test_input_errors_exit_2(self, tmp_path, g7_path, capsys):
         missing = str(tmp_path / "nope.slp")

@@ -30,9 +30,9 @@ from slpgram import (
     expand,
     flatten_neighbor_trie,
     parse_slp,
-    validate,
     weighted_qgram_counts,
 )
+from slpgram.slp import validate
 
 
 def pipeline(g, m, q):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G7_DOC, G7_TEXT, comb_grammar, comb_text, doubling_doc
+from conftest import DEAD_RULE_DOCS, G7_DOC, G7_TEXT, comb_grammar, comb_text, doubling_doc
 from oracles import deepest_outer_marks, derivation_occurrences, naive_rule_texts, validate_rules
 from slpgram import (
     SlpError,
@@ -24,9 +24,9 @@ from slpgram import (
     parse_slp,
     prune_unused,
     serialize_slp,
-    validate,
 )
 from slpgram import slp
+from slpgram.slp import validate
 
 
 def _no_line_loop(doc):
@@ -533,24 +533,11 @@ class TestValidate:
         g = SlpGrammar(lefts, rights)
         assert outcome(validate, g) == outcome(validate_rules, g)
 
-    @pytest.mark.parametrize(
-        "doc, unused",
-        [
-            # 5 -> 4 -> 3 -> 2 is dead: each is the child of the next, and
-            # only the top one is nobody's child
-            ("1 T 97\n2 T 98\n3 N 2 2\n4 N 3 3\n5 N 4 2\n6 N 1 1\n", [2, 3, 4, 5]),
-            # a dead rule whose children live on
-            ("1 T 97\n2 T 98\n3 N 1 2\n4 N 3 3\n5 N 3 1\n", [4]),
-            # two dead chains sharing a dead rule
-            ("1 T 97\n2 T 98\n3 N 2 2\n4 N 3 2\n5 N 3 3\n6 N 1 1\n7 N 6 1\n", [2, 3, 4, 5]),
-            ("1 T 97\n2 N 1 1\n3 N 2 2\n4 N 3 3\n5 N 4 4\n6 N 1 1\n", [2, 3, 4, 5]),
-        ],
-        ids=["chain", "live-children", "shared", "doublings"],
-    )
+    @pytest.mark.parametrize("doc, unused", DEAD_RULE_DOCS.values(), ids=list(DEAD_RULE_DOCS))
     def test_dead_chains_walked(self, doc, unused):
         g = parse_slp(doc)
         assert validate(g) == validate_rules(g) == unused
-        assert validate(prune_unused(g)) == []
+        assert validate(prune_unused(g, compute_metrics(g))) == []
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.data())
@@ -563,13 +550,13 @@ class TestValidate:
 
     def test_prune(self):
         g = SlpGrammar([0, 97, 98, 1], [0, -1, -1, 1])
-        pruned = prune_unused(g)
+        pruned = prune_unused(g, compute_metrics(g))
         assert serialize_slp(pruned) == "1 T 97\n2 N 1 1\n"
         assert validate(pruned) == []
         assert expand(pruned) == expand(g)
 
     def test_prune_keeps_clean_grammar(self, g7):
-        assert prune_unused(g7) is g7
+        assert prune_unused(g7, compute_metrics(g7)) is g7
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
