@@ -11,6 +11,7 @@ from .neighbor import (
 from .slp import (
     ConsistencyError,
     QMarks,
+    SeamOrder,
     SlpError,
     SlpFormatError,
     SlpGrammar,
@@ -23,6 +24,7 @@ from .slp import (
     expand,
     parse_slp,
     prune_unused,
+    seam_order,
     serialize_slp,
 )
 from .ssa import build_ssa_text
@@ -40,6 +42,7 @@ __all__ = [
     "NeighborGraph",
     "QGramReport",
     "QMarks",
+    "SeamOrder",
     "SlpError",
     "SlpFormatError",
     "SlpGrammar",
@@ -60,6 +63,7 @@ __all__ = [
     "flatten_neighbor_trie",
     "parse_slp",
     "prune_unused",
+    "seam_order",
     "serialize_slp",
     "weighted_qgram_counts",
 ]

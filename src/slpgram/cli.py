@@ -42,6 +42,7 @@ from .slp import (
     expand,
     parse_slp,
     prune_unused,
+    seam_order,
     serialize_slp,
 )
 from .ssa import build_ssa_text
@@ -172,7 +173,10 @@ def _pipeline_text(g, m, q: int, algorithm: str) -> tuple[str, WeightedText]:
         return "T", WeightedText(expand(g, m.lengths), None, q)
     if algorithm == "ssa":
         return "z", build_ssa_text(g, m, q)
-    graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+    order = seam_order(g, m, q)
+    graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q, order), order)
+    # The flattening reads the graph alone, so the order's arrays go first.
+    del order
     return "z", flatten_neighbor_trie(g, m, graph).to_weighted_text()
 
 
@@ -324,9 +328,9 @@ def _nsa_skipped(text_length: int) -> str:
     )
 
 
-def _verify_one(g, m, text: bytes | None, q: int) -> list[str]:
+def _verify_one(g, m, text: bytes | None, q: int, order) -> list[str]:
     problems: list[str] = []
-    graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+    graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q, order), order)
     # The ssa string, sum_ti positions, is never shorter than the trie, so
     # refusing it first refuses an oversized reduction before the affix
     # tables, the trie or nsa's weights; both then share the tables, which
@@ -384,7 +388,8 @@ def run_verify(grammar_path: str, q_max: int) -> tuple[int, str]:
     and bounds, and the built trie's node count and text length against the
     graph's, are checked either way.  Returns (exit code, report); the
     report stops at the first divergence.  A one-byte text has no q to
-    check, and its report says that nothing was checked.
+    check, and its report says that nothing was checked.  The graphs of
+    every q share one seam order, built for q = 2.
     """
     if q_max < 2:
         raise SlpError("q_max must be at least 2")
@@ -396,8 +401,9 @@ def run_verify(grammar_path: str, q_max: int) -> tuple[int, str]:
     text = expand(g, m.lengths) if m.text_length <= DEFAULT_EXPAND_CAP else None
     if text is None:
         lines.append(f"{_nsa_skipped(m.text_length)}; stsa checked against ssa")
+    order = seam_order(g, m, 2)
     for q in range(2, top + 1):
-        problems = _verify_one(g, m, text, q)
+        problems = _verify_one(g, m, text, q, order)
         if problems:
             lines.extend(problems)
             lines.append(f"q={q}: FAIL")
@@ -413,14 +419,16 @@ def run_stats(grammar_path: str, q_list: list[int]) -> str:
 
     Every column comes from the neighbor graph's pass, so no affix table or
     trie is built, and a q whose trie ``count`` would refuse as too large
-    to rank still gets its row.
+    to rank still gets its row.  The graphs of every q share one seam
+    order, built for the smallest.
     """
     g, m = _load_grammar(grammar_path)
+    if any(q < 2 for q in q_list):
+        raise SlpError("stats needs q >= 2")
+    order = seam_order(g, m, min(q_list, default=2))
     rows = [CSV_HEADER]
     for q in q_list:
-        if q < 2:
-            raise SlpError("stats needs q >= 2")
-        graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q))
+        graph = build_neighbor_graph(g, m, compute_qmarks(g, m, q, order), order)
         rows.append(compute_dup_stats(m, graph).csv_row())
     return "\n".join(rows) + "\n"
 

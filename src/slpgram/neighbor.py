@@ -12,33 +12,33 @@ q-1 characters are zero-weighted context.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .slp import (
     ConsistencyError,
     QMarks,
+    SeamOrder,
     SlpGrammar,
     SlpMetrics,
     affix_tables,
     check_affix_tables,
+    seam_order,
 )
-from .ssa import gather, gather_windows, window_weights
+from .ssa import gather_windows, window_weights
 from .suffix import WeightedText, check_rankable
 
 CSV_HEADER = "q,sum_ti,trie_size,dup,flattened_len,edges,vertices"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborGraph:
     """Rules long enough to own a q-gram, in first-seam order (the text
     offset between a rule's children in its first occurrence), with the
     number of owner-to-next-owner edges and, indexed by rule, the
     in-neighbor each vertex hangs below: 0 for the first vertex and for
-    every other rule.
+    every other rule.  ``vertices`` and ``parents`` are int64 arrays.
 
     ``sum_ti`` totals the vertices' window lengths, min(q-1, |L_v|) +
     min(q-1, |R_v|), which is the length of the ssa string; ``dup`` totals
@@ -53,9 +53,9 @@ class NeighborGraph:
 
     grammar: SlpGrammar = field(repr=False)
     qmarks: QMarks = field(repr=False)
-    vertices: list[int]
+    vertices: np.ndarray
     edge_count: int
-    parents: list[int]
+    parents: np.ndarray
     sum_ti: int
     dup: int
 
@@ -66,40 +66,35 @@ class NeighborGraph:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """The ``edge_count`` edges as (owner, next owner) pairs, rebuilt
-        from the grammar and the q-marks in the order of
-        :func:`build_neighbor_graph`'s pass: the vertices in descending rule
-        order, each with the edge to the successor under its long right
-        child, then the edge from the predecessor over its long left child.
-        A vertex is a rule with a left mark; a mark of 0 names no rule."""
-        lefts, rights = self.grammar.lefts, self.grammar.rights
-        leftmost, rightmost = self.qmarks.leftmost, self.qmarks.rightmost
-        edges: list[tuple[int, int]] = []
-        for i in range(self.grammar.n, 0, -1):
-            if not leftmost[i]:
-                continue
-            successor = leftmost[rights[i]]
-            if successor:
-                edges.append((i, successor))
-            predecessor = rightmost[lefts[i]]
-            if predecessor:
-                edges.append((predecessor, i))
-        return edges
+        from the grammar and the q-marks with array operations, in the order
+        of the loop that builds a graph below the array switch: the
+        vertices in descending rule order, each with the edge to the
+        successor under its long right child, then the edge from the
+        predecessor over its long left child.  A mark of 0 names no rule,
+        and gives no edge."""
+        rules = np.sort(self.vertices)[::-1]
+        pairs = np.empty((len(rules), 2, 2), dtype=np.int64)
+        pairs[:, 0, 0] = pairs[:, 1, 1] = rules
+        pairs[:, 0, 1] = self.qmarks.leftmost[np.take(self.grammar.rights, rules)]
+        pairs[:, 1, 0] = self.qmarks.rightmost[np.take(self.grammar.lefts, rules)]
+        pairs = pairs.reshape(-1, 2)
+        return list(map(tuple, pairs[pairs.all(axis=1)].tolist()))
 
     @property
     def trie_size(self) -> int:
         """The flattened trie's node count: every window past its first q-1
         characters, plus the q-1 that open the text (|T| - dup whenever the
         text holds a q-gram); 0 with no vertex."""
-        if not self.vertices:
+        if not self.vertices.size:
             return 0
-        return self.sum_ti - (self.q - 1) * (len(self.vertices) - 1)
+        return self.sum_ti - (self.q - 1) * (self.vertices.size - 1)
 
     @property
     def flattened_len(self) -> int:
         """The flattened trie's text length: every window, less q-1 context
         characters for each vertex that follows its parent directly."""
         vertices = self.vertices
-        chained = sum(map(operator.eq, map(self.parents.__getitem__, vertices[1:]), vertices))
+        chained = int(np.count_nonzero(self.parents[vertices[1:]] == vertices[:-1]))
         return self.sum_ti - (self.q - 1) * chained
 
     def csv_row(self) -> str:
@@ -110,7 +105,9 @@ class NeighborGraph:
         )
 
 
-def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGraph:
+def build_neighbor_graph(
+    g: SlpGrammar, m: SlpMetrics, qm: QMarks, order: SeamOrder | None = None
+) -> NeighborGraph:
     """Edges follow the two successor cases of a pair rule; each vertex
     hangs below one in-neighbor.
 
@@ -120,23 +117,75 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
     a structural superset of the true successor relation.  A left mark has
     a short left child, so a vertex with a long left child has one
     in-neighbor, ``rightmost[L_v]``, its parent; any other vertex hangs
-    below its in-neighbor of smallest first seam.
+    below its in-neighbor of smallest first seam.  A parent's first seam is
+    below its child's, and distinct rules have distinct first seams, so the
+    vertices in first-seam order come strictly ordered, ``leftmost[n]``
+    first.  Every rule must occur in the text.
 
-    First offsets come top-down in descending rule order, like occurrence
-    counts: a left child starts where its rule does, a right child at its
-    rule's seam.  A parent's first seam is below its child's, and distinct
-    rules have distinct first seams, so sorting by them orders the vertices
-    strictly, ``leftmost[n]`` first.  The same pass totals the windows and
-    ``dup``, and counts the edges without listing them (the graph's
-    :attr:`~NeighborGraph.edges` lists them on request).  Every rule must
-    occur in the text.
+    Below the array switch (see :func:`~slpgram.slp.seam_order`) one loop
+    takes the rules in descending rule order: it finds each rule's first
+    offset, like occurrence counts top-down (a left child starts where its
+    rule does, a right child at its rule's seam), totals the windows and
+    ``dup``, counts the edges and picks the parents, and sorts the vertices
+    by first seam.  From the switch on, the vertices are the long rules of
+    the seam order, ``order`` or one built here, and everything else comes
+    from array passes over them: the in-neighbor of smallest first seam is
+    the first of the vertex's in-neighbors in that order, found by one sort
+    of packed (vertex, position) words.  The window total is summed in
+    Python ints once its bound 2(q-1) per vertex reaches 2**63.  Neither
+    path lists the edges (:attr:`~NeighborGraph.edges` does on request).
     """
+    if order is None:
+        order = seam_order(g, m, qm.q)
+    if order is None:
+        return _looped_graph(g, m, qm)
+    if qm.q < order.q:
+        raise ValueError(f"the seam order is for q >= {order.q}, not q = {qm.q}")
+    leftmost, rightmost = qm.leftmost, qm.rightmost
+    parents = np.zeros(g.n + 1, dtype=np.int64)
+    # A rule has a left mark exactly when it is at least q bytes long.
+    vertices = order.rules[leftmost[order.rules] != 0]
+    if not vertices.size:
+        return NeighborGraph(g, qm, vertices, 0, parents, 0, 0)
+    cap = qm.q - 1
+    lefts, rights = order.lefts[vertices], order.rights[vertices]
+    window = np.minimum(order.lengths[lefts], cap)
+    window += np.minimum(order.lengths[rights], cap)
+    if 2 * cap * vertices.size < 1 << 63:
+        sum_ti = int(window.sum())
+    else:
+        sum_ti = sum(window.tolist())
+    # Weighted by the occurrence counts, the labels total the |T| - q + 1
+    # gram occurrences, so dup, a smaller sum of terms >= 0, fits int64.
+    window -= cap
+    dup = int(np.dot(order.occurrences[vertices] - 1, window))
+    successors = leftmost[rights]
+    predecessors = rightmost[lefts]
+    edge_count = int(np.count_nonzero(successors) + np.count_nonzero(predecessors))
+    parents[vertices] = predecessors
+    # Each successor's first source in seam order: sort (successor,
+    # position) words and keep the first of each successor.
+    sources = successors.nonzero()[0]
+    if sources.size:
+        bits = int(vertices.size).bit_length()
+        words = successors[sources] << bits
+        words |= sources
+        words.sort()
+        targets = words >> bits
+        first = np.ones(words.size, dtype=bool)
+        np.not_equal(targets[1:], targets[:-1], out=first[1:])
+        parents[targets[first]] = vertices[words[first] & ((1 << bits) - 1)]
+    parents[vertices[0]] = 0
+    return NeighborGraph(g, qm, vertices, edge_count, parents, sum_ti, dup)
+
+
+def _looped_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGraph:
     q = qm.q
     cap = q - 1
     lefts, rights = g.lefts, g.rights
     lengths = m.lengths
     occurrences = m.occurrences
-    leftmost, rightmost = qm.leftmost, qm.rightmost
+    leftmost, rightmost = qm.leftmost.tolist(), qm.rightmost.tolist()
     # Every occurrence starts below the text length.
     first = [m.text_length] * (g.n + 1)
     first[g.n] = 0
@@ -175,7 +224,15 @@ def build_neighbor_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGr
     vertices.sort(key=seams.__getitem__)
     if vertices:
         parents[vertices[0]] = 0
-    return NeighborGraph(g, qm, vertices, edge_count, parents, sum_ti, dup)
+    return NeighborGraph(
+        g,
+        qm,
+        np.fromiter(vertices, np.int64, len(vertices)),
+        edge_count,
+        np.fromiter(parents, np.int64, g.n + 1),
+        sum_ti,
+        dup,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,24 +326,19 @@ def flatten_neighbor_trie(
         check_affix_tables(g, m, q)
         tables = affix_tables(g, m, q)
     vertices = graph.vertices
-    count = len(vertices)
-    # The parents, the vertices, and before each vertex the one before it
-    # in order (-1, no rule, before the first).
-    ends = np.fromiter(
-        chain(gather(graph.parents, vertices), (-1,), vertices), np.int64, 2 * count + 1
-    )
-    parents, rules = ends[:count], ends[count + 1 :]
+    parents = graph.parents[vertices]
     # opens[j]: vertex j is not chained to the vertex before it, so it opens
     # a branch with its whole window, as the first vertex does; the others
     # give only their labels.
-    opens = parents != ends[count:-1]
-    text, runs, occurrences = gather_windows(g, m, tables, vertices, q, opens)
+    opens = np.ones(vertices.size, dtype=bool)
+    np.not_equal(parents[1:], vertices[:-1], out=opens[1:])
+    text, runs, occurrences = gather_windows(g, m, tables, vertices.tolist(), q, opens)
     weights = window_weights(occurrences, runs)
     # The node of the last character of each vertex's label.
     last = runs[:, 1].cumsum()
     last += q - 2
     last_of = np.empty(g.n + 1, dtype=np.int64)
-    last_of[rules] = last
+    last_of[vertices] = last
     # A later branch's first node follows the last one of the vertex before
     # it, and it hangs from the last node of its parent.
     later = opens[1:].nonzero()[0]

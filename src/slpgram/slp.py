@@ -69,18 +69,40 @@ class SlpMetrics:
         return self.lengths[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QMarks:
     """Deepest long-enough rule along each rule's outer paths.
 
     ``leftmost[i]`` (``rightmost[i]``) is the deepest variable with expansion
     length at least q on the left-most (right-most) path under rule i, or 0,
-    which names no rule, when rule i itself is shorter than q.
+    which names no rule, when rule i itself is shorter than q.  Both are
+    int64 arrays of g.n + 1 entries, padded like the rule table.
     """
 
     q: int
-    leftmost: list[int]
-    rightmost: list[int]
+    leftmost: np.ndarray
+    rightmost: np.ndarray
+
+
+# From this many rules on, compute_qmarks and build_neighbor_graph run as
+# int64 array passes; below it their per-rule loops cost less than the
+# passes' fixed numpy calls.
+_ARRAY_RULES = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class SeamOrder:
+    """The q-independent part of the neighbor graph, for every q >= ``q``:
+    the rule table and the metrics as int64 arrays, and ``rules``, the pair
+    rules of at least ``q`` bytes in the order of their first seams (the
+    text offset between a rule's children in its first occurrence)."""
+
+    q: int
+    lefts: np.ndarray
+    rights: np.ndarray
+    lengths: np.ndarray
+    occurrences: np.ndarray
+    rules: np.ndarray
 
 
 def parse_slp(doc: str) -> SlpGrammar:
@@ -226,8 +248,10 @@ def validate(g: SlpGrammar) -> list[int]:
     in a pair rule, its first child at fault.  Rules that never occur in
     the derivation tree are only reported (callers may pass the grammar
     through :func:`prune_unused` instead).  One loop checks the rules in
-    index order.  Loading a file never calls this: the parsers already
-    guarantee every check it makes.
+    index order; then, as in :func:`compute_metrics`, every rule's length is
+    checked against 2**63 - 1 before any occurrence is counted, naming the
+    first rule past it.  Loading a file never calls this: the parsers and
+    the metrics already make every check it makes.
     """
     lefts, rights = g.lefts, g.rights
     if len(lefts) != len(rights):
@@ -247,6 +271,7 @@ def validate(g: SlpGrammar) -> list[int]:
             for child in (lefts[i], r):
                 if not 1 <= child < i:
                     raise ValidationError(f"rule {i}: child index {child} not in 1..{i - 1}")
+    _rule_lengths(g)
     occurrences = _rule_occurrences(g)
     return [i for i in range(1, g.n + 1) if occurrences[i] == 0]
 
@@ -316,15 +341,80 @@ def compute_metrics(g: SlpGrammar) -> SlpMetrics:
     return SlpMetrics(_rule_lengths(g), _rule_occurrences(g))
 
 
-def compute_qmarks(g: SlpGrammar, m: SlpMetrics, q: int) -> QMarks:
+def _int64(values: list[int]) -> np.ndarray:
+    return np.fromiter(values, np.int64, len(values))
+
+
+def seam_order(g: SlpGrammar, m: SlpMetrics, q: int) -> SeamOrder | None:
+    """The first-seam order that :func:`compute_qmarks` and
+    :func:`~slpgram.neighbor.build_neighbor_graph` share for every gram
+    length from ``q`` on; None below the rule count from which they run as
+    array passes, where their loops need none.  A caller that takes several
+    q builds it once, for the smallest.
+
+    First offsets come top-down in descending rule order, like occurrence
+    counts: a left child starts where its rule does, a right child at its
+    rule's seam.  The pass visits only the rules of at least q bytes: every
+    ancestor of a rule's first occurrence is longer than the rule, so the
+    first offsets, and so the seams, of those rules are exact.  Distinct
+    rules have distinct first seams, so one sort orders them strictly:
+    ``ndarray.sort`` of (seam, rule) packed in one int64 word while both
+    fit, an argsort of the seams past that.  Every rule must occur in the
+    text.
+    """
+    if g.n < _ARRAY_RULES:
+        return None
+    lengths = _int64(m.lengths)
+    # No rule is longer than MAX_TEXT_LENGTH, so a q past it keeps no rule.
+    descending = np.flatnonzero(lengths > min(q - 1, MAX_TEXT_LENGTH))[::-1]
+    lefts, rights, spans = g.lefts, g.rights, m.lengths
+    # Every occurrence starts below the text length.
+    first = [m.text_length] * (g.n + 1)
+    first[g.n] = 0
+    seams = []
+    for i in descending.tolist():
+        start = first[i]
+        left = lefts[i]
+        seam = start + spans[left]
+        if start < first[left]:
+            first[left] = start
+        r = rights[i]
+        if seam < first[r]:
+            first[r] = seam
+        seams.append(seam)
+    seams = _int64(seams)
+    bits = g.n.bit_length()
+    if m.text_length.bit_length() + bits < 64:
+        seams <<= bits
+        seams |= descending
+        seams.sort()
+        rules = seams & ((1 << bits) - 1)
+    else:
+        rules = descending[seams.argsort()]
+    return SeamOrder(q, _int64(lefts), _int64(rights), lengths, _int64(m.occurrences), rules)
+
+
+def compute_qmarks(g: SlpGrammar, m: SlpMetrics, q: int, order: SeamOrder | None = None) -> QMarks:
     """Deepest length >= q variable on the outer paths of every rule.
 
     A pair rule of length >= q whose left child is shorter than q is its own
     left mark, otherwise it inherits the left child's mark; right marks are
     symmetric.  Terminals and short rules get 0.
+
+    Below the array switch (see :func:`seam_order`) one loop takes the rules
+    in index order.  From it on, the marks come from pointer doubling: each
+    long rule links to its long child, or to itself at the end of its path,
+    and one gather over the left and right links together doubles every
+    path's reach, until no link moves; so a chain of height h costs
+    O(log h) gathers.  A caller that holds a :func:`seam_order` passes it
+    as ``order``, and the doubling reads its arrays.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
+    if order is not None:
+        return QMarks(q, *_doubled_marks(order.lefts, order.rights, order.lengths, q))
+    if g.n >= _ARRAY_RULES:
+        return QMarks(q, *_doubled_marks(_int64(g.lefts), _int64(g.rights), _int64(m.lengths), q))
     lefts, rights = g.lefts, g.rights
     lengths = m.lengths
     leftmost = [0] * (g.n + 1)
@@ -336,7 +426,32 @@ def compute_qmarks(g: SlpGrammar, m: SlpMetrics, q: int) -> QMarks:
         left = lefts[i]
         leftmost[i] = i if lengths[left] < q else leftmost[left]
         rightmost[i] = i if lengths[r] < q else rightmost[r]
-    return QMarks(q, leftmost, rightmost)
+    return QMarks(q, _int64(leftmost), _int64(rightmost))
+
+
+def _doubled_marks(
+    lefts: np.ndarray, rights: np.ndarray, lengths: np.ndarray, q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    size = len(lengths)
+    # Terminals are one byte, so every long rule is a pair rule.
+    long = lengths > min(q - 1, MAX_TEXT_LENGTH)
+    own = np.arange(size)
+    own *= long
+    left = np.where(long, lefts, 0)
+    right = np.where(long, rights, 0)
+    # Entry i links rule i down its left-most path, entry size + i down its
+    # right-most one: to the long child, to the rule itself where the path
+    # ends, and to the side's 0 from a short rule.
+    links = np.concatenate((np.where(long[left], left, own), np.where(long[right], right, own)))
+    links[size:] += size
+    while True:
+        reach = links.take(links)
+        if np.array_equal(reach, links):
+            break
+        links = reach
+    rightmost = links[size:]
+    rightmost -= size
+    return links[:size], rightmost
 
 
 def affix_tables(g: SlpGrammar, m: SlpMetrics, q: int) -> tuple[list[bytes], list[bytes]]:

@@ -1,3 +1,6 @@
+import sys
+from contextlib import contextmanager
+
 import pytest
 
 from slpgram import (
@@ -7,7 +10,23 @@ from slpgram import (
     build_repair,
     compute_metrics,
     parse_slp,
+    slp,
 )
+
+# The two sides of the rule-count switch of compute_qmarks and
+# build_neighbor_graph: the per-rule loops below it, the array passes above.
+PATHS = ("loops", "arrays")
+
+
+@contextmanager
+def forced_path(path):
+    """Put every grammar on one side of the switch while the block runs."""
+    saved = slp._ARRAY_RULES
+    slp._ARRAY_RULES = sys.maxsize if path == "loops" else 0
+    try:
+        yield
+    finally:
+        slp._ARRAY_RULES = saved
 
 # 13-character sample over {a, b}; small enough to check everything by hand.
 G7_DOC = """\
@@ -58,6 +77,49 @@ def comb_grammar(teeth):
             chain = pair(chain, 1)
         tooth = pair(2, chain)
         joined = tooth if joined is None else pair(joined, tooth)
+    return SlpGrammar(lefts, rights)
+
+
+def right_chain(text):
+    """The right-leaning chain X_1 = the last byte, X_k = text[-k] X_(k-1),
+    after one terminal rule per distinct byte."""
+    lefts, rights = [0], [0]
+    terminals = {}
+    for byte in sorted(set(text)):
+        lefts.append(byte)
+        rights.append(-1)
+        terminals[byte] = len(lefts) - 1
+    current = terminals[text[-1]]
+    for byte in reversed(text[:-1]):
+        lefts.append(terminals[byte])
+        rights.append(current)
+        current = len(lefts) - 1
+    return SlpGrammar(lefts, rights)
+
+
+def wide_window_grammar():
+    """A = a^(2^61 - 1) and B = b^(2^61 - 1), each the doublings P_k of its
+    letter joined shortest first, ((P_0 P_1) P_2) ... P_60; X = A B,
+    Y = B A, and the start rule X Y, so |T| = 2^63 - 4.  At q = 2^61 - 1 the
+    vertices are A, B, X, Y and the start rule, and their windows total
+    more than 2^64 bytes."""
+    lefts, rights = [0, 97, 98], [0, -1, -1]
+
+    def pair(left, right):
+        lefts.append(left)
+        rights.append(right)
+        return len(lefts) - 1
+
+    def run(letter):
+        total = power = letter
+        for _ in range(60):
+            power = pair(power, power)
+            total = pair(total, power)
+        return total
+
+    a, b = run(1), run(2)
+    x, y = pair(a, b), pair(b, a)
+    pair(x, y)
     return SlpGrammar(lefts, rights)
 
 

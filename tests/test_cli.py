@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEAD_RULE_DOCS, G7_DOC, doubling_doc, periodic_grammar
+from conftest import (
+    DEAD_RULE_DOCS,
+    G7_DOC,
+    PATHS,
+    doubling_doc,
+    forced_path,
+    periodic_grammar,
+    wide_window_grammar,
+)
 from oracles import count_report, escape_gram, escape_rule, sliding_histogram
 from slpgram import (
     FlattenedTrie,
@@ -491,6 +499,23 @@ class TestVerify:
 
 
 class TestStats:
+    def test_window_total_past_int64(self, tmp_path):
+        # |T| = 2^63 - 4; at q = 2^61 - 1 the five vertices' windows total
+        # 2^64 - 14 bytes, and at q = 2^60 the seven total about 1.5 * 2^63,
+        # so an int64 sum of the windows would wrap on either row
+        slp = tmp_path / "wide.slp"
+        slp.write_text(serialize_slp(wide_window_grammar()))
+        rows = [
+            "q,sum_ti,trie_size,dup,flattened_len,edges,vertices",
+            "2305843009213693951,18446744073709551602,9223372036854775802,2,"
+            "11529215046068469752,6,5",
+            "1152921504606846976,13835058055282163702,6917529027641081852,2305843009213693952,"
+            "8070450532247928827,8,7",
+        ]
+        for path in PATHS:
+            with forced_path(path):
+                assert run_stats(str(slp), [2**61 - 1, 2**60]).splitlines() == rows, path
+
     def test_g7_rows(self, g7_path, monkeypatch, capsys):
         # every column comes from the neighbor graph: no table, no trie
         def not_built(*args):

@@ -2,12 +2,13 @@ import dataclasses
 import random
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G7_TEXT, comb_grammar, periodic_grammar
+from conftest import G7_TEXT, PATHS, comb_grammar, forced_path, periodic_grammar
 from oracles import (
     deepest_outer_marks,
     derivation_occurrences,
@@ -30,6 +31,7 @@ from slpgram import (
     expand,
     flatten_neighbor_trie,
     parse_slp,
+    seam_order,
     weighted_qgram_counts,
 )
 from slpgram.slp import validate
@@ -44,34 +46,46 @@ def pipeline(g, m, q):
 
 class TestNeighborGraph:
     def test_g7_q2(self, g7, g7_metrics):
-        qm = compute_qmarks(g7, g7_metrics, 2)
-        graph = build_neighbor_graph(g7, g7_metrics, qm)
-        # first seams: 4 at 1, 3 at 2, 6 at 3, 5 at 5, 7 at 8
-        assert graph.vertices == [4, 3, 6, 5, 7]
-        assert set(graph.edges) == {(4, 3), (5, 4), (6, 3), (7, 3), (3, 5), (3, 6), (3, 7)}
-        assert len(graph.edges) == 7 <= 2 * g7.n
-        # in the pass's order: each vertex by descending rule, its edge to
-        # the successor under its right child, then from the predecessor
-        # over its left child
-        assert graph.edges == [(7, 3), (3, 7), (6, 3), (3, 6), (5, 4), (3, 5), (4, 3)]
-        assert graph.edge_count == 7
-        # 3 hangs below 4, its in-neighbor with the smallest first seam;
-        # 5, 6 and 7 below 3, their one in-neighbor; 4 opens the text
-        assert graph.parents == [0, 0, 0, 4, 0, 3, 3, 3]
+        for path in PATHS:
+            with forced_path(path):
+                qm = compute_qmarks(g7, g7_metrics, 2)
+                graph = build_neighbor_graph(g7, g7_metrics, qm)
+            # first seams: 4 at 1, 3 at 2, 6 at 3, 5 at 5, 7 at 8
+            assert graph.vertices.tolist() == [4, 3, 6, 5, 7]
+            assert set(graph.edges) == {(4, 3), (5, 4), (6, 3), (7, 3), (3, 5), (3, 6), (3, 7)}
+            assert len(graph.edges) == 7 <= 2 * g7.n
+            # in the pass's order: each vertex by descending rule, its edge to
+            # the successor under its right child, then from the predecessor
+            # over its left child
+            assert graph.edges == [(7, 3), (3, 7), (6, 3), (3, 6), (5, 4), (3, 5), (4, 3)]
+            assert graph.edge_count == 7
+            # 3 hangs below 4, its in-neighbor with the smallest first seam;
+            # 5, 6 and 7 below 3, their one in-neighbor; 4 opens the text
+            assert graph.parents.tolist() == [0, 0, 0, 4, 0, 3, 3, 3]
 
     def test_g7_q13(self, g7, g7_metrics):
-        qm = compute_qmarks(g7, g7_metrics, 13)
-        graph = build_neighbor_graph(g7, g7_metrics, qm)
-        assert graph.vertices == [7]
-        assert graph.edges == []
-        assert graph.edge_count == 0
-        assert graph.parents == [0] * 8
+        for path in PATHS:
+            with forced_path(path):
+                qm = compute_qmarks(g7, g7_metrics, 13)
+                graph = build_neighbor_graph(g7, g7_metrics, qm)
+            assert graph.vertices.tolist() == [7]
+            assert graph.edges == []
+            assert graph.edge_count == 0
+            assert graph.parents.tolist() == [0] * 8
+
+    def test_seam_order_of_a_larger_q_refused(self, g7, g7_metrics):
+        # an order for q = 5 lacks the rules of 2 to 4 bytes
+        with forced_path("arrays"):
+            order = seam_order(g7, g7_metrics, 5)
+            qm = compute_qmarks(g7, g7_metrics, 2, order)
+            with pytest.raises(ValueError, match=r"^the seam order is for q >= 5, not q = 2$"):
+                build_neighbor_graph(g7, g7_metrics, qm, order)
 
     def test_single_terminal(self):
         g = parse_slp("1 T 97\n")
         m = compute_metrics(g)
         graph = build_neighbor_graph(g, m, compute_qmarks(g, m, 2))
-        assert graph.vertices == []
+        assert graph.vertices.tolist() == []
         assert graph.edges == []
 
     def test_edge_bound(self, sample_grammars):
@@ -83,23 +97,24 @@ class TestNeighborGraph:
 
 
 def check_layout(g):
-    """At q = 2..9: the vertices in the order of their first seams, each
-    later one below an in-neighbor that comes earlier, and the text one
-    context longer than the trie per vertex that does not follow its
-    parent.  The graph's window totals and edges match the oracles: the
-    ssa string, the windows cut from the rule texts, and one successor
-    from the deepest outer marks per long child of each vertex, listed in
-    the graph pass's order and as many as the graph counts.  The
-    flattened trie is the oracle's layout of those windows: each vertex's
-    label once, every context, and every weight."""
+    """On both sides of the array switch, at q = 2..9: the vertices in the
+    order of their first seams, each later one below an in-neighbor that
+    comes earlier, and the text one context longer than the trie per vertex
+    that does not follow its parent.  The graph's window totals and edges
+    match the oracles: the ssa string, the windows cut from the rule texts,
+    and one successor from the deepest outer marks per long child of each
+    vertex, listed in the graph pass's order and as many as the graph
+    counts.  The flattened trie is the oracle's layout of those windows:
+    each vertex's label once, every context, and every weight."""
     m = compute_metrics(g)
     texts = naive_rule_texts(g)
     occurrences = derivation_occurrences(g)
     seams = first_seams(g)
-    for q in range(2, 10):
-        qm, graph, trie = pipeline(g, m, q)
+    for path, q in product(PATHS, range(2, 10)):
+        with forced_path(path):
+            qm, graph, trie = pipeline(g, m, q)
         order = sorted((i for i in seams if m.lengths[i] >= q), key=seams.__getitem__)
-        assert graph.vertices == order, q
+        assert graph.vertices.tolist() == order, q
         assert graph.sum_ti == len(build_ssa_text(g, m, q).text), q
         assert graph.dup == sum(
             (m.occurrences[v] - 1) * (len(reference_window(g, texts, q, v)) - (q - 1))
@@ -399,7 +414,7 @@ class TestLibraryRefusal:
         # suf[1] emptied, the windows of 4 and 3 (both of left child 1) hold
         # one byte
         graph = build_neighbor_graph(g7, g7_metrics, compute_qmarks(g7, g7_metrics, 2))
-        assert graph.vertices == [4, 3, 6, 5, 7]
+        assert graph.vertices.tolist() == [4, 3, 6, 5, 7]
         pre, suf = affix_tables(g7, g7_metrics, 2)
         suf[1] = b""
         with pytest.raises(ConsistencyError, match=r"^window of rule 4 is shorter than q$"):

@@ -1,12 +1,23 @@
 import random
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEAD_RULE_DOCS, G7_DOC, G7_TEXT, comb_grammar, comb_text, doubling_doc
+from conftest import (
+    DEAD_RULE_DOCS,
+    G7_DOC,
+    G7_TEXT,
+    PATHS,
+    comb_grammar,
+    comb_text,
+    doubling_doc,
+    forced_path,
+    right_chain,
+)
 from oracles import deepest_outer_marks, derivation_occurrences, naive_rule_texts, validate_rules
 from slpgram import (
     SlpError,
@@ -311,18 +322,18 @@ class TestMetrics:
 class TestQMarks:
     def test_g7_q2(self, g7, g7_metrics):
         qm = compute_qmarks(g7, g7_metrics, 2)
-        assert qm.leftmost[1:] == [0, 0, 3, 4, 3, 4, 4]
-        assert qm.rightmost[1:] == [0, 0, 3, 3, 3, 3, 3]
+        assert qm.leftmost[1:].tolist() == [0, 0, 3, 4, 3, 4, 4]
+        assert qm.rightmost[1:].tolist() == [0, 0, 3, 3, 3, 3, 3]
 
     def test_g7_q13(self, g7, g7_metrics):
         qm = compute_qmarks(g7, g7_metrics, 13)
-        assert qm.leftmost[1:] == [0] * 6 + [7]
-        assert qm.rightmost[1:] == [0] * 6 + [7]
+        assert qm.leftmost[1:].tolist() == [0] * 6 + [7]
+        assert qm.rightmost[1:].tolist() == [0] * 6 + [7]
 
     def test_g7_q14_all_none(self, g7, g7_metrics):
         qm = compute_qmarks(g7, g7_metrics, 14)
-        assert qm.leftmost[1:] == [0] * 7
-        assert qm.rightmost[1:] == [0] * 7
+        assert qm.leftmost[1:].tolist() == [0] * 7
+        assert qm.rightmost[1:].tolist() == [0] * 7
 
     def test_q_below_two_rejected(self, g7, g7_metrics):
         with pytest.raises(ValueError):
@@ -331,11 +342,29 @@ class TestQMarks:
     def test_matches_descent_oracle(self, sample_grammars):
         for name, g in sample_grammars:
             m = compute_metrics(g)
-            for q in (2, 3, 5, 8):
-                qm = compute_qmarks(g, m, q)
+            for path, q in product(PATHS, (2, 3, 5, 8)):
+                with forced_path(path):
+                    qm = compute_qmarks(g, m, q)
                 lm, rm = deepest_outer_marks(g, m.lengths, q)
-                assert qm.leftmost == lm, (name, q)
-                assert qm.rightmost == rm, (name, q)
+                assert qm.leftmost.tolist() == lm, (name, q)
+                assert qm.rightmost.tolist() == rm, (name, q)
+
+    def test_20000_rule_chains(self):
+        # The spine of a left-leaning (right-leaning) chain is its left-most
+        # (right-most) path, 20 000 rules deep; every long rule's mark along
+        # it is the one rule of q bytes, and along the other side the rule
+        # itself, whose child there is one byte.
+        text = bytes(random.Random(20_000).choice(b"acgt") for _ in range(19_997))
+        for build in (build_chain, right_chain):
+            g = build(text)
+            m = compute_metrics(g)
+            for path, q in product(PATHS, (2, 5)):
+                with forced_path(path):
+                    qm = compute_qmarks(g, m, q)
+                spine = [m.lengths.index(q) if k >= q else 0 for k in m.lengths]
+                own = [i if k >= q else 0 for i, k in enumerate(m.lengths)]
+                marks = (spine, own) if build is build_chain else (own, spine)
+                assert (qm.leftmost.tolist(), qm.rightmost.tolist()) == marks, (build, path, q)
 
 
 class TestAffixTables:
@@ -532,6 +561,22 @@ class TestValidate:
     def test_entries_not_int64(self, lefts, rights):
         g = SlpGrammar(lefts, rights)
         assert outcome(validate, g) == outcome(validate_rules, g)
+
+    def test_lengths_checked_before_occurrences(self):
+        # A live doubling chain of 20 000 rules: rule k spells 2^(k-1)
+        # bytes, so rule 64 is the first past 2^63 - 1.  Counted first, the
+        # occurrences of its rules would grow to n-bit ints.
+        indices = list(range(1, 20_000))
+        g = SlpGrammar([0, 97, *indices], [0, -1, *indices])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as raised:
+                validate(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == "rule 64 expands past 2**63 - 1 characters"
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("doc, unused", DEAD_RULE_DOCS.values(), ids=list(DEAD_RULE_DOCS))
     def test_dead_chains_walked(self, doc, unused):
