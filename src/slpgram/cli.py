@@ -445,6 +445,8 @@ def run_bench(grammar_path: str, q_list: list[int], repetitions: int) -> str:
     """
     if repetitions < 1:
         raise SlpError("repetitions must be at least 1")
+    if any(q < 2 for q in q_list):
+        raise SlpError("bench needs q >= 2")
     g, m = _load_grammar(grammar_path)
     algorithms = ALGORITHMS
     text_length = m.text_length
@@ -453,8 +455,6 @@ def run_bench(grammar_path: str, q_list: list[int], repetitions: int) -> str:
         algorithms = ("ssa", "stsa")
     rows = ["q,algo,mean_seconds,problem_size"]
     for q in q_list:
-        if q < 2:
-            raise SlpError("bench needs q >= 2")
         for algorithm in algorithms:
             elapsed = 0.0
             for _ in range(repetitions):

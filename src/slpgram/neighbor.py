@@ -66,12 +66,11 @@ class NeighborGraph:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """The ``edge_count`` edges as (owner, next owner) pairs, rebuilt
-        from the grammar and the q-marks with array operations, in the order
-        of the loop that builds a graph below the array switch: the
-        vertices in descending rule order, each with the edge to the
-        successor under its long right child, then the edge from the
-        predecessor over its long left child.  A mark of 0 names no rule,
-        and gives no edge."""
+        from the grammar and the q-marks with array operations: the
+        vertices in descending rule order, each with its successor edge, to
+        the successor under its long right child, then its predecessor edge,
+        from the predecessor over its long left child.  A mark of 0 names no
+        rule, and gives no edge."""
         rules = np.sort(self.vertices)[::-1]
         pairs = np.empty((len(rules), 2, 2), dtype=np.int64)
         pairs[:, 0, 0] = pairs[:, 1, 1] = rules
@@ -122,23 +121,16 @@ def build_neighbor_graph(
     vertices in first-seam order come strictly ordered, ``leftmost[n]``
     first.  Every rule must occur in the text.
 
-    Below the array switch (see :func:`~slpgram.slp.seam_order`) one loop
-    takes the rules in descending rule order: it finds each rule's first
-    offset, like occurrence counts top-down (a left child starts where its
-    rule does, a right child at its rule's seam), totals the windows and
-    ``dup``, counts the edges and picks the parents, and sorts the vertices
-    by first seam.  From the switch on, the vertices are the long rules of
-    the seam order, ``order`` or one built here, and everything else comes
-    from array passes over them: the in-neighbor of smallest first seam is
-    the first of the vertex's in-neighbors in that order, found by one sort
-    of packed (vertex, position) words.  The window total is summed in
-    Python ints once its bound 2(q-1) per vertex reaches 2**63.  Neither
-    path lists the edges (:attr:`~NeighborGraph.edges` does on request).
+    The vertices are the long rules of the :func:`~slpgram.slp.seam_order`,
+    ``order`` or one built here, and everything else comes from array passes
+    over them: the in-neighbor of smallest first seam is the first of the
+    vertex's in-neighbors in that order, whose position one
+    ``np.minimum.at`` finds.  The window total is summed in Python ints once
+    its bound 2(q-1) per vertex reaches 2**63.  The edges are not listed
+    (:attr:`~NeighborGraph.edges` does on request).
     """
     if order is None:
         order = seam_order(g, m, qm.q)
-    if order is None:
-        return _looped_graph(g, m, qm)
     if qm.q < order.q:
         raise ValueError(f"the seam order is for q >= {order.q}, not q = {qm.q}")
     leftmost, rightmost = qm.leftmost, qm.rightmost
@@ -148,91 +140,32 @@ def build_neighbor_graph(
     if not vertices.size:
         return NeighborGraph(g, qm, vertices, 0, parents, 0, 0)
     cap = qm.q - 1
-    lefts, rights = order.lefts[vertices], order.rights[vertices]
-    window = np.minimum(order.lengths[lefts], cap)
-    window += np.minimum(order.lengths[rights], cap)
+    children = order.children.take(vertices, axis=1)
+    lefts, rights = children
+    # No vertex is longer than 2**63 - 1 bytes, so no window wraps.
+    window = np.add(*np.minimum(order.lengths[children], cap))
     if 2 * cap * vertices.size < 1 << 63:
         sum_ti = int(window.sum())
     else:
         sum_ti = sum(window.tolist())
     # Weighted by the occurrence counts, the labels total the |T| - q + 1
-    # gram occurrences, so dup, a smaller sum of terms >= 0, fits int64.
+    # gram occurrences, which fit int64; unweighted, sum_ti - (q-1)V.
     window -= cap
-    dup = int(np.dot(order.occurrences[vertices] - 1, window))
+    dup = int(np.dot(order.occurrences[vertices], window)) - (sum_ti - cap * vertices.size)
     successors = leftmost[rights]
     predecessors = rightmost[lefts]
     edge_count = int(np.count_nonzero(successors) + np.count_nonzero(predecessors))
     parents[vertices] = predecessors
-    # Each successor's first source in seam order: sort (successor,
-    # position) words and keep the first of each successor.
+    # Each successor's first source in seam order: the least position that
+    # names it.  A successor named twice is written twice, with that value.
     sources = successors.nonzero()[0]
     if sources.size:
-        bits = int(vertices.size).bit_length()
-        words = successors[sources] << bits
-        words |= sources
-        words.sort()
-        targets = words >> bits
-        first = np.ones(words.size, dtype=bool)
-        np.not_equal(targets[1:], targets[:-1], out=first[1:])
-        parents[targets[first]] = vertices[words[first] & ((1 << bits) - 1)]
+        targets = successors[sources]
+        first = np.full(g.n + 1, vertices.size)
+        np.minimum.at(first, targets, sources)
+        parents[targets] = vertices[first[targets]]
     parents[vertices[0]] = 0
     return NeighborGraph(g, qm, vertices, edge_count, parents, sum_ti, dup)
-
-
-def _looped_graph(g: SlpGrammar, m: SlpMetrics, qm: QMarks) -> NeighborGraph:
-    q = qm.q
-    cap = q - 1
-    lefts, rights = g.lefts, g.rights
-    lengths = m.lengths
-    occurrences = m.occurrences
-    leftmost, rightmost = qm.leftmost.tolist(), qm.rightmost.tolist()
-    # Every occurrence starts below the text length.
-    first = [m.text_length] * (g.n + 1)
-    first[g.n] = 0
-    seams = [0] * (g.n + 1)
-    parents = [0] * (g.n + 1)
-    vertices: list[int] = []
-    sum_ti = dup = edge_count = 0
-    for i in range(g.n, 0, -1):
-        r = rights[i]
-        # A short rule has no vertex below it.
-        if r < 0 or lengths[i] < q:
-            continue
-        left = lefts[i]
-        a, b = lengths[left], lengths[r]
-        window = (a if a < cap else cap) + (b if b < cap else cap)
-        sum_ti += window
-        dup += (occurrences[i] - 1) * (window - cap)
-        start = first[i]
-        seam = start + a
-        if start < first[left]:
-            first[left] = start
-        if seam < first[r]:
-            first[r] = seam
-        seams[i] = seam
-        vertices.append(i)
-        successor = leftmost[r]
-        if successor:
-            edge_count += 1
-            parent = parents[successor]
-            if not parent or seam < seams[parent]:
-                parents[successor] = i
-        predecessor = rightmost[left]
-        if predecessor:
-            edge_count += 1
-            parents[i] = predecessor
-    vertices.sort(key=seams.__getitem__)
-    if vertices:
-        parents[vertices[0]] = 0
-    return NeighborGraph(
-        g,
-        qm,
-        np.fromiter(vertices, np.int64, len(vertices)),
-        edge_count,
-        np.fromiter(parents, np.int64, g.n + 1),
-        sum_ti,
-        dup,
-    )
 
 
 @dataclass(frozen=True, eq=False)

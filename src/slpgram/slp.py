@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -84,22 +85,17 @@ class QMarks:
     rightmost: np.ndarray
 
 
-# From this many rules on, compute_qmarks and build_neighbor_graph run as
-# int64 array passes; below it their per-rule loops cost less than the
-# passes' fixed numpy calls.
-_ARRAY_RULES = 1024
-
-
 @dataclass(frozen=True, eq=False)
 class SeamOrder:
     """The q-independent part of the neighbor graph, for every q >= ``q``:
     the rule table and the metrics as int64 arrays, and ``rules``, the pair
     rules of at least ``q`` bytes in the order of their first seams (the
-    text offset between a rule's children in its first occurrence)."""
+    text offset between a rule's children in its first occurrence).
+    ``children`` holds the left children in row 0 and the right ones in
+    row 1, with 0 for a terminal's."""
 
     q: int
-    lefts: np.ndarray
-    rights: np.ndarray
+    children: np.ndarray
     lengths: np.ndarray
     occurrences: np.ndarray
     rules: np.ndarray
@@ -341,16 +337,22 @@ def compute_metrics(g: SlpGrammar) -> SlpMetrics:
     return SlpMetrics(_rule_lengths(g), _rule_occurrences(g))
 
 
-def _int64(values: list[int]) -> np.ndarray:
-    return np.fromiter(values, np.int64, len(values))
+def _rule_table(g: SlpGrammar, m: SlpMetrics) -> np.ndarray:
+    """The left and right child lists, the lengths and the occurrence counts
+    as the rows of one int64 array, with 0 for a terminal's children, so
+    that no child indexes past the table."""
+    size = g.n + 1
+    values = chain(g.lefts, g.rights, m.lengths, m.occurrences)
+    table = np.fromiter(values, np.int64, 4 * size).reshape(4, size)
+    table[:2] *= table[1] > 0
+    return table
 
 
-def seam_order(g: SlpGrammar, m: SlpMetrics, q: int) -> SeamOrder | None:
+def seam_order(g: SlpGrammar, m: SlpMetrics, q: int) -> SeamOrder:
     """The first-seam order that :func:`compute_qmarks` and
     :func:`~slpgram.neighbor.build_neighbor_graph` share for every gram
-    length from ``q`` on; None below the rule count from which they run as
-    array passes, where their loops need none.  A caller that takes several
-    q builds it once, for the smallest.
+    length from ``q`` on.  A caller that takes several q builds it once, for
+    the smallest.
 
     First offsets come top-down in descending rule order, like occurrence
     counts: a left child starts where its rule does, a right child at its
@@ -362,11 +364,10 @@ def seam_order(g: SlpGrammar, m: SlpMetrics, q: int) -> SeamOrder | None:
     fit, an argsort of the seams past that.  Every rule must occur in the
     text.
     """
-    if g.n < _ARRAY_RULES:
-        return None
-    lengths = _int64(m.lengths)
+    table = _rule_table(g, m)
+    lengths = table[2]
     # No rule is longer than MAX_TEXT_LENGTH, so a q past it keeps no rule.
-    descending = np.flatnonzero(lengths > min(q - 1, MAX_TEXT_LENGTH))[::-1]
+    descending = (lengths > min(q - 1, MAX_TEXT_LENGTH)).nonzero()[0][::-1]
     lefts, rights, spans = g.lefts, g.rights, m.lengths
     # Every occurrence starts below the text length.
     first = [m.text_length] * (g.n + 1)
@@ -382,7 +383,7 @@ def seam_order(g: SlpGrammar, m: SlpMetrics, q: int) -> SeamOrder | None:
         if seam < first[r]:
             first[r] = seam
         seams.append(seam)
-    seams = _int64(seams)
+    seams = np.fromiter(seams, np.int64, len(seams))
     bits = g.n.bit_length()
     if m.text_length.bit_length() + bits < 64:
         seams <<= bits
@@ -391,7 +392,7 @@ def seam_order(g: SlpGrammar, m: SlpMetrics, q: int) -> SeamOrder | None:
         rules = seams & ((1 << bits) - 1)
     else:
         rules = descending[seams.argsort()]
-    return SeamOrder(q, _int64(lefts), _int64(rights), lengths, _int64(m.occurrences), rules)
+    return SeamOrder(q, table[:2], lengths, table[3], rules)
 
 
 def compute_qmarks(g: SlpGrammar, m: SlpMetrics, q: int, order: SeamOrder | None = None) -> QMarks:
@@ -401,57 +402,46 @@ def compute_qmarks(g: SlpGrammar, m: SlpMetrics, q: int, order: SeamOrder | None
     left mark, otherwise it inherits the left child's mark; right marks are
     symmetric.  Terminals and short rules get 0.
 
-    Below the array switch (see :func:`seam_order`) one loop takes the rules
-    in index order.  From it on, the marks come from pointer doubling: each
-    long rule links to its long child, or to itself at the end of its path,
-    and one gather over the left and right links together doubles every
-    path's reach, until no link moves; so a chain of height h costs
-    O(log h) gathers.  A caller that holds a :func:`seam_order` passes it
-    as ``order``, and the doubling reads its arrays.
+    The marks come from pointer doubling: each long rule links to its long
+    child, or to itself at the end of its path, and one gather over the left
+    and right links together doubles every path's reach, until no link
+    moves; so a chain of height h costs O(log h) gathers.  A caller that
+    holds a :func:`seam_order` passes it as ``order``, and the doubling
+    reads its arrays.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
-    if order is not None:
-        return QMarks(q, *_doubled_marks(order.lefts, order.rights, order.lengths, q))
-    if g.n >= _ARRAY_RULES:
-        return QMarks(q, *_doubled_marks(_int64(g.lefts), _int64(g.rights), _int64(m.lengths), q))
-    lefts, rights = g.lefts, g.rights
-    lengths = m.lengths
-    leftmost = [0] * (g.n + 1)
-    rightmost = [0] * (g.n + 1)
-    for i in range(1, g.n + 1):
-        r = rights[i]
-        if r < 0 or lengths[i] < q:
-            continue
-        left = lefts[i]
-        leftmost[i] = i if lengths[left] < q else leftmost[left]
-        rightmost[i] = i if lengths[r] < q else rightmost[r]
-    return QMarks(q, _int64(leftmost), _int64(rightmost))
+    if order is None:
+        table = _rule_table(g, m)
+        marks = _doubled_marks(table[:2], table[2], q)
+    else:
+        marks = _doubled_marks(order.children, order.lengths, q)
+    return QMarks(q, *marks)
 
 
 def _doubled_marks(
-    lefts: np.ndarray, rights: np.ndarray, lengths: np.ndarray, q: int
+    children: np.ndarray, lengths: np.ndarray, q: int
 ) -> tuple[np.ndarray, np.ndarray]:
     size = len(lengths)
-    # Terminals are one byte, so every long rule is a pair rule.
+    # Terminals are one byte, so every long rule is a pair rule, and a short
+    # rule has only short children.
     long = lengths > min(q - 1, MAX_TEXT_LENGTH)
     own = np.arange(size)
     own *= long
-    left = np.where(long, lefts, 0)
-    right = np.where(long, rights, 0)
-    # Entry i links rule i down its left-most path, entry size + i down its
-    # right-most one: to the long child, to the rule itself where the path
-    # ends, and to the side's 0 from a short rule.
-    links = np.concatenate((np.where(long[left], left, own), np.where(long[right], right, own)))
-    links[size:] += size
+    # Row 0 links rule i down its left-most path, row 1 down its right-most
+    # one: to the long child, to the rule itself where the path ends, and to
+    # the row's 0 from a short rule.  Flattened, row 1 follows row 0, so its
+    # links are shifted by size, and take gathers through both rows.
+    links = np.where(long[children], children, own)
+    links[1] += size
     while True:
         reach = links.take(links)
-        if np.array_equal(reach, links):
+        if (reach == links).all():
             break
         links = reach
-    rightmost = links[size:]
+    leftmost, rightmost = links
     rightmost -= size
-    return links[:size], rightmost
+    return leftmost, rightmost
 
 
 def affix_tables(g: SlpGrammar, m: SlpMetrics, q: int) -> tuple[list[bytes], list[bytes]]:

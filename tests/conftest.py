@@ -1,6 +1,3 @@
-import sys
-from contextlib import contextmanager
-
 import pytest
 
 from slpgram import (
@@ -10,23 +7,7 @@ from slpgram import (
     build_repair,
     compute_metrics,
     parse_slp,
-    slp,
 )
-
-# The two sides of the rule-count switch of compute_qmarks and
-# build_neighbor_graph: the per-rule loops below it, the array passes above.
-PATHS = ("loops", "arrays")
-
-
-@contextmanager
-def forced_path(path):
-    """Put every grammar on one side of the switch while the block runs."""
-    saved = slp._ARRAY_RULES
-    slp._ARRAY_RULES = sys.maxsize if path == "loops" else 0
-    try:
-        yield
-    finally:
-        slp._ARRAY_RULES = saved
 
 # 13-character sample over {a, b}; small enough to check everything by hand.
 G7_DOC = """\

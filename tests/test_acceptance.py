@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import G7_DOC, PATHS, comb_grammar, comb_text, forced_path, right_chain
+from conftest import G7_DOC, comb_grammar, comb_text, right_chain
 from oracles import (
     count_report,
     derivation_occurrences,
@@ -442,23 +442,21 @@ def test_chain_of_20000_rules(tmp_path):
 
 def test_right_leaning_chain_of_20000_rules(tmp_path):
     """The chain X_k = c X_(k-1), 20 000 rules deep, through ``stats`` and
-    stsa on both sides of the array switch: its right-most paths are the
-    longest a grammar of this size has.  Each vertex has a one-byte left
-    child, so it hangs below its one in-neighbor, the rule above it, which
-    comes just before it in seam order; the row is the left chain's."""
+    stsa: its right-most paths are the longest a grammar of this size has.
+    Each vertex has a one-byte left child, so it hangs below its one
+    in-neighbor, the rule above it, which comes just before it in seam
+    order; the row is the left chain's."""
     rng = random.Random(20_001)
     text = bytes(rng.choice(b"acgt") for _ in range(19_997))
     g = right_chain(text)
     assert g.n == 20_000
     path = tmp_path / "right-chain.slp"
     path.write_text(serialize_slp(g))
-    for side in PATHS:
-        with forced_path(side):
-            rows = run_stats(str(path), [2, 5]).splitlines()
-            for q, row in zip((2, 5), rows[1:]):
-                v = len(text) - q + 1
-                assert row == f"{q},{q * v},{len(text)},0,{len(text)},{v - 1},{v}", (side, q)
-                counts = sliding_histogram(text, q)
-                grams = sorted(counts)
-                expected = count_report(grams, [counts[gram] for gram in grams])
-                assert run_count(str(path), q, "stsa", True) == expected, (side, q)
+    rows = run_stats(str(path), [2, 5]).splitlines()
+    for q, row in zip((2, 5), rows[1:]):
+        v = len(text) - q + 1
+        assert row == f"{q},{q * v},{len(text)},0,{len(text)},{v - 1},{v}", q
+        counts = sliding_histogram(text, q)
+        grams = sorted(counts)
+        expected = count_report(grams, [counts[gram] for gram in grams])
+        assert run_count(str(path), q, "stsa", True) == expected, q

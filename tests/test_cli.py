@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     DEAD_RULE_DOCS,
     G7_DOC,
-    PATHS,
     doubling_doc,
-    forced_path,
     periodic_grammar,
     wide_window_grammar,
 )
@@ -512,9 +510,7 @@ class TestStats:
             "1152921504606846976,13835058055282163702,6917529027641081852,2305843009213693952,"
             "8070450532247928827,8,7",
         ]
-        for path in PATHS:
-            with forced_path(path):
-                assert run_stats(str(slp), [2**61 - 1, 2**60]).splitlines() == rows, path
+        assert run_stats(str(slp), [2**61 - 1, 2**60]).splitlines() == rows
 
     def test_g7_rows(self, g7_path, monkeypatch, capsys):
         # every column comes from the neighbor graph: no table, no trie
@@ -544,6 +540,17 @@ class TestBench:
         assert [r[1] for r in rows] == ["nsa", "ssa", "stsa"]
         assert all(float(r[2]) > 0 for r in rows)
         assert [int(r[3]) for r in rows] == [13, 10, 8]
+
+    def test_q_list_checked_before_anything_is_timed(self, g7_path, monkeypatch, capsys):
+        # a q below 2 late in the list is refused before any q is timed,
+        # and before the grammar is loaded
+        def not_run(*args):
+            raise AssertionError("bench loaded the grammar or timed a pipeline")
+
+        monkeypatch.setattr(cli, "_load_grammar", not_run)
+        monkeypatch.setattr(cli, "_pipeline_text", not_run)
+        assert main(["bench", "-i", g7_path, "--q-list", "4,1"]) == 2
+        assert capsys.readouterr() == ("", "error: bench needs q >= 2\n")
 
 
 def test_no_command_leaves_reference_cycles(tmp_path):

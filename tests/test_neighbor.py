@@ -2,13 +2,12 @@ import dataclasses
 import random
 import tracemalloc
 from collections import Counter
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G7_TEXT, PATHS, comb_grammar, forced_path, periodic_grammar
+from conftest import G7_TEXT, comb_grammar, periodic_grammar
 from oracles import (
     deepest_outer_marks,
     derivation_occurrences,
@@ -20,6 +19,7 @@ from oracles import (
 )
 from slpgram import (
     ConsistencyError,
+    SeamOrder,
     SlpGrammar,
     affix_tables,
     build_chain,
@@ -46,40 +46,47 @@ def pipeline(g, m, q):
 
 class TestNeighborGraph:
     def test_g7_q2(self, g7, g7_metrics):
-        for path in PATHS:
-            with forced_path(path):
-                qm = compute_qmarks(g7, g7_metrics, 2)
-                graph = build_neighbor_graph(g7, g7_metrics, qm)
-            # first seams: 4 at 1, 3 at 2, 6 at 3, 5 at 5, 7 at 8
-            assert graph.vertices.tolist() == [4, 3, 6, 5, 7]
-            assert set(graph.edges) == {(4, 3), (5, 4), (6, 3), (7, 3), (3, 5), (3, 6), (3, 7)}
-            assert len(graph.edges) == 7 <= 2 * g7.n
-            # in the pass's order: each vertex by descending rule, its edge to
-            # the successor under its right child, then from the predecessor
-            # over its left child
-            assert graph.edges == [(7, 3), (3, 7), (6, 3), (3, 6), (5, 4), (3, 5), (4, 3)]
-            assert graph.edge_count == 7
-            # 3 hangs below 4, its in-neighbor with the smallest first seam;
-            # 5, 6 and 7 below 3, their one in-neighbor; 4 opens the text
-            assert graph.parents.tolist() == [0, 0, 0, 4, 0, 3, 3, 3]
+        qm = compute_qmarks(g7, g7_metrics, 2)
+        graph = build_neighbor_graph(g7, g7_metrics, qm)
+        # first seams: 4 at 1, 3 at 2, 6 at 3, 5 at 5, 7 at 8
+        assert graph.vertices.tolist() == [4, 3, 6, 5, 7]
+        assert set(graph.edges) == {(4, 3), (5, 4), (6, 3), (7, 3), (3, 5), (3, 6), (3, 7)}
+        assert len(graph.edges) == 7 <= 2 * g7.n
+        # each vertex by descending rule, its edge to the successor under its
+        # right child, then from the predecessor over its left child
+        assert graph.edges == [(7, 3), (3, 7), (6, 3), (3, 6), (5, 4), (3, 5), (4, 3)]
+        assert graph.edge_count == 7
+        # 3 hangs below 4, its in-neighbor with the smallest first seam;
+        # 5, 6 and 7 below 3, their one in-neighbor; 4 opens the text
+        assert graph.parents.tolist() == [0, 0, 0, 4, 0, 3, 3, 3]
 
     def test_g7_q13(self, g7, g7_metrics):
-        for path in PATHS:
-            with forced_path(path):
-                qm = compute_qmarks(g7, g7_metrics, 13)
-                graph = build_neighbor_graph(g7, g7_metrics, qm)
-            assert graph.vertices.tolist() == [7]
-            assert graph.edges == []
-            assert graph.edge_count == 0
-            assert graph.parents.tolist() == [0] * 8
+        qm = compute_qmarks(g7, g7_metrics, 13)
+        graph = build_neighbor_graph(g7, g7_metrics, qm)
+        assert graph.vertices.tolist() == [7]
+        assert graph.edges == []
+        assert graph.edge_count == 0
+        assert graph.parents.tolist() == [0] * 8
+
+    def test_seam_order_for_any_grammar_and_q(self, g7, g7_metrics):
+        single = parse_slp("1 T 97\n")
+        cases = ((single, compute_metrics(single), []), (g7, g7_metrics, [4, 3, 6, 5, 7]))
+        for g, m, long in cases:
+            for q in (2, 10**20):
+                order = seam_order(g, m, q)
+                assert isinstance(order, SeamOrder), (g.n, q)
+                assert order.q == q
+                assert order.rules.tolist() == (long if q == 2 else []), (g.n, q)
+        # the terminals' children are 0, not their bytes and -1
+        children = seam_order(g7, g7_metrics, 2).children.tolist()
+        assert children == [[0, 0, 0, 1, 1, 3, 4, 6], [0, 0, 0, 2, 3, 4, 5, 5]]
 
     def test_seam_order_of_a_larger_q_refused(self, g7, g7_metrics):
         # an order for q = 5 lacks the rules of 2 to 4 bytes
-        with forced_path("arrays"):
-            order = seam_order(g7, g7_metrics, 5)
-            qm = compute_qmarks(g7, g7_metrics, 2, order)
-            with pytest.raises(ValueError, match=r"^the seam order is for q >= 5, not q = 2$"):
-                build_neighbor_graph(g7, g7_metrics, qm, order)
+        order = seam_order(g7, g7_metrics, 5)
+        qm = compute_qmarks(g7, g7_metrics, 2, order)
+        with pytest.raises(ValueError, match=r"^the seam order is for q >= 5, not q = 2$"):
+            build_neighbor_graph(g7, g7_metrics, qm, order)
 
     def test_single_terminal(self):
         g = parse_slp("1 T 97\n")
@@ -97,22 +104,21 @@ class TestNeighborGraph:
 
 
 def check_layout(g):
-    """On both sides of the array switch, at q = 2..9: the vertices in the
-    order of their first seams, each later one below an in-neighbor that
-    comes earlier, and the text one context longer than the trie per vertex
+    """At q = 2..9: the vertices in the order of their first seams, each
+    later one below an in-neighbor that comes earlier, the one of smallest
+    first seam, and the text one context longer than the trie per vertex
     that does not follow its parent.  The graph's window totals and edges
     match the oracles: the ssa string, the windows cut from the rule texts,
     and one successor from the deepest outer marks per long child of each
-    vertex, listed in the graph pass's order and as many as the graph
-    counts.  The flattened trie is the oracle's layout of those windows:
-    each vertex's label once, every context, and every weight."""
+    vertex, listed vertex by vertex in descending rule order and as many as
+    the graph counts.  The flattened trie is the oracle's layout of those
+    windows: each vertex's label once, every context, and every weight."""
     m = compute_metrics(g)
     texts = naive_rule_texts(g)
     occurrences = derivation_occurrences(g)
     seams = first_seams(g)
-    for path, q in product(PATHS, range(2, 10)):
-        with forced_path(path):
-            qm, graph, trie = pipeline(g, m, q)
+    for q in range(2, 10):
+        qm, graph, trie = pipeline(g, m, q)
         order = sorted((i for i in seams if m.lengths[i] >= q), key=seams.__getitem__)
         assert graph.vertices.tolist() == order, q
         assert graph.sum_ti == len(build_ssa_text(g, m, q).text), q
@@ -128,16 +134,21 @@ def check_layout(g):
             (rightmost[g.lefts[v]], v) for v in long_lefts
         }, q
         assert graph.edge_count == len(graph.edges) == len(long_rights) + len(long_lefts), q
-        in_pass_order = []
+        in_rule_order = []
         for v in sorted(order, reverse=True):
             if m.lengths[g.rights[v]] >= q:
-                in_pass_order.append((v, leftmost[g.rights[v]]))
+                in_rule_order.append((v, leftmost[g.rights[v]]))
             if m.lengths[g.lefts[v]] >= q:
-                in_pass_order.append((rightmost[g.lefts[v]], v))
-        assert graph.edges == in_pass_order, q
+                in_rule_order.append((rightmost[g.lefts[v]], v))
+        assert graph.edges == in_rule_order, q
+        # each vertex's in-neighbor of smallest first seam
+        first_source = {}
+        for u, v in sorted(edges, key=lambda edge: seams[edge[0]]):
+            first_source.setdefault(v, u)
         for v in order[1:]:
             parent = graph.parents[v]
             assert (parent, v) in edges and seams[parent] < seams[v], (q, v, parent)
+            assert parent == first_source[v], (q, v, parent)
         layout = (trie.text, trie.end_weights.tolist(), trie.firsts.tolist(), trie.hangs.tolist())
         assert layout == trie_layout(g, graph, texts, occurrences), q
         if m.text_length < q:

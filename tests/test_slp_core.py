@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from itertools import product
 
 import numpy as np
 import pytest
@@ -11,11 +10,9 @@ from conftest import (
     DEAD_RULE_DOCS,
     G7_DOC,
     G7_TEXT,
-    PATHS,
     comb_grammar,
     comb_text,
     doubling_doc,
-    forced_path,
     right_chain,
 )
 from oracles import deepest_outer_marks, derivation_occurrences, naive_rule_texts, validate_rules
@@ -342,9 +339,8 @@ class TestQMarks:
     def test_matches_descent_oracle(self, sample_grammars):
         for name, g in sample_grammars:
             m = compute_metrics(g)
-            for path, q in product(PATHS, (2, 3, 5, 8)):
-                with forced_path(path):
-                    qm = compute_qmarks(g, m, q)
+            for q in (2, 3, 5, 8):
+                qm = compute_qmarks(g, m, q)
                 lm, rm = deepest_outer_marks(g, m.lengths, q)
                 assert qm.leftmost.tolist() == lm, (name, q)
                 assert qm.rightmost.tolist() == rm, (name, q)
@@ -358,13 +354,12 @@ class TestQMarks:
         for build in (build_chain, right_chain):
             g = build(text)
             m = compute_metrics(g)
-            for path, q in product(PATHS, (2, 5)):
-                with forced_path(path):
-                    qm = compute_qmarks(g, m, q)
+            for q in (2, 5):
+                qm = compute_qmarks(g, m, q)
                 spine = [m.lengths.index(q) if k >= q else 0 for k in m.lengths]
                 own = [i if k >= q else 0 for i, k in enumerate(m.lengths)]
                 marks = (spine, own) if build is build_chain else (own, spine)
-                assert (qm.leftmost.tolist(), qm.rightmost.tolist()) == marks, (build, path, q)
+                assert (qm.leftmost.tolist(), qm.rightmost.tolist()) == marks, (build, q)
 
 
 class TestAffixTables:
